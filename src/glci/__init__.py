@@ -9,6 +9,7 @@ from .grading import (
     delta,
     hom_ext_dim,
     interval,
+    interval_size,
     leq,
     negate,
     normal_form,
@@ -22,8 +23,10 @@ from .algebra import (
     Quiver,
     StructureAlgebra,
     canonical_interval,
+    canonical_interval_size,
     cartan_matrix,
     cm_interval,
+    cm_interval_size,
     cm_tensor_check,
     global_dimension,
     i_canonical_quiver,

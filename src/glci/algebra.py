@@ -22,7 +22,9 @@ from .grading import (
     general_position_ok,
     generic_lambda,
     gen_c,
+    gen_x,
     interval,
+    interval_size,
     leq,
     normalize_weights,
     omega,
@@ -61,14 +63,19 @@ class Quiver:
 
 
 def check_convex(ws: WeightSystem, elements: Sequence[GroupElement]) -> bool:
+    """Whether x <= y <= z with x, z in the set forces y into the set.
+
+    Every y >= x is reached from x by steps +x_i and +c, so a gap shows up as
+    a one-step successor of a member that leaves the set while staying below
+    some member.
+    """
     members = set(elements)
+    steps = [gen_x(ws, i) for i in range(1, ws.n + 1)] + [gen_c(ws)]
     for x in members:
-        for z in members:
-            if x == z or not leq(ws, x, z):
-                continue
-            for y in interval(ws, x, z):
-                if y not in members:
-                    return False
+        for g in steps:
+            s = add(ws, x, g)
+            if s not in members and any(leq(ws, s, z) for z in members):
+                return False
     return True
 
 
@@ -147,16 +154,29 @@ def i_canonical_quiver(
     return Quiver(verts, tuple(arrows), tuple(relations), ws=base)
 
 
+def _cm_top(base: WeightSystem) -> GroupElement:
+    return add(base, smul(base, base.d, gen_c(base)), smul(base, 2, omega(base)))
+
+
 def cm_interval(ws: WeightSystem) -> list[GroupElement]:
     """The interval [0, d*c + 2*omega] indexing the stable tilting summands."""
     base = normalize_weights(ws)
-    top = add(base, smul(base, base.d, gen_c(base)), smul(base, 2, omega(base)))
-    return interval(base, zero(base), top)
+    return interval(base, zero(base), _cm_top(base))
+
+
+def cm_interval_size(ws: WeightSystem) -> int:
+    base = normalize_weights(ws)
+    return interval_size(base, zero(base), _cm_top(base))
 
 
 def canonical_interval(ws: WeightSystem) -> list[GroupElement]:
     base = normalize_weights(ws)
     return interval(base, zero(base), smul(base, base.d, gen_c(base)))
+
+
+def canonical_interval_size(ws: WeightSystem) -> int:
+    base = normalize_weights(ws)
+    return interval_size(base, zero(base), smul(base, base.d, gen_c(base)))
 
 
 def cartan_matrix(ws: WeightSystem, elements: Sequence[GroupElement]) -> list[list[int]]:

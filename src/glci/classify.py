@@ -9,14 +9,18 @@ slice of degree-shift orbit representatives for n = d + 2 with two weights 2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import canonical_interval, cm_interval, cm_quiver_signature
+from .algebra import (
+    canonical_interval_size,
+    cm_interval,
+    cm_interval_size,
+    cm_quiver_signature,
+)
 from .coxeter import k0_rank
 from .grading import (
     GroupElement,
@@ -24,7 +28,7 @@ from .grading import (
     WeightSystem,
     add,
     coset_data_mod_omega,
-    coset_index,
+    coset_key,
     delta,
     delta_omega,
     gen_c,
@@ -165,7 +169,7 @@ def orlov_rank_delta(ws: WeightSystem) -> int:
     """rank K0 of the sheaf side minus rank K0 of the stable side; must equal
     the signed order of the omega coset group (zero in the Calabi-Yau case)."""
     base = normalize_weights(ws)
-    value = len(canonical_interval(base)) - len(cm_interval(base))
+    value = canonical_interval_size(base) - cm_interval_size(base)
     tri = trichotomy(base)
     if tri == Trichotomy.CALABI_YAU:
         if value != 0:
@@ -250,17 +254,11 @@ def main2_slice(ws: WeightSystem) -> SliceData:
     elements = tuple(members)
 
     count = coset_data_mod_omega(sorted_ws).count
-    distinct = True
-    for a, b in itertools.combinations(elements, 2):
-        if coset_index(sorted_ws, a, b) is not None:
-            distinct = False
-            break
+    distinct = len({coset_key(sorted_ws, x) for x in elements}) == len(elements)
 
     dw = delta_omega(sorted_ws)
-    max_gap = max(
-        (delta(sorted_ws, sub(sorted_ws, y, x)) for x in elements for y in elements),
-        default=Fraction(0),
-    )
+    degrees = [delta(sorted_ws, x) for x in elements]
+    max_gap = max(degrees) - min(degrees) if degrees else Fraction(0)
     ell_bound = max(0, math.ceil(max_gap / (-dw)))
     w = omega(sorted_ws)
     vanish = True
@@ -327,6 +325,6 @@ def classification_report(ws: WeightSystem) -> ClassificationReport:
         coset_count=cosets.count,
         coset_invariant_factors=cosets.invariant_factors,
         k0_rank=k0_rank(base),
-        cm_rank=len(cm_interval(base)),
+        cm_rank=cm_interval_size(base),
         orlov_delta=orlov_rank_delta(base),
     )

@@ -443,6 +443,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: invariant failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -162,20 +162,40 @@ def trichotomy(ws: WeightSystem) -> Trichotomy:
 def interval(ws: WeightSystem, x: GroupElement, y: GroupElement) -> list[GroupElement]:
     """All z with x <= z <= y, in lexicographic order of (torsion, free) of z - x.
 
-    The free coordinate of z - x is bounded by floor(delta(y - x)) because
-    the degree map is monotone for <=.
+    With y - x = (b; f), the offset u = (t; a) lies in [0, y - x] exactly when
+    0 <= a <= f - #{i : t_i > b_i}, because each such torsion entry borrows
+    one c in the normal form of (y - x) - u.
     """
     w = sub(ws, y, x)
-    if not is_nonneg(ws, w):
-        return []
-    bound = math.floor(delta(ws, w))
-    out = []
+    out: list[GroupElement] = []
+    if w.free < 0:
+        return out
     for tors in itertools.product(*(range(p) for p in ws.weights)):
-        for a in range(bound + 1):
-            u = GroupElement(tors, a)
-            if leq(ws, u, w):
-                out.append(add(ws, x, u))
+        top = w.free - sum(t > b for t, b in zip(tors, w.torsion))
+        if top >= 0:
+            z = add(ws, x, GroupElement(tors, 0))
+            out.extend(GroupElement(z.torsion, z.free + a) for a in range(top + 1))
     return out
+
+
+def interval_size(ws: WeightSystem, x: GroupElement, y: GroupElement) -> int:
+    """|[x, y]| without enumeration, in O(n^2) integer operations.
+
+    With y - x = (b; f) and N_k the coefficient of z^k in
+    prod((b_i + 1) + (p_i - 1 - b_i) z), the torsion tuples with exactly k
+    entries above b number N_k, and each contributes f - k + 1 free values.
+    """
+    w = sub(ws, y, x)
+    if w.free < 0:
+        return 0
+    coeffs = [1]  # N_0..N_k, truncated at k = f since larger k contribute 0
+    for b, p in zip(w.torsion, ws.weights):
+        low, high = b + 1, p - 1 - b
+        nxt = [v * low for v in coeffs] + [0]
+        for k, v in enumerate(coeffs):
+            nxt[k + 1] += v * high
+        coeffs = nxt[: w.free + 1]
+    return sum(v * (w.free - k + 1) for k, v in enumerate(coeffs))
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

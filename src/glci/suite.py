@@ -135,14 +135,16 @@ def battery_group_laws(grid: Optional[Sequence[WeightSystem]] = None) -> list[Ch
 
 
 def battery_rank_identities(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
-    """|[0, d*c]| = Grothendieck rank = degree of the Coxeter polynomial;
-    for n = d+2 the stable interval has size prod(p_i - 1)."""
+    """|[0, d*c]| = closed-form interval size = Grothendieck rank = degree of
+    the Coxeter polynomial; for n = d+2 the stable interval has size
+    prod(p_i - 1), both enumerated and in closed form."""
     results = []
     for ws in grid if grid is not None else default_grid():
         box = algebra.canonical_interval(ws)
         rank = coxeter.k0_rank(ws)
-        ok = len(box) == rank
-        detail = f"|interval| {len(box)} vs rank {rank}"
+        size = algebra.canonical_interval_size(ws)
+        ok = len(box) == rank == size
+        detail = f"|interval| {len(box)} vs rank {rank} vs closed form {size}"
         if ok:
             chi = coxeter.coxeter_polynomial(ws)
             ok = chi.degree == rank
@@ -151,8 +153,9 @@ def battery_rank_identities(grid: Optional[Sequence[WeightSystem]] = None) -> li
         if ok and base.n == base.d + 2:
             cm = algebra.cm_interval(base)
             expected = math.prod(p - 1 for p in base.weights)
-            ok = len(cm) == expected
-            detail += f", |cm| {len(cm)} vs {expected}"
+            cm_size = algebra.cm_interval_size(base)
+            ok = len(cm) == expected == cm_size
+            detail += f", |cm| {len(cm)} vs {expected} vs closed form {cm_size}"
         results.append(CheckResult("rank_identities", str(ws), ok, detail if not ok else ""))
     return results
 

@@ -166,6 +166,19 @@ def test_invalid_weights_exit_code(capsys):
     assert code == 2
 
 
+def test_invariant_failure_exit_code(capsys, monkeypatch):
+    from glci import classify
+
+    def broken(ws):
+        raise AssertionError("rank difference 1 != expected 0")
+
+    monkeypatch.setattr(classify, "orlov_rank_delta", broken)
+    code, out, err = run_cli(capsys, "info", "--dim", "1", "--weights", "2,3,5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: invariant failed: rank difference 1 != expected 0\n"
+
+
 def test_suite_filter(capsys):
     code, out, _ = run_cli(capsys, "suite", "--only", "gldim")
     assert code == 0
