@@ -35,6 +35,7 @@ from .grading import (
     sub,
     zero,
 )
+from .linalg import Echelon, nullspace
 
 Coefficient = Union[Fraction, str]
 
@@ -404,71 +405,8 @@ class _FreeModule:
         return xa, out
 
 
-def _column_space(columns: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced basis of the span; echelon over Q."""
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for col in columns:
-        col = col[:]
-        for b, piv in zip(basis, pivots):
-            if col[piv]:
-                f = col[piv] / b[piv]
-                for i, v in enumerate(b):
-                    if v:
-                        col[i] -= f * v
-        piv = next((i for i, v in enumerate(col) if v), None)
-        if piv is not None:
-            basis.append(col)
-            pivots.append(piv)
-    return basis
-
-
-def _in_span(basis: list[list[Fraction]], col: list[Fraction]) -> bool:
-    col = col[:]
-    for b in basis:
-        piv = next(i for i, v in enumerate(b) if v)
-        if col[piv]:
-            f = col[piv] / b[piv]
-            for i, v in enumerate(b):
-                if v:
-                    col[i] -= f * v
-    return all(v == 0 for v in col)
-
-
-def _nullspace(matrix: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of the column-indexed map given by `matrix` (rows of length ncols)."""
-    m = [row[:] for row in matrix]
-    nrows = len(m)
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivot_of_col[c] = r
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
-    out = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for c, row in pivot_of_col.items():
-            vec[c] = -m[row][fc]
-        out.append(vec)
-    return out
-
-
 def _radical_submodule(alg, free: _FreeModule, cols_by_vertex):
-    """Columns spanning J*M from columns spanning M, echelonized per vertex."""
+    """Echelon basis of J*M at each vertex, from columns spanning M."""
     nv = len(alg.vertices)
     rad_cols = {x: [] for x in range(nv)}
     radical = alg.radical_positions()
@@ -481,7 +419,7 @@ def _radical_submodule(alg, free: _FreeModule, cols_by_vertex):
                 target, image = free.act(a, v, col)
                 if any(image):
                     rad_cols[target].append(image)
-    return {x: _column_space(cols) for x, cols in rad_cols.items()}
+    return {x: Echelon(cols) for x, cols in rad_cols.items()}
 
 
 def _minimal_generators(alg, free, cols_by_vertex):
@@ -489,11 +427,9 @@ def _minimal_generators(alg, free, cols_by_vertex):
     rad = _radical_submodule(alg, free, cols_by_vertex)
     gens = []
     for v in range(len(alg.vertices)):
-        span = [b[:] for b in rad[v]]
         for col in cols_by_vertex[v]:
-            if not _in_span(span, col):
+            if rad[v].add(col):
                 gens.append((v, col))
-                span = _column_space(span + [col])
     return gens
 
 
@@ -513,8 +449,7 @@ def _cover_kernel(alg, free, gens):
                 raise AssertionError("graded cover map mismatch")
             for i, val in enumerate(image):
                 rows[i][k] = val
-        for vec in _nullspace(rows, nc):
-            kernel_cols[x].append(vec)
+        kernel_cols[x] = nullspace(rows, nc)
     return cover, kernel_cols
 
 
@@ -535,13 +470,13 @@ def minimal_resolution_profile(alg: StructureAlgebra, vertex: int) -> list[list[
             col = [Fraction(0)] * free.dim_at(x)
             col[free.offset[x][(0, pos)]] = Fraction(1)
             cols[x].append(col)
-    cols = {x: _column_space(c) for x, c in cols.items()}
+    cols = {x: Echelon(c).rows for x, c in cols.items()}
     profile = [[vertex]]
     while not _module_is_zero(cols):
         gens = _minimal_generators(alg, free, cols)
         profile.append([v for v, _ in gens])
         free, cols = _cover_kernel(alg, free, gens)
-        cols = {x: _column_space(c) for x, c in cols.items()}
+        cols = {x: Echelon(c).rows for x, c in cols.items()}
     return profile
 
 

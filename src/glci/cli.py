@@ -53,10 +53,6 @@ def parse_element(ws: WeightSystem, text: str) -> GroupElement:
         raise InputError(f"cannot parse group element {text!r}") from exc
 
 
-def _coeff_str(coeff) -> str:
-    return str(coeff)
-
-
 def _coeff_parse(text: str):
     try:
         return Fraction(text)
@@ -72,7 +68,7 @@ def quiver_to_json(q: Quiver) -> dict:
         ],
         "relations": [
             {
-                "coeffs": [_coeff_str(c) for c in rel.coeffs],
+                "coeffs": [str(c) for c in rel.coeffs],
                 "paths": [list(path) for path in rel.paths],
             }
             for rel in q.relations
@@ -120,7 +116,7 @@ def quiver_to_text(q: Quiver) -> str:
     out.append(f"relations ({len(q.relations)}):")
     for rel in q.relations:
         terms = [
-            f"({_coeff_str(c)}) * {'·'.join(str(ai) for ai in path)}"
+            f"({str(c)}) * {'·'.join(str(ai) for ai in path)}"
             for c, path in zip(rel.coeffs, rel.paths)
         ]
         out.append("  " + " + ".join(terms))
@@ -308,10 +304,6 @@ def cmd_atilde(args) -> int:
     return 0 if report.ok and matches else 1
 
 
-def cmd_classify(args) -> int:
-    return cmd_info(args)
-
-
 def cmd_enumerate(args) -> int:
     from .grading import Trichotomy
 
@@ -345,6 +337,10 @@ def cmd_suite(args) -> int:
         if args.weights is None or args.dim is None:
             raise InputError("suite narrowing needs both --dim and --weights")
         ws = WeightSystem(args.dim, parse_weights(args.weights))
+    if args.only and not any(args.only in name for name in suite.BATTERIES):
+        raise InputError(
+            f"--only {args.only!r} matches no battery; known: {', '.join(suite.BATTERIES)}"
+        )
     results = suite.run_batteries(only=args.only, ws=ws)
     failed = [r for r in results if not r.ok]
     width = max((len(r.battery) for r in results), default=8)
@@ -410,11 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_ws_args(p)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.set_defaults(fn=cmd_atilde)
-
-    p = sub.add_parser("classify", help="alias of info")
-    add_ws_args(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("enumerate", help="Fano / Calabi-Yau weight tuples")
     p.add_argument("--dim", "-d", type=int, required=True)

@@ -16,6 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .linalg import det, smith_normal_form
+
 
 class Trichotomy(Enum):
     FANO = "Fano"
@@ -125,13 +127,13 @@ def smul(ws: WeightSystem, k: int, x: GroupElement) -> GroupElement:
     return normal_form(ws, [k * a for a in x.torsion], k * x.free)
 
 
-def is_nonneg(ws: WeightSystem, x: GroupElement) -> bool:
+def is_nonneg(x: GroupElement) -> bool:
     # The monoid of effective degrees is exactly {free coordinate >= 0}.
     return x.free >= 0
 
 
 def leq(ws: WeightSystem, x: GroupElement, y: GroupElement) -> bool:
-    return is_nonneg(ws, sub(ws, y, x))
+    return is_nonneg(sub(ws, y, x))
 
 
 def delta(ws: WeightSystem, x: GroupElement) -> Fraction:
@@ -196,65 +198,6 @@ def interval_size(ws: WeightSystem, x: GroupElement, y: GroupElement) -> int:
             nxt[k + 1] += v * high
         coeffs = nxt[: w.free + 1]
     return sum(v * (w.free - k + 1) for k, v in enumerate(coeffs))
-
-
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Invariant factors (nonnegative, each dividing the next) of an integer matrix."""
-    a = [[int(v) for v in row] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = min(rows, cols)
-    t = 0
-    while t < m:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(a[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            a[pi], a[t] = a[t], a[pi]
-        if pj != t:
-            for row in a:
-                row[pj], row[t] = row[t], row[pj]
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-        # Clear row and column t; restart pivot search if a remainder appears.
-        dirty = False
-        for i in range(t + 1, rows):
-            q = a[i][t] // a[t][t]
-            if q:
-                a[i] = [v - q * w for v, w in zip(a[i], a[t])]
-            if a[i][t]:
-                dirty = True
-        for j in range(t + 1, cols):
-            q = a[t][j] // a[t][t]
-            if q:
-                for row in a:
-                    row[j] -= q * row[t]
-            if a[t][j]:
-                dirty = True
-        if dirty:
-            continue
-        # Divisibility: pivot must divide every remaining entry.
-        viol = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    viol = i
-                    break
-            if viol is not None:
-                break
-        if viol is not None:
-            a[t] = [v + w for v, w in zip(a[t], a[viol])]
-            continue
-        t += 1
-    return [abs(a[i][i]) for i in range(m)]
 
 
 @dataclass(frozen=True)
@@ -374,22 +317,6 @@ def coset_key(ws: WeightSystem, x: GroupElement) -> GroupElement:
     return add(ws, x, smul(ws, step * k, omega(ws)))
 
 
-def coset_index(ws: WeightSystem, x: GroupElement, y: GroupElement) -> Optional[int]:
-    """The integer k with x - y = k * omega, or None if x, y lie in distinct cosets.
-
-    Only valid when delta(omega) != 0.
-    """
-    dw = delta_omega(ws)
-    if dw == 0:
-        raise ValueError("coset test requires delta(omega) != 0")
-    diff = sub(ws, x, y)
-    k = delta(ws, diff) / dw
-    if k.denominator != 1:
-        return None
-    k = int(k)
-    return k if smul(ws, k, omega(ws)) == diff else None
-
-
 def general_position_ok(ws: WeightSystem) -> bool:
     """All minors of every size of the hyperplane coefficient block are nonzero."""
     if ws.lam is None:
@@ -401,29 +328,9 @@ def general_position_ok(ws: WeightSystem) -> bool:
         for ri in itertools.combinations(range(r), k):
             for ci in itertools.combinations(range(c), k):
                 sub_m = [[rows[i][j] for j in ci] for i in ri]
-                if _det_fraction(sub_m) == 0:
+                if det(sub_m) == 0:
                     return False
     return True
-
-
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in m]
-    k = len(m)
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, k):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def generic_lambda(d: int, weights: Sequence[int], seed: int = 0) -> WeightSystem:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import linalg
 from .grading import (
     GroupElement,
     WeightSystem,
@@ -398,29 +399,9 @@ def mf_minor_nonsingular(pair: GradedMatrixPair, max_exact_size: int = 8) -> Min
         rng = random.Random(10_007 * attempt + 17)
         point = [Fraction(rng.randint(1, 10**6), rng.randint(1, 97)) for _ in range(2 * nvars)]
         values = [[entry.evaluate(point) for entry in row] for row in minor]
-        if _numeric_det(values) != 0:
+        if linalg.det(values) != 0:
             return MinorReport(True, "evaluation", None, attempt)
     return MinorReport(False, "evaluation", None, 5)
-
-
-def _numeric_det(m: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in m]
-    k = len(m)
-    det = Fraction(1)
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, k):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def expected_index_count(ws: WeightSystem) -> int:

@@ -82,10 +82,6 @@ def matrix_grid(max_rank: int = 80) -> list[WeightSystem]:
     return grid
 
 
-def _bounded_elements(ws: WeightSystem, lo: int, hi: int) -> list[GroupElement]:
-    return list(grading.elements_with_free_in(ws, lo, hi))
-
-
 # ---------------------------------------------------------------- batteries
 
 
@@ -94,7 +90,7 @@ def battery_group_laws(grid: Optional[Sequence[WeightSystem]] = None) -> list[Ch
     results = []
     for ws in grid if grid is not None else default_grid():
         rng = random.Random(1234 + ws.d * 1000 + hash(ws.weights) % 1000)
-        elems = _bounded_elements(ws, -2 * ws.d, 2 * ws.d)
+        elems = list(grading.elements_with_free_in(ws, -2 * ws.d, 2 * ws.d))
         ok = True
         detail = ""
         pool = elems if len(elems) <= 200 else rng.sample(elems, 200)
@@ -120,12 +116,12 @@ def battery_group_laws(grid: Optional[Sequence[WeightSystem]] = None) -> list[Ch
             w = grading.omega(ws)
             dc = grading.smul(ws, ws.d, grading.gen_c(ws))
             for x in elems:
-                in_box = grading.is_nonneg(ws, x) and grading.leq(ws, x, dc)
+                in_box = grading.is_nonneg(x) and grading.leq(ws, x, dc)
                 count_form = x.free >= 0 and (
                     x.free + sum(1 for a in x.torsion if a) <= ws.d
                 )
-                dual_form = grading.is_nonneg(ws, x) and not grading.is_nonneg(
-                    ws, grading.add(ws, x, w)
+                dual_form = grading.is_nonneg(x) and not grading.is_nonneg(
+                    grading.add(ws, x, w)
                 )
                 if not (in_box == count_form == dual_form):
                     ok, detail = False, f"order characterization fails at {x}"
@@ -227,14 +223,14 @@ def battery_piece_dims(grid: Optional[Sequence[WeightSystem]] = None) -> list[Ch
         detail = ""
         max_free = ws.d + 2
         census = _piece_dim_census(ws, max_free)
-        for x in _bounded_elements(ws, -2, max_free):
+        for x in grading.elements_with_free_in(ws, -2, max_free):
             expected = census.get(x, 0)
             if grading.piece_dim(ws, x) != expected:
                 ok, detail = False, f"piece_dim mismatch at {x}"
                 break
         if ok:
             w = grading.omega(ws)
-            for x in _bounded_elements(ws, -1, 1):
+            for x in grading.elements_with_free_in(ws, -1, 1):
                 y = grading.zero(ws)
                 lhs = grading.hom_ext_dim(ws, x, y, ws.d)
                 rhs = grading.hom_ext_dim(ws, y, grading.add(ws, x, w), 0)

@@ -194,6 +194,17 @@ def test_suite_narrowed_to_one_system(capsys):
     assert "1/1 checks passed" in out
 
 
+def test_suite_only_matching_no_battery_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "suite", "--only", "nosuch")
+    assert code == 2
+    assert out == ""
+    assert "'nosuch' matches no battery" in err and "gldim" in err
+    # a narrowed run whose precondition fails is still an empty pass
+    code, out, _ = run_cli(capsys, "suite", "--only", "mf", "-d", "2", "-w", "2,3")
+    assert code == 0
+    assert out == "0/0 checks passed\n"
+
+
 def test_suite_narrowing_needs_both_flags(capsys):
     code, _, err = run_cli(capsys, "suite", "--only", "mf", "--dim", "2")
     assert code == 2

@@ -17,6 +17,7 @@ from glci.grading import (
     smul,
     zero,
 )
+from test_linalg import naive_det
 
 T = IntPolynomial([0, 1])
 
@@ -52,35 +53,6 @@ def test_char_poly_against_cofactor_expansion():
         for _ in range(4):
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             assert char_poly(m) == naive_char_poly(m), m
-
-
-def naive_det(matrix):
-    n = len(matrix)
-    if n == 0:
-        return 1
-    total = 0
-    import itertools
-
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        # parity via cycle counting
-        p = list(perm)
-        for i in range(n):
-            if not seen[i]:
-                j = i
-                length = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = p[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-        term = sign
-        for i in range(n):
-            term *= matrix[i][perm[i]]
-        total += term
-    return total
 
 
 def test_smith_normal_form_against_determinants():
