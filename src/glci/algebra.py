@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .grading import (
     GroupElement,
@@ -61,6 +61,26 @@ class Quiver:
     arrows: tuple[Arrow, ...]
     relations: tuple[Relation, ...]
     ws: Optional[WeightSystem] = field(default=None, compare=False)
+
+
+def is_acyclic(vertex_count: int, arrows: Iterable[Arrow]) -> bool:
+    """Whether arrows (anything with `source` and `target` in
+    range(vertex_count)) form no oriented cycle, by Kahn peeling."""
+    indeg = [0] * vertex_count
+    adj: list[list[int]] = [[] for _ in range(vertex_count)]
+    for a in arrows:
+        adj[a.source].append(a.target)
+        indeg[a.target] += 1
+    layer = [v for v in range(vertex_count) if indeg[v] == 0]
+    seen = 0
+    while layer:
+        v = layer.pop()
+        seen += 1
+        for t in adj[v]:
+            indeg[t] -= 1
+            if indeg[t] == 0:
+                layer.append(t)
+    return seen == vertex_count
 
 
 def check_convex(ws: WeightSystem, elements: Sequence[GroupElement]) -> bool:

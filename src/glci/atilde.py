@@ -20,7 +20,7 @@ from .grading import (
     presentation,
     smul,
 )
-from .algebra import canonical_interval, i_canonical_quiver
+from .algebra import canonical_interval, i_canonical_quiver, is_acyclic
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class OrbitQuiverWithCut:
     ws: WeightSystem
     vertices: tuple[GroupElement, ...]
     arrows: tuple[CutArrow, ...]
-
-    def cut_arrows(self) -> list[CutArrow]:
-        return [a for a in self.arrows if a.cut]
 
 
 def _interval_representative(ws, members, x: GroupElement) -> GroupElement:
@@ -103,24 +100,7 @@ def verify_cut(q: OrbitQuiverWithCut, max_dim: int = 5) -> CutReport:
             raise AssertionError("more than one arrow per (vertex, label)")
         outgoing[key] = a
 
-    # Acyclicity of the non-cut part by Kahn peeling.
-    indeg = [0] * nv
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for a in q.arrows:
-        if not a.cut:
-            adj[a.source].append(a.target)
-            indeg[a.target] += 1
-    queue = [v for v in range(nv) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for t in adj[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    acyclic = seen == nv
-
+    acyclic = is_acyclic(nv, (a for a in q.arrows if not a.cut))
     labels = list(range(1, d + 2))
     bad = []
     cut_counts = [0] * nv

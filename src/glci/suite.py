@@ -1,11 +1,20 @@
 """Invariant batteries over a built-in grid of weight systems.
 
-Each battery returns a list of CheckResult; the CLI `suite` subcommand and the
-acceptance tests both run these.  The default grid takes every nondecreasing
-weight tuple with entries in [2, 6], length at most 6 and product at most 240,
-for ambient dimensions 1..3.  The matrix cross-check battery additionally caps
-the Grothendieck rank at 80 so exact characteristic polynomials stay cheap,
-and always includes a list of named fixture systems.
+Every battery has the signature `battery(grid=None) -> list[CheckResult]`,
+and the CLI `suite` subcommand and the acceptance tests both run them:
+
+- with `grid=None` a battery runs its default systems;
+- a given list is filtered by the battery's own precondition, so a system
+  it does not apply to yields no check;
+- the global batteries (`phi`, `cm_finite`, `enumeration`) check fixed
+  enumerations, not systems, and return [] for any given list.
+
+The default grid takes every nondecreasing weight tuple with entries in
+[2, 6], length at most 6 and product at most 240, for ambient dimensions
+1..3.  The matrix cross-check battery caps the Grothendieck rank at 80 so
+exact characteristic polynomials stay cheap, and adds named fixture systems.
+The fixture batteries run their named fixtures first, then the default-grid
+systems small enough for them.
 """
 
 from __future__ import annotations
@@ -175,23 +184,6 @@ def battery_coset_structure(grid: Optional[Sequence[WeightSystem]] = None) -> li
     return results
 
 
-def piece_dim_bruteforce(ws: WeightSystem, x: GroupElement) -> int:
-    """Independent count of basis monomials X^a * T^b in one graded degree:
-    enumerate all candidate exponents and test the degree by normalization."""
-    if x.free < 0:
-        return 0
-    splits = []
-    for bars in itertools.combinations(range(x.free + ws.d), ws.d):
-        cuts = (-1,) + bars + (x.free + ws.d,)
-        splits.append(tuple(cuts[i + 1] - cuts[i] - 1 for i in range(ws.d + 1)))
-    count = 0
-    for a in itertools.product(*(range(p) for p in ws.weights)):
-        for b in splits:
-            if grading.normal_form(ws, a, sum(b)) == x:
-                count += 1
-    return count
-
-
 def _piece_dim_census(ws: WeightSystem, max_free: int) -> dict[GroupElement, int]:
     """Counts of basis monomials X^a * T^b per degree, free part up to max_free."""
     census: dict[GroupElement, int] = {}
@@ -272,11 +264,14 @@ def battery_coxeter_cross_route(
     return results
 
 
-def battery_phi_telescoping(max_value: int = 6, max_size: int = 3) -> list[CheckResult]:
+def battery_phi_telescoping(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+    """Global: the phi factors over the sub-multisets of each multiset of at
+    most 3 values in 1..6 multiply out to the closed form."""
+    if grid is not None:
+        return []
     results = []
-    values = range(1, max_value + 1)
-    for size in range(max_size + 1):
-        for combo in itertools.combinations_with_replacement(values, size):
+    for size in range(4):
+        for combo in itertools.combinations_with_replacement(range(1, 7), size):
             prod = IntPolynomial([1])
             for sub_key, mult in coxeter._sub_multisets(combo):
                 prod = prod * coxeter.phi(sub_key) ** mult
@@ -313,21 +308,7 @@ def battery_quiver_structure(
         base = grading.normalize_weights(ws)
         box = algebra.canonical_interval(base)
         quiver = algebra.i_canonical_quiver(base, box)
-        indeg = [0] * len(quiver.vertices)
-        adj: dict[int, list[int]] = {}
-        for a in quiver.arrows:
-            indeg[a.target] += 1
-            adj.setdefault(a.source, []).append(a.target)
-        layer = [v for v in range(len(quiver.vertices)) if indeg[v] == 0]
-        seen = 0
-        while layer:
-            v = layer.pop()
-            seen += 1
-            for t in adj.get(v, ()):
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    layer.append(t)
-        if seen != len(quiver.vertices):
+        if not algebra.is_acyclic(len(quiver.vertices), quiver.arrows):
             ok, detail = False, "interval quiver has a cycle"
         if ok and any(min(len(p) for p in rel.paths) < 2 for rel in quiver.relations):
             ok, detail = False, "relation path of length < 2"
@@ -346,42 +327,47 @@ def battery_quiver_structure(
     return results
 
 
-MF_FIXTURES: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (1, (2, 3, 5)),
-    (1, (3, 3, 3)),
-    (2, (2, 2, 3, 4)),
-    (2, (2, 2, 2, 2)),
-    (3, (2, 2, 2, 2, 2)),
+def _fixtures_then_grid(
+    fixtures: Sequence[WeightSystem], accepts: Callable[[WeightSystem], bool]
+) -> list[WeightSystem]:
+    """The fixtures, then the default-grid systems `accepts` admits that are
+    not among them."""
+    return list(fixtures) + [
+        ws for ws in default_grid() if accepts(ws) and ws not in fixtures
+    ]
+
+
+MF_FIXTURES: tuple[WeightSystem, ...] = (
+    WeightSystem(1, (2, 3, 5)),
+    WeightSystem(1, (3, 3, 3)),
+    WeightSystem(2, (2, 2, 3, 4)),
+    WeightSystem(2, (2, 2, 2, 2)),
+    WeightSystem(3, (2, 2, 2, 2, 2)),
 )
 
 
-def _mf_grid_fixtures(max_indices: int = 8) -> list[tuple[int, tuple[int, ...]]]:
-    """Grid systems with n = d + 2 small enough for fully symbolic verification."""
-    out = []
-    for ws in default_grid():
-        if ws.d > 2 or ws.n != ws.d + 2:
-            continue
-        if math.prod(p - 1 for p in ws.weights) <= max_indices:
-            out.append((ws.d, ws.weights))
-    return out
-
-
 def battery_matrix_factorizations(
-    fixtures: Optional[Sequence[tuple[int, tuple[int, ...]]]] = None,
+    grid: Optional[Sequence[WeightSystem]] = None,
 ) -> list[CheckResult]:
-    if fixtures is None:
-        fixtures = list(MF_FIXTURES)
-        fixtures += [f for f in _mf_grid_fixtures() if f not in fixtures]
+    """Systems with n = d + 2: every matrix factorization verified symbolically.
+    By default the fixtures, then grid systems with d <= 2 and at most 8
+    factorizations."""
+    if grid is None:
+        grid = _fixtures_then_grid(
+            MF_FIXTURES,
+            lambda ws: ws.d <= 2 and math.prod(p - 1 for p in ws.weights) <= 8,
+        )
     results = []
-    for d, weights in fixtures:
-        ws = WeightSystem(d, weights)
+    for ws in grid:
+        if grading.normalize_weights(ws).n != ws.d + 2:
+            continue
         indices = matfac.mf_enumerate(ws)
         ok = len(indices) == matfac.expected_index_count(ws)
         detail = f"index count {len(indices)}"
         if ok:
             for index in indices:
                 pair = matfac.mf_build(ws, index)
-                if pair.size != 2 ** (d + 1):
+                if pair.size != 2 ** (ws.d + 1):
                     ok, detail = False, f"{index.ell}: size {pair.size}"
                     break
                 report = matfac.mf_verify(pair)
@@ -398,35 +384,27 @@ def battery_matrix_factorizations(
     return results
 
 
-ATILDE_FIXTURES: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (1, ()),
-    (2, ()),
-    (2, (2, 3, 4)),
-    (3, (2, 2)),
+ATILDE_FIXTURES: tuple[WeightSystem, ...] = (
+    WeightSystem(1, ()),
+    WeightSystem(2, ()),
+    WeightSystem(2, (2, 3, 4)),
+    WeightSystem(3, (2, 2)),
 )
 
 
-def _atilde_grid_fixtures(max_rank: int = 20) -> list[tuple[int, tuple[int, ...]]]:
-    out = []
-    for ws in default_grid():
-        base = grading.normalize_weights(ws)
-        if base.n <= base.d + 1 and coxeter.k0_rank(ws) <= max_rank:
-            out.append((ws.d, ws.weights))
-    return out
-
-
-def battery_atilde(
-    fixtures: Optional[Sequence[tuple[int, tuple[int, ...]]]] = None,
-) -> list[CheckResult]:
-    if fixtures is None:
-        fixtures = list(ATILDE_FIXTURES)
-        fixtures += [f for f in _atilde_grid_fixtures() if f not in fixtures]
+def battery_atilde(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+    """Systems with n <= d + 1: the orbit quiver satisfies the cut axioms.
+    By default the fixtures, then grid systems of Grothendieck rank <= 20."""
+    if grid is None:
+        grid = _fixtures_then_grid(ATILDE_FIXTURES, lambda ws: coxeter.k0_rank(ws) <= 20)
     results = []
-    for d, weights in fixtures:
-        ws = WeightSystem(d, weights)
+    for ws in grid:
+        base = grading.normalize_weights(ws)
+        if base.n > base.d + 1:
+            continue
         q = atilde.atilde_presentation(ws)
         report = atilde.verify_cut(q)
-        count = grading.coset_data_mod_omega(grading.normalize_weights(ws)).count
+        count = grading.coset_data_mod_omega(base).count
         ok = (
             report.ok
             and atilde.noncut_matches_interval_quiver(q)
@@ -437,28 +415,27 @@ def battery_atilde(
     return results
 
 
-GLDIM_FIXTURES: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (1, ()),
-    (1, (2, 2, 2)),
-    (1, (2, 3, 3)),
-    (2, (2, 3)),
+GLDIM_FIXTURES: tuple[WeightSystem, ...] = (
+    WeightSystem(1, ()),
+    WeightSystem(1, (2, 2, 2)),
+    WeightSystem(1, (2, 3, 3)),
+    WeightSystem(2, (2, 3)),
 )
 
-GLDIM_EXTRA: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (1, (2, 2, 2, 2)),
-    (2, (2, 2, 2, 2)),
-    (3, (2, 2)),
+GLDIM_EXTRA: tuple[WeightSystem, ...] = (
+    WeightSystem(1, (2, 2, 2, 2)),
+    WeightSystem(2, (2, 2, 2, 2)),
+    WeightSystem(3, (2, 2)),
 )
 
 
 def battery_global_dimension(
-    fixtures: Optional[Sequence[tuple[int, tuple[int, ...]]]] = None,
+    grid: Optional[Sequence[WeightSystem]] = None,
 ) -> list[CheckResult]:
-    if fixtures is None:
-        fixtures = GLDIM_FIXTURES + GLDIM_EXTRA
+    """Any system: the resolution oracle's global dimension equals the formula.
+    By default the fixtures and the extra systems."""
     results = []
-    for d, weights in fixtures:
-        ws = WeightSystem(d, weights)
+    for ws in grid if grid is not None else GLDIM_FIXTURES + GLDIM_EXTRA:
         alg = algebra.structure_constants(ws, algebra.canonical_interval(ws))
         got = algebra.global_dimension(alg)
         expected = classify.gldim_canonical(ws)
@@ -486,34 +463,28 @@ def battery_orlov(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckRe
     return results
 
 
-SLICE_FIXTURES: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2, (2, 2, 3, 4)),
-    (2, (2, 2, 2, 2)),
-    (3, (2, 2, 2, 2, 2)),
+SLICE_FIXTURES: tuple[WeightSystem, ...] = (
+    WeightSystem(2, (2, 2, 3, 4)),
+    WeightSystem(2, (2, 2, 2, 2)),
+    WeightSystem(3, (2, 2, 2, 2, 2)),
 )
 
 
-def _slice_grid_fixtures(max_cosets: int = 150) -> list[tuple[int, tuple[int, ...]]]:
-    out = []
-    for ws in default_grid():
+def battery_slices(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+    """Systems with n = d + 2 and two weights 2: the slice report holds.
+    By default the fixtures, then grid systems with at most 150 omega cosets."""
+
+    def few_cosets(ws: WeightSystem) -> bool:
+        count = grading.coset_data_mod_omega(grading.normalize_weights(ws)).count
+        return count is not None and count <= 150
+
+    if grid is None:
+        grid = _fixtures_then_grid(SLICE_FIXTURES, few_cosets)
+    results = []
+    for ws in grid:
         base = grading.normalize_weights(ws)
         if base.n != base.d + 2 or sorted(base.weights)[:2] != [2, 2]:
             continue
-        count = grading.coset_data_mod_omega(base).count
-        if count is not None and count <= max_cosets:
-            out.append((ws.d, ws.weights))
-    return out
-
-
-def battery_slices(
-    fixtures: Optional[Sequence[tuple[int, tuple[int, ...]]]] = None,
-) -> list[CheckResult]:
-    if fixtures is None:
-        fixtures = list(SLICE_FIXTURES)
-        fixtures += [f for f in _slice_grid_fixtures() if f not in fixtures]
-    results = []
-    for d, weights in fixtures:
-        ws = WeightSystem(d, weights)
         data = classify.main2_slice(ws)
         ok = data.report.ok
         results.append(
@@ -527,17 +498,20 @@ def battery_slices(
     return results
 
 
-def battery_cm_finiteness_scan(max_weight: int = 7) -> list[CheckResult]:
-    """Membership in the finite-type list, re-derived case by case, versus cm_finite;
-    plus consistency with the sufficient higher-finiteness list at n = d + 2."""
+def battery_cm_finiteness_scan(
+    grid: Optional[Sequence[WeightSystem]] = None,
+) -> list[CheckResult]:
+    """Global: membership in the finite-type list, re-derived case by case for
+    weights up to 7, versus cm_finite; plus consistency with the sufficient
+    higher-finiteness list at n = d + 2."""
+    if grid is not None:
+        return []
     results = []
     for d in (1, 2, 3):
         ok = True
         detail = ""
         for n in range(0, d + 4):
-            for tup in itertools.combinations_with_replacement(
-                range(2, max_weight + 1), n
-            ):
+            for tup in itertools.combinations_with_replacement(range(2, 8), n):
                 ws = WeightSystem(d, tup)
                 got = classify.cm_finite(ws)
                 if n <= d + 1:
@@ -605,8 +579,10 @@ def boxed_enumeration_oracle(
     return found, complete
 
 
-def battery_enumeration() -> list[CheckResult]:
-    """Families and sporadic tuples against an independent bounded box scan."""
+def battery_enumeration(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+    """Global: families and sporadic tuples against an independent bounded box scan."""
+    if grid is not None:
+        return []
     results = []
     fano = classify.enumerate_weight_systems(2, 4, Trichotomy.FANO)
     results.append(
@@ -645,7 +621,7 @@ def battery_enumeration() -> list[CheckResult]:
     return results
 
 
-_GRID_BATTERIES: dict[str, Callable[[Optional[Sequence[WeightSystem]]], list[CheckResult]]] = {
+BATTERIES: dict[str, Callable[[Optional[Sequence[WeightSystem]]], list[CheckResult]]] = {
     "group_laws": battery_group_laws,
     "rank_identities": battery_rank_identities,
     "coset_structure": battery_coset_structure,
@@ -653,60 +629,23 @@ _GRID_BATTERIES: dict[str, Callable[[Optional[Sequence[WeightSystem]]], list[Che
     "quiver_structure": battery_quiver_structure,
     "coxeter": battery_coxeter_cross_route,
     "orlov": battery_orlov,
-}
-
-_FIXTURE_BATTERIES: dict[str, tuple[Callable[..., list[CheckResult]], Callable[[WeightSystem], bool]]] = {
-    "mf": (
-        battery_matrix_factorizations,
-        lambda ws: grading.normalize_weights(ws).n == ws.d + 2,
-    ),
-    "atilde": (
-        battery_atilde,
-        lambda ws: grading.normalize_weights(ws).n <= ws.d + 1,
-    ),
-    "gldim": (battery_global_dimension, lambda ws: True),
-    "slices": (
-        battery_slices,
-        lambda ws: grading.normalize_weights(ws).n == ws.d + 2
-        and sorted(grading.normalize_weights(ws).weights)[:2] == [2, 2],
-    ),
-}
-
-_GLOBAL_BATTERIES: dict[str, Callable[[], list[CheckResult]]] = {
+    "mf": battery_matrix_factorizations,
+    "atilde": battery_atilde,
+    "gldim": battery_global_dimension,
+    "slices": battery_slices,
     "phi": battery_phi_telescoping,
     "cm_finite": battery_cm_finiteness_scan,
     "enumeration": battery_enumeration,
-}
-
-BATTERIES: dict[str, Callable[[], list[CheckResult]]] = {
-    **{name: fn for name, fn in _GRID_BATTERIES.items()},
-    **{name: fn for name, (fn, _) in _FIXTURE_BATTERIES.items()},
-    **_GLOBAL_BATTERIES,
 }
 
 
 def run_batteries(
     only: Optional[str] = None, ws: Optional[WeightSystem] = None
 ) -> list[CheckResult]:
-    """Run batteries matching `only`; with `ws` given, narrow every battery to
-    that one weight system (skipping batteries whose preconditions it misses
-    and the purely global enumerative ones)."""
+    """Run the batteries whose name contains `only`, each on its default
+    systems, or with `ws` given on that one system where it applies."""
     results = []
-    for name, fn in _GRID_BATTERIES.items():
-        if only and only not in name:
-            continue
-        results.extend(fn([ws]) if ws is not None else fn())
-    for name, (fn, applies) in _FIXTURE_BATTERIES.items():
-        if only and only not in name:
-            continue
-        if ws is not None:
-            if applies(ws):
-                results.extend(fn([(ws.d, ws.weights)]))
-        else:
-            results.extend(fn())
-    for name, fn in _GLOBAL_BATTERIES.items():
-        if only and only not in name:
-            continue
-        if ws is None:
-            results.extend(fn())
+    for name, fn in BATTERIES.items():
+        if not only or only in name:
+            results.extend(fn([ws] if ws is not None else None))
     return results

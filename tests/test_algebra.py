@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from glci.algebra import (
+    Arrow,
+    Quiver,
     associativity_spot_check,
     canonical_interval,
     cartan_matrix,
@@ -12,6 +14,7 @@ from glci.algebra import (
     cm_tensor_check,
     global_dimension,
     i_canonical_quiver,
+    is_acyclic,
     structure_constants,
 )
 from glci.coxeter import k0_rank
@@ -194,6 +197,15 @@ def test_quiver_is_acyclic_and_relations_have_length_two_or_more():
                     layer.append(t)
         assert seen == len(q.vertices)
         assert all(min(len(p) for p in rel.paths) >= 2 for rel in q.relations)
+
+
+def test_is_acyclic_cases():
+    dag = [Arrow(0, 1, 1), Arrow(0, 2, 1), Arrow(1, 2, 2), Arrow(2, 3, 1)]
+    assert is_acyclic(4, dag)
+    assert not is_acyclic(2, [Arrow(0, 1, 1), Arrow(1, 0, 1)])
+    assert not is_acyclic(2, [Arrow(0, 1, 1), Arrow(1, 1, 2)])
+    empty = Quiver((), (), ())
+    assert is_acyclic(len(empty.vertices), empty.arrows)
 
 
 def test_cm_tensor_check_examples():

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "glci").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def test_library_imports_only_stdlib_and_uses_no_floats():
@@ -28,3 +29,25 @@ def test_library_imports_only_stdlib_and_uses_no_floats():
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "float"
             ), f"{where}: float() call"
+
+
+def test_every_module_level_definition_is_used():
+    """Each top-level function and class in the library is named somewhere
+    in the library or its tests besides its own definition."""
+    named = set()
+    for path in SOURCES + TESTS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in named
+    ]
+    assert not unused, unused

@@ -45,6 +45,17 @@ def test_run_batteries_filter_and_narrowing():
     assert len(narrowed) == 1 and narrowed[0].ok
     # batteries whose precondition fails are skipped entirely
     assert suite.run_batteries(only="mf", ws=WeightSystem(2, (2, 3))) == []
+    assert suite.run_batteries(only="slices", ws=WeightSystem(2, (2, 3))) == []
+    assert suite.run_batteries(only="atilde", ws=ws) == []
+    # the global batteries check fixed enumerations, never a given system
+    for narrow in (ws, WeightSystem(1, ()), WeightSystem(2, (2, 3))):
+        for name in ("phi", "cm_finite", "enumeration"):
+            assert suite.run_batteries(only=name, ws=narrow) == []
+    # one table, one signature: every battery takes a list of systems
+    assert len(suite.BATTERIES) == 14
+    for name, fn in suite.BATTERIES.items():
+        results = fn([ws])
+        assert all(r.ok and r.label == str(ws) for r in results), name
 
 
 def test_boxed_enumeration_oracle_matches_enumerator():
