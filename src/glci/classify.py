@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     canonical_interval_size,
-    cm_interval,
     cm_interval_size,
     cm_quiver_signature,
 )
@@ -34,12 +33,13 @@ from .grading import (
     gen_c,
     gen_x,
     interval,
+    leq,
     normalize_weights,
     omega,
-    piece_dim,
     smul,
     sub,
     trichotomy,
+    zero,
 )
 
 
@@ -202,8 +202,30 @@ class SliceReport:
 @dataclass(frozen=True)
 class SliceData:
     ws: WeightSystem  # weights sorted so the two 2s lead
+    pieces: tuple[tuple[GroupElement, GroupElement], ...]  # nonempty [lo, hi]
     elements: tuple[GroupElement, ...]
     report: SliceReport
+
+
+def hom_vanishing_from_corners(
+    ws: WeightSystem,
+    pieces: Sequence[tuple[GroupElement, GroupElement]],
+    ells: Iterable[int],
+) -> bool:
+    """Whether R_{y - x + ell*omega} = 0 for all x, y in the union of the
+    nonempty intervals [lo, hi] in `pieces` and every ell in `ells`.
+
+    The order is translation-invariant, so some x in [lo_a, hi_a] and y in
+    [lo_b, hi_b] have x <= y + ell*omega exactly when lo_a <= hi_b + ell*omega,
+    with witnesses x = lo_a and y = hi_b.
+    """
+    w = omega(ws)
+    return not any(
+        leq(ws, lo, add(ws, hi, smul(ws, ell, w)))
+        for ell in ells
+        for lo, _ in pieces
+        for _, hi in pieces
+    )
 
 
 def main2_slice(ws: WeightSystem) -> SliceData:
@@ -213,7 +235,8 @@ def main2_slice(ws: WeightSystem) -> SliceData:
     index, with separate shapes for odd and even d).  Verification checks that
     the set hits every omega coset exactly once and that all graded pieces
     R_{y + ell*omega - x} vanish for x, y in the set and 1 <= ell <= L, where
-    L bounds the range beyond which the degree map forces vanishing.
+    L bounds the range beyond which the degree map forces vanishing.  Both L
+    and the vanishing are read off the interval endpoints.
     """
     base = normalize_weights(ws)
     sorted_ws = WeightSystem(base.d, tuple(sorted(base.weights)))
@@ -225,57 +248,36 @@ def main2_slice(ws: WeightSystem) -> SliceData:
     x2 = gen_x(sorted_ws, 2)
     x12 = add(sorted_ws, x1, x2)
 
-    def combo(cc: int, extra: Optional[GroupElement]) -> GroupElement:
-        out = smul(sorted_ws, cc, c)
-        if extra is not None:
-            out = add(sorted_ws, out, extra)
-        return out
+    def combo(cc: int, extra: GroupElement) -> GroupElement:
+        return add(sorted_ws, smul(sorted_ws, cc, c), extra)
 
-    pieces = []
+    o = zero(sorted_ws)
     if d % 2 == 1:
-        lo1 = combo(-(d - 1) // 2, None)
-        lo2 = sub(sorted_ws, combo(-(d - 3) // 2, None), x12)
-        for xi in (x1, x2):
-            hi = combo((d - 1) // 2, xi)
-            pieces.append((lo1, hi))
-            pieces.append((lo2, hi))
+        los = (combo(-(d - 1) // 2, o), sub(sorted_ws, combo(-(d - 3) // 2, o), x12))
+        his = (combo((d - 1) // 2, x1), combo((d - 1) // 2, x2))
+        pieces = [(lo, hi) for hi in his for lo in los]
     else:
-        hi1 = combo(d // 2, None)
-        hi2 = combo((d - 2) // 2, x12)
-        for xi in (x1, x2):
-            lo = combo(-d // 2, xi)
-            pieces.append((lo, hi1))
-            pieces.append((lo, hi2))
-
-    members: dict[GroupElement, None] = {}
-    for lo, hi in pieces:
-        for z in interval(sorted_ws, lo, hi):
-            members[z] = None
-    elements = tuple(members)
+        los = (combo(-d // 2, x1), combo(-d // 2, x2))
+        his = (combo(d // 2, o), combo((d - 2) // 2, x12))
+        pieces = [(lo, hi) for lo in los for hi in his]
+    if not all(leq(sorted_ws, lo, hi) for lo, hi in pieces):
+        raise AssertionError(f"empty slice piece among {pieces}")
+    elements = tuple(
+        dict.fromkeys(z for lo, hi in pieces for z in interval(sorted_ws, lo, hi))
+    )
 
     count = coset_data_mod_omega(sorted_ws).count
     distinct = len({coset_key(sorted_ws, x) for x in elements}) == len(elements)
 
-    dw = delta_omega(sorted_ws)
-    degrees = [delta(sorted_ws, x) for x in elements]
-    max_gap = max(degrees) - min(degrees) if degrees else Fraction(0)
-    ell_bound = max(0, math.ceil(max_gap / (-dw)))
-    w = omega(sorted_ws)
-    vanish = True
-    for ell in range(1, ell_bound + 1):
-        shift = smul(sorted_ws, ell, w)
-        for x in elements:
-            for y in elements:
-                if piece_dim(sorted_ws, add(sorted_ws, sub(sorted_ws, y, x), shift)):
-                    vanish = False
-                    break
-            if not vanish:
-                break
-        if not vanish:
-            break
+    # delta is monotone, so the extreme degrees sit at the piece endpoints
+    max_gap = max(delta(sorted_ws, hi) for _, hi in pieces) - min(
+        delta(sorted_ws, lo) for lo, _ in pieces
+    )
+    ell_bound = max(0, math.ceil(max_gap / -delta_omega(sorted_ws)))
+    vanish = hom_vanishing_from_corners(sorted_ws, pieces, range(1, ell_bound + 1))
 
     report = SliceReport(len(elements), count, distinct, vanish, ell_bound)
-    return SliceData(sorted_ws, elements, report)
+    return SliceData(sorted_ws, tuple(pieces), elements, report)
 
 
 def knoerrer_partner(ws: WeightSystem) -> WeightSystem:
@@ -284,7 +286,7 @@ def knoerrer_partner(ws: WeightSystem) -> WeightSystem:
     if base.n != base.d + 2:
         raise ValueError("dimension-shift pairing requires n = d + 2")
     partner = WeightSystem(base.d + 1, (2,) + base.weights)
-    if len(cm_interval(base)) != len(cm_interval(partner)):
+    if cm_interval_size(base) != cm_interval_size(partner):
         raise AssertionError("stable interval sizes disagree with the pairing")
     if cm_quiver_signature(base) != cm_quiver_signature(partner):
         raise AssertionError("stable interval quivers disagree with the pairing")

@@ -189,6 +189,7 @@ def cmd_coxeter(args) -> int:
     ws = _ws_from_args(args)
     chi = coxeter.coxeter_polynomial(ws)
     factors = coxeter.coxeter_factors(ws)
+    agrees = _matrix_route_agrees(ws, chi) if args.check_matrix else None
     if args.format == "json":
         payload = {
             "coefficients": list(chi.coeffs),
@@ -199,22 +200,19 @@ def cmd_coxeter(args) -> int:
             ],
         }
         if args.check_matrix:
-            payload["matrix_route_agrees"] = _matrix_route_agrees(ws, chi)
+            payload["matrix_route_agrees"] = agrees
         print(json.dumps(payload, indent=2))
-        return 0
-    pieces = []
-    for p, e in factors:
-        text = f"({format_poly(p)})"
-        pieces.append(text if e == 1 else f"{text}^{e}")
-    print(" ".join(pieces))
-    print(f"expanded: {format_poly(chi)}")
-    print(f"degree: {chi.degree}")
-    if args.check_matrix:
-        agrees = _matrix_route_agrees(ws, chi)
-        print(f"matrix route agrees: {agrees}")
-        if not agrees:
-            return 1
-    return 0
+    else:
+        pieces = []
+        for p, e in factors:
+            text = f"({format_poly(p)})"
+            pieces.append(text if e == 1 else f"{text}^{e}")
+        print(" ".join(pieces))
+        print(f"expanded: {format_poly(chi)}")
+        print(f"degree: {chi.degree}")
+        if args.check_matrix:
+            print(f"matrix route agrees: {agrees}")
+    return 1 if agrees is False else 0
 
 
 def _matrix_route_agrees(ws: WeightSystem, chi) -> bool:

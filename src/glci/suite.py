@@ -207,10 +207,9 @@ def _piece_dim_census(ws: WeightSystem, max_free: int) -> dict[GroupElement, int
 
 def battery_piece_dims(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
     results = []
-    source = grid if grid is not None else default_grid()
-    for ws in source:
-        if math.prod(ws.weights) > 60:
-            continue
+    if grid is None:
+        grid = [ws for ws in default_grid() if math.prod(ws.weights) <= 60]
+    for ws in grid:
         ok = True
         detail = ""
         max_free = ws.d + 2
@@ -299,10 +298,9 @@ def battery_quiver_structure(
     Cartan matrix transposes under negating the interval, and systems with
     n = d + 2 agree with their one-dimension-up partner."""
     results = []
-    source = grid if grid is not None else default_grid()
-    for ws in source:
-        if coxeter.k0_rank(ws) > 30:
-            continue
+    if grid is None:
+        grid = [ws for ws in default_grid() if coxeter.k0_rank(ws) <= 30]
+    for ws in grid:
         ok = True
         detail = ""
         base = grading.normalize_weights(ws)

@@ -70,6 +70,19 @@ def test_coxeter_matrix_check(capsys):
     assert "matrix route agrees: True" in out
 
 
+def test_coxeter_matrix_disagreement_exits_one_in_both_formats(capsys, monkeypatch):
+    from glci import coxeter
+
+    monkeypatch.setattr(coxeter, "char_poly", lambda matrix: coxeter.IntPolynomial([1]))
+    args = ("coxeter", "--dim", "1", "--weights", "2,3,5", "--check-matrix")
+    code, out, _ = run_cli(capsys, *args, "--format", "text")
+    assert code == 1
+    assert "matrix route agrees: False" in out
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["matrix_route_agrees"] is False
+
+
 def test_mf_verify_summary(capsys):
     code, out, _ = run_cli(
         capsys, "mf", "--dim", "1", "--weights", "2,3,5", "--verify"
@@ -203,6 +216,18 @@ def test_suite_only_matching_no_battery_is_bad_input(capsys):
     code, out, _ = run_cli(capsys, "suite", "--only", "mf", "-d", "2", "-w", "2,3")
     assert code == 0
     assert out == "0/0 checks passed\n"
+
+
+def test_suite_size_caps_choose_only_default_systems(capsys):
+    # both systems lie above the default-grid caps (Grothendieck rank 30 for
+    # quivers, weight product 60 for piece dimensions); named, they are checked
+    for argv in (
+        ("--only", "quiver", "-d", "2", "-w", "2,2,3,4"),
+        ("--only", "piece", "-d", "1", "-w", "5,5,5"),
+    ):
+        code, out, _ = run_cli(capsys, "suite", *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == "1/1 checks passed", argv
 
 
 def test_suite_narrowing_needs_both_flags(capsys):

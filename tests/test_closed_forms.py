@@ -1,13 +1,18 @@
-"""Closed-form intervals and step convexity against enumerate-and-test oracles.
+"""Closed forms against enumerate-and-test oracles: intervals, step
+convexity and the slice Hom-vanishing corner test.
 
 The oracles below are the original enumerate-and-test routines.  They share
 only the group arithmetic (`add`, `sub`, `leq`, `delta`) with the library,
-never the interval, size or convexity code they check.
+never the interval, size or convexity code they check.  The slice oracle
+enumerates the pieces with the (separately checked) `interval` and tests
+every pair; it shares only the pieces with the corner test.
 """
 
 import itertools
 import math
 import random
+
+import pytest
 
 from glci.algebra import (
     canonical_interval,
@@ -16,6 +21,7 @@ from glci.algebra import (
     cm_interval,
     cm_interval_size,
 )
+from glci.classify import SliceReport, hom_vanishing_from_corners, main2_slice
 from glci.coxeter import k0_rank
 from glci.grading import (
     GroupElement,
@@ -29,11 +35,12 @@ from glci.grading import (
     normal_form,
     normalize_weights,
     omega,
+    piece_dim,
     smul,
     sub,
     zero,
 )
-from glci.suite import default_grid
+from glci.suite import battery_slices, default_grid
 
 
 def _interval_by_enumeration(ws, x, y):
@@ -148,3 +155,131 @@ def test_step_convexity_matches_naive_check_on_random_subsets():
             assert check_convex(ws, subset) == naive, (ws, subset)
             seen[naive] += 1
     assert seen[True] > 20 and seen[False] > 20
+
+
+def _hom_vanishing_pairwise(ws, pieces, ells):
+    """Every x, y in the union of the pieces and every ell: R_{y - x + ell*omega} = 0.
+
+    Pairs with a difference y - x seen before are not tested again.
+    """
+    elements = {z for lo, hi in pieces for z in interval(ws, lo, hi)}
+    shifts = [smul(ws, ell, omega(ws)) for ell in ells]
+    seen = set()
+    for x in elements:
+        for y in elements:
+            u = sub(ws, y, x)
+            if u in seen:
+                continue
+            seen.add(u)
+            if any(piece_dim(ws, add(ws, u, shift)) for shift in shifts):
+                return False
+    return True
+
+
+# main2_slice reports as (size, coset_count, cosets_distinct, hom_vanishing_ok,
+# ell_bound), recorded from the pairwise Hom-vanishing loop.  The first 32
+# systems are the slices battery's defaults, in its order.
+SLICE_REPORTS = {
+    (2, (2, 2, 3, 4)): (28, 28, True, True, 3),
+    (2, (2, 2, 2, 2)): (16, 16, True, True, 2),
+    (3, (2, 2, 2, 2, 2)): (48, 48, True, True, 2),
+    (1, (2, 2, 2)): (4, 4, True, True, 1),
+    (1, (2, 2, 3)): (4, 4, True, True, 2),
+    (1, (2, 2, 4)): (4, 4, True, True, 2),
+    (1, (2, 2, 5)): (4, 4, True, True, 3),
+    (1, (2, 2, 6)): (4, 4, True, True, 3),
+    (2, (2, 2, 2, 3)): (20, 20, True, True, 2),
+    (2, (2, 2, 2, 4)): (24, 24, True, True, 2),
+    (2, (2, 2, 2, 5)): (28, 28, True, True, 3),
+    (2, (2, 2, 2, 6)): (32, 32, True, True, 3),
+    (2, (2, 2, 3, 3)): (24, 24, True, True, 3),
+    (2, (2, 2, 3, 5)): (32, 32, True, True, 3),
+    (2, (2, 2, 3, 6)): (36, 36, True, True, 3),
+    (2, (2, 2, 4, 4)): (32, 32, True, True, 3),
+    (2, (2, 2, 4, 5)): (36, 36, True, True, 4),
+    (2, (2, 2, 4, 6)): (40, 40, True, True, 4),
+    (2, (2, 2, 5, 5)): (40, 40, True, True, 4),
+    (2, (2, 2, 5, 6)): (44, 44, True, True, 5),
+    (2, (2, 2, 6, 6)): (48, 48, True, True, 5),
+    (3, (2, 2, 2, 2, 3)): (64, 64, True, True, 2),
+    (3, (2, 2, 2, 2, 4)): (80, 80, True, True, 2),
+    (3, (2, 2, 2, 2, 5)): (96, 96, True, True, 3),
+    (3, (2, 2, 2, 2, 6)): (112, 112, True, True, 3),
+    (3, (2, 2, 2, 3, 3)): (84, 84, True, True, 3),
+    (3, (2, 2, 2, 3, 4)): (104, 104, True, True, 3),
+    (3, (2, 2, 2, 3, 5)): (124, 124, True, True, 3),
+    (3, (2, 2, 2, 3, 6)): (144, 144, True, True, 3),
+    (3, (2, 2, 2, 4, 4)): (128, 128, True, True, 3),
+    (3, (2, 2, 3, 3, 3)): (108, 108, True, True, 3),
+    (3, (2, 2, 3, 3, 4)): (132, 132, True, True, 3),
+    (1, (2, 2, 7)): (4, 4, True, True, 4),
+    (3, (2, 2, 3, 3, 5)): (156, 156, True, True, 3),
+    (4, (2, 2, 2, 2, 2, 2)): (128, 128, True, True, 2),
+    (4, (2, 2, 2, 2, 2, 3)): (176, 176, True, True, 2),
+    (5, (2, 2, 2, 2, 2, 2, 2)): (320, 320, True, True, 2),
+}
+SLICE_SYSTEMS = [WeightSystem(d, weights) for d, weights in SLICE_REPORTS]
+
+
+def test_slice_systems_start_with_the_battery_defaults():
+    assert [r.label for r in battery_slices()] == [str(ws) for ws in SLICE_SYSTEMS[:32]]
+
+
+@pytest.mark.parametrize("ws", SLICE_SYSTEMS, ids=str)
+def test_slice_corner_test_matches_pairwise_oracle(ws):
+    data = main2_slice(ws)
+    assert data.report == SliceReport(*SLICE_REPORTS[ws.d, ws.weights])
+    sws, pieces = data.ws, data.pieces
+    ells = range(1, data.report.ell_bound + 1)
+    assert hom_vanishing_from_corners(sws, pieces, ells)
+    assert _hom_vanishing_pairwise(sws, pieces, ells)
+    # ell = 0 pairs each x with itself, and R_0 is the ground field
+    with_zero = range(0, data.report.ell_bound + 1)
+    assert not hom_vanishing_from_corners(sws, pieces, with_zero)
+    assert not _hom_vanishing_pairwise(sws, pieces, with_zero)
+    # raising any piece's top by c breaks the vanishing
+    for k, (lo, hi) in enumerate(pieces):
+        raised = pieces[:k] + ((lo, add(sws, hi, gen_c(sws))),) + pieces[k + 1 :]
+        assert not hom_vanishing_from_corners(sws, raised, ells), k
+        assert not _hom_vanishing_pairwise(sws, raised, ells), k
+
+
+SMALL_WEIGHTS = [
+    w
+    for k in range(5)
+    for w in itertools.combinations_with_replacement(range(2, 7), k)
+    if math.prod(w) <= 24
+]
+
+
+def test_slice_corner_test_matches_pairwise_on_random_pieces():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        ws = WeightSystem(draw(st.integers(1, 3)), draw(st.sampled_from(SMALL_WEIGHTS)))
+
+        def element(free):
+            tors = [draw(st.integers(0, p - 1)) for p in ws.weights]
+            return normal_form(ws, tors, draw(free))
+
+        pieces = []
+        for _ in range(draw(st.integers(1, 3))):
+            lo = element(st.integers(-2, 2))
+            pieces.append((lo, add(ws, lo, element(st.integers(0, 2)))))
+        start = draw(st.integers(-2, 2))
+        return ws, tuple(pieces), range(start, start + draw(st.integers(0, 3)))
+
+    seen = {True: 0, False: 0}
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        ws, pieces, ells = case
+        expected = _hom_vanishing_pairwise(ws, pieces, ells)
+        assert hom_vanishing_from_corners(ws, pieces, ells) == expected
+        seen[expected] += 1
+
+    check()
+    assert seen[True] > 10 and seen[False] > 10, seen
