@@ -8,6 +8,7 @@ so their agreement is a real check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -159,9 +160,6 @@ def format_poly(p: IntPolynomial) -> str:
     return "".join(parts)
 
 
-_PHI_CACHE: dict[tuple[int, ...], IntPolynomial] = {}
-
-
 def _one_minus_power(length: int, exponent: int) -> IntPolynomial:
     """(1 - t^length)^exponent expanded with exact binomials."""
     out = [0] * (length * exponent + 1)
@@ -170,52 +168,42 @@ def _one_minus_power(length: int, exponent: int) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def _sub_multisets(values: tuple[int, ...]):
-    """(sub-multiset, multiplicity) pairs, counting index subsets of a sorted
-    tuple that realize each sub-multiset; the full tuple is included."""
-    items = sorted(set(values))
-    counts = [values.count(v) for v in items]
-    for picks in itertools.product(*(range(c + 1) for c in counts)):
-        sub = []
-        mult = 1
-        for v, c, k in zip(items, counts, picks):
-            sub.extend([v] * k)
-            mult *= math.comb(c, k)
-        yield tuple(sub), mult
-
-
 def phi(values: Sequence[int]) -> IntPolynomial:
     """Characteristic polynomial of the simultaneous +1 shift on the quotient
     of the group ring of Z/a_1 x ... x Z/a_s by the coordinate-sum ideal.
 
-    Computed by exact division in the telescoping identity
-    prod over all sub-multisets I of phi_I = (1 - t^lcm)^(prod a_i / lcm);
-    symmetric in its arguments, so memoized on the sorted tuple.  Concurrent
-    callers at worst duplicate a computation; entries are immutable and the
-    cache dictionary is only ever grown.
+    Symmetric in its arguments, so computed once per sorted tuple.
     """
     key = tuple(sorted(int(a) for a in values))
     if any(a < 1 for a in key):
         raise ValueError("phi arguments must be positive")
-    cached = _PHI_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if not key:
-        result = IntPolynomial([1, -1])
-    else:
-        L = math.lcm(*key)
-        total = _one_minus_power(L, math.prod(key) // L)
-        denom = IntPolynomial([1])
-        for sub_key, mult in _sub_multisets(key):
-            if sub_key != key:
-                denom = denom * phi(sub_key) ** mult
-        result, rem = total.divmod_exact(denom)
-        if not rem.is_zero():
-            raise AssertionError(f"phi division left a remainder for {key}")
-        expected_deg = math.prod(a - 1 for a in key)
-        if result.degree != expected_deg:
-            raise AssertionError(f"phi degree mismatch for {key}")
-    _PHI_CACHE[key] = result
+    return _phi_sorted(key)
+
+
+@functools.cache
+def _phi_sorted(key: tuple[int, ...]) -> IntPolynomial:
+    """Moebius inversion of the telescoping identity prod over index subsets
+    I of S of phi_I = g_S, with g_I = (1 - t^lcm I)^(prod I / lcm I) and
+    g_() = 1 - t: phi_S is the product of g_I over |S - I| even divided by
+    the product over |S - I| odd, by one exact division.  The exponents are
+    summed per lcm first, so equal factors cancel before the division."""
+    exponents: dict[int, int] = {}
+    for size in range(len(key) + 1):
+        sign = -1 if (len(key) - size) % 2 else 1
+        for sub in itertools.combinations(key, size):
+            L = math.lcm(*sub)
+            exponents[L] = exponents.get(L, 0) + sign * (math.prod(sub) // L)
+    num = den = IntPolynomial([1])
+    for L, e in exponents.items():
+        if e > 0:
+            num = num * _one_minus_power(L, e)
+        elif e < 0:
+            den = den * _one_minus_power(L, -e)
+    result, rem = num.divmod_exact(den)
+    if not rem.is_zero():
+        raise AssertionError(f"phi division left a remainder for {key}")
+    if result.degree != math.prod(a - 1 for a in key):
+        raise AssertionError(f"phi degree mismatch for {key}")
     return result
 
 

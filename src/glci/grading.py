@@ -333,25 +333,19 @@ def general_position_ok(ws: WeightSystem) -> bool:
     return True
 
 
-def generic_lambda(d: int, weights: Sequence[int], seed: int = 0) -> WeightSystem:
-    """Weight system with numeric hyperplane rows in guaranteed general position.
+def generic_lambda(d: int, weights: Sequence[int]) -> WeightSystem:
+    """Weight system with numeric hyperplane rows in general position.
 
-    Rows are Vandermonde rows (1, t, t^2, ..., t^d) at distinct positive nodes,
-    so every minor of every size is positive; the check is still run and the
-    nodes are re-seeded on the (unreachable) failure path.
+    Rows are Vandermonde rows (1, t, t^2, ..., t^d) at the distinct positive
+    nodes t = 2, 3, ..., so every minor of every size is positive; the check
+    is still run.
     """
     weights = tuple(weights)
-    n = len(weights)
     if any(p < 2 for p in weights):
         raise ValueError("generic hyperplane data requires all weights >= 2")
-    k = max(0, n - d - 1)
-    offset = 0
-    while True:
-        nodes = [seed + offset + j + 2 for j in range(k)]
-        rows = tuple(
-            tuple(Fraction(t**j) for j in range(d + 1)) for t in nodes
-        )
-        ws = WeightSystem(d, weights, rows if k else ())
-        if k == 0 or general_position_ok(ws):
-            return ws
-        offset += k + 1
+    k = max(0, len(weights) - d - 1)
+    rows = tuple(tuple(Fraction(t**j) for j in range(d + 1)) for t in range(2, k + 2))
+    ws = WeightSystem(d, weights, rows)
+    if k and not general_position_ok(ws):
+        raise AssertionError(f"Vandermonde rows not in general position for {ws}")
+    return ws

@@ -93,15 +93,6 @@ class MultiPoly:
                 out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
-    def substitute_zero(self, variables: Sequence[int]) -> "MultiPoly":
-        """Set the given variable positions (0-based in the 2n layout) to zero."""
-        keep = {
-            e: c
-            for e, c in self.terms.items()
-            if all(e[v] == 0 for v in variables)
-        }
-        return MultiPoly(self.nvars, keep)
-
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         total = Fraction(0)
         for e, c in self.terms.items():
@@ -333,41 +324,6 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
     return MFReport(identity_ok, homogeneity_ok, tuple(failures))
 
 
-def _symbolic_det(matrix: list[list[MultiPoly]]) -> MultiPoly:
-    """Cofactor expansion along rows, memoized on the remaining column set."""
-    k = len(matrix)
-    nvars = matrix[0][0].nvars if k else 0
-    cache: dict[tuple[int, ...], MultiPoly] = {}
-
-    def rec(row: int, cols: tuple[int, ...]) -> MultiPoly:
-        if not cols:
-            return MultiPoly.monomial(nvars, 1, {})
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        acc = MultiPoly.zero(nvars)
-        for pos, c in enumerate(cols):
-            entry = matrix[row][c]
-            if entry.is_zero():
-                continue
-            rest = cols[:pos] + cols[pos + 1 :]
-            minor = rec(row + 1, rest)
-            term = entry * minor
-            acc = acc + (term if pos % 2 == 0 else -term)
-        cache[cols] = acc
-        return acc
-
-    return rec(0, tuple(range(k)))
-
-
-@dataclass(frozen=True)
-class MinorReport:
-    nonsingular: bool
-    method: str
-    degenerate_is_monomial_or_zero: Optional[bool]
-    attempts: int
-
-
 def _corner_minor(pair: GradedMatrixPair) -> list[list[MultiPoly]]:
     n = pair.ws.n
     rows = [k for k, s in enumerate(pair.even_subsets) if n not in s]
@@ -375,33 +331,25 @@ def _corner_minor(pair: GradedMatrixPair) -> list[list[MultiPoly]]:
     return [[pair.n_rows[r][c] for c in cols] for r in rows]
 
 
-def mf_minor_nonsingular(pair: GradedMatrixPair, max_exact_size: int = 8) -> MinorReport:
+def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
     """Nonvanishing of det of the N-submatrix on subsets avoiding the last index.
 
-    Exact symbolic determinant up to `max_exact_size`; beyond that, evaluation
-    at deterministic pseudo-random rational points with retries (a nonzero
-    value proves nonvanishing; all-zero values after the retries report a
-    negative without proof).
+    The entries are evaluated at deterministic pseudo-random rational points
+    and the determinant is taken exactly with `linalg.det`, at up to 5
+    points.  A nonzero value proves the polynomial determinant nonzero; five
+    zero values report a singular minor without proof.  For a pair from
+    `mf_build` the determinant is +-f'^(2^(d-1)) with f' the sum of the first
+    n - 1 terms of f, which is positive at these points.
     """
     minor = _corner_minor(pair)
-    k = len(minor)
     nvars = pair.ws.n
-    if k <= max_exact_size:
-        det = _symbolic_det(minor)
-        lam_vars = list(range(nvars, 2 * nvars - 1))  # lambda_1 .. lambda_{n-1}
-        degenerate = det.substitute_zero(lam_vars)
-        deg_flag = degenerate.is_zero() or (
-            degenerate.is_single_monomial()
-            and abs(next(iter(degenerate.terms.values()))) == 1
-        )
-        return MinorReport(not det.is_zero(), "symbolic", deg_flag, 1)
     for attempt in range(1, 6):
         rng = random.Random(10_007 * attempt + 17)
         point = [Fraction(rng.randint(1, 10**6), rng.randint(1, 97)) for _ in range(2 * nvars)]
         values = [[entry.evaluate(point) for entry in row] for row in minor]
         if linalg.det(values) != 0:
-            return MinorReport(True, "evaluation", None, attempt)
-    return MinorReport(False, "evaluation", None, 5)
+            return True
+    return False
 
 
 def expected_index_count(ws: WeightSystem) -> int:

@@ -263,23 +263,35 @@ def battery_coxeter_cross_route(
     return results
 
 
+def _sub_multisets(values: tuple[int, ...]):
+    """(sub-multiset, multiplicity) pairs, counting index subsets of a sorted
+    tuple that realize each sub-multiset; the full tuple is included."""
+    items = sorted(set(values))
+    counts = [values.count(v) for v in items]
+    for picks in itertools.product(*(range(c + 1) for c in counts)):
+        sub = []
+        mult = 1
+        for v, c, k in zip(items, counts, picks):
+            sub.extend([v] * k)
+            mult *= math.comb(c, k)
+        yield tuple(sub), mult
+
+
 def battery_phi_telescoping(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
     """Global: the phi factors over the sub-multisets of each multiset of at
-    most 3 values in 1..6 multiply out to the closed form."""
+    most 3 values in 1..6 multiply out to (1 - t^lcm)^(prod / lcm), the
+    forward form of the identity that `coxeter.phi` inverts."""
     if grid is not None:
         return []
     results = []
     for size in range(4):
         for combo in itertools.combinations_with_replacement(range(1, 7), size):
             prod = IntPolynomial([1])
-            for sub_key, mult in coxeter._sub_multisets(combo):
+            for sub_key, mult in _sub_multisets(combo):
                 prod = prod * coxeter.phi(sub_key) ** mult
-            if combo:
-                L = math.lcm(*combo)
-                expected = coxeter._one_minus_power(L, math.prod(combo) // L)
-            else:
-                expected = IntPolynomial([1, -1])
-            ok = prod == expected
+            L = math.lcm(*combo)
+            one_minus_t_to_L = IntPolynomial([1] + [0] * (L - 1) + [-1])
+            ok = prod == one_minus_t_to_L ** (math.prod(combo) // L)
             results.append(
                 CheckResult(
                     "phi_telescoping",
@@ -372,8 +384,7 @@ def battery_matrix_factorizations(
                 if not report.ok:
                     ok, detail = False, f"{index.ell}: {report.failures[:2]}"
                     break
-                minor = matfac.mf_minor_nonsingular(pair)
-                if not minor.nonsingular:
+                if not matfac.mf_minor_nonsingular(pair):
                     ok, detail = False, f"{index.ell}: singular corner minor"
                     break
             else:

@@ -1,11 +1,14 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from glci import suite
 from glci.grading import GroupElement, WeightSystem
 from glci.matfac import (
     MFIndex,
     MultiPoly,
+    _corner_minor,
     expected_index_count,
     hypersurface_poly,
     mf_build,
@@ -172,21 +175,63 @@ def test_mf_errors():
         mf_build(ws, MFIndex((0, 1, 1)))
 
 
+def _symbolic_det(matrix):
+    """Cofactor expansion along rows, memoized on the remaining column set:
+    an oracle for the corner minor independent of `linalg.det`."""
+    k = len(matrix)
+    nvars = matrix[0][0].nvars
+    cache = {}
+
+    def rec(row, cols):
+        if not cols:
+            return MultiPoly.monomial(nvars, 1, {})
+        if cols not in cache:
+            acc = MultiPoly.zero(nvars)
+            for pos, c in enumerate(cols):
+                if not matrix[row][c].is_zero():
+                    term = matrix[row][c] * rec(row + 1, cols[:pos] + cols[pos + 1 :])
+                    acc = acc + (term if pos % 2 == 0 else -term)
+            cache[cols] = acc
+        return cache[cols]
+
+    return rec(0, tuple(range(k)))
+
+
+@pytest.mark.parametrize("ws", suite.MF_FIXTURES, ids=str)
+def test_corner_minor_is_power_of_truncated_hypersurface(ws):
+    """det(corner) = +-f'^(2^(d-1)), f' the sum of the first n - 1 terms of
+    f: the corner is the N-block of the factorization in n - 1 variables."""
+    n = ws.n
+    f_prime = MultiPoly.zero(n)
+    for i, p in enumerate(ws.weights[:-1], start=1):
+        f_prime = f_prime + LX(n, i, p)
+    power = MultiPoly.monomial(n, 1, {})
+    for _ in range(2 ** (ws.d - 1)):
+        power = power * f_prime
+    for index in mf_enumerate(ws):
+        pair = mf_build(ws, index)
+        det = _symbolic_det(_corner_minor(pair))
+        assert det in (power, -power), index
+        assert mf_minor_nonsingular(pair) is True
+
+
 def test_mf_minor_nonsingular_examples():
     ws = WeightSystem(1, (2, 3, 5))
-    report = mf_minor_nonsingular(mf_build(ws, MFIndex((1, 1, 1))))
-    assert report.nonsingular and report.method == "symbolic"
-    assert report.degenerate_is_monomial_or_zero
-    ws2 = WeightSystem(2, (2, 2, 3, 4))
-    for index in mf_enumerate(ws2):
-        assert mf_minor_nonsingular(mf_build(ws2, index)).nonsingular
+    assert mf_minor_nonsingular(mf_build(ws, MFIndex((1, 1, 1)))) is True
+    ws4 = WeightSystem(4, (2, 2, 2, 2, 2, 3))
+    for index in mf_enumerate(ws4):
+        assert mf_minor_nonsingular(mf_build(ws4, index)) is True
 
 
-def test_mf_minor_evaluation_fallback():
+def test_mf_minor_singular_when_a_corner_row_is_zero():
     ws = WeightSystem(2, (2, 2, 3, 4))
-    pair = mf_build(ws, MFIndex((1, 1, 1, 1)))
-    report = mf_minor_nonsingular(pair, max_exact_size=1)
-    assert report.nonsingular and report.method == "evaluation"
+    pair = mf_build(ws, MFIndex((1, 1, 2, 3)))
+    row = next(k for k, s in enumerate(pair.even_subsets) if s and ws.n not in s)
+    rows = list(pair.n_rows)
+    rows[row] = tuple(MultiPoly.zero(ws.n) for _ in rows[row])
+    bad = replace(pair, n_rows=tuple(rows))
+    assert _symbolic_det(_corner_minor(bad)).is_zero()
+    assert mf_minor_nonsingular(bad) is False
 
 
 def test_shift_labels_match_printed_summands():
@@ -205,8 +250,6 @@ def test_shift_labels_match_printed_summands():
 
 
 def test_mf_verify_rejects_tampered_pair():
-    from dataclasses import replace
-
     ws = WeightSystem(1, (2, 3, 5))
     pair = mf_build(ws, MFIndex((1, 1, 1)))
     rows = [list(r) for r in pair.m_rows]
@@ -217,8 +260,6 @@ def test_mf_verify_rejects_tampered_pair():
 
 
 def test_mf_verify_rejects_tampered_shift_labels():
-    from dataclasses import replace
-
     from glci.grading import gen_c, add
 
     ws = WeightSystem(1, (2, 3, 5))

@@ -51,3 +51,49 @@ def test_every_module_level_definition_is_used():
         and node.name not in named
     ]
     assert not unused, unused
+
+
+def test_every_defaulted_parameter_is_set():
+    """Each defaulted parameter of a top-level library function is passed,
+    by keyword or by position, by some call in the library or its tests.
+    A function named other than as a callee (kept in a table, handed to
+    another function) is exempt, since its call sites cannot be seen."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES + TESTS]
+    callees = set()
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                callees.add(id(func))
+                calls.setdefault(name, []).append(node)
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees
+    }
+    unset = []
+    for path, tree in zip(SOURCES, trees):
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name in referenced:
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [
+                (positional.index(arg), arg.arg)
+                for arg in positional[len(positional) - len(fn.args.defaults) :]
+            ] + [
+                (None, arg.arg)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            for position, name in defaulted:
+                if not any(
+                    any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (None, name) for k in call.keywords)
+                    or (position is not None and position < len(call.args))
+                    for call in calls.get(fn.name, [])
+                ):
+                    unset.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+    assert not unset, unset
