@@ -33,11 +33,9 @@ from .algebra import (
     structure_constants,
 )
 from .coxeter import (
-    BlockBasisIndex,
     IntPolynomial,
     char_poly,
     coxeter_polynomial,
-    grothendieck_basis,
     k0_rank,
     omega_action_matrix,
     phi,

@@ -317,20 +317,20 @@ def _compositions(total: int, parts: int):
 
 def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> StructureAlgebra:
     """Build A^I with numeric hyperplane coefficients in general position:
-    the rows of `ws.lam`, else `generic_lambda`."""
+    the rows of `ws.lam`, checked here, else `generic_lambda`, which checks
+    its own rows."""
     base, _ = presentation(ws)
     if not check_convex(base, elements):
         raise ValueError("vertex set is not convex")
     pres_weights = presentation_weights(ws)
     need_rows = max(0, base.n - base.d - 1)
     if need_rows:
-        if base.lam is not None:
-            numeric = base
+        if base.lam is None:
+            lam_rows = generic_lambda(base.d, base.weights).lam
+        elif general_position_ok(base):
+            lam_rows = base.lam
         else:
-            numeric = generic_lambda(base.d, base.weights)
-        if not general_position_ok(numeric):
             raise ValueError("hyperplane coefficients are not in general position")
-        lam_rows = numeric.lam
     else:
         lam_rows = ()
 

@@ -83,15 +83,15 @@ class CutReport:
         return self.acyclic_without_cut and not self.bad_walks
 
 
-def verify_cut(q: OrbitQuiverWithCut, max_dim: int = 5) -> CutReport:
+def verify_cut(q: OrbitQuiverWithCut) -> CutReport:
     """Cut axioms: the uncut subquiver is acyclic and every full-label walk
     of length d+1 from any vertex closes up and crosses exactly one cut arrow.
 
-    The walk count is |V| * (d+1)!, so the check refuses d beyond `max_dim`.
+    The walk count is |V| * (d+1)!, so the check refuses d beyond 5.
     """
     d = q.ws.d
-    if d > max_dim:
-        raise ValueError(f"walk verification capped at d <= {max_dim}")
+    if d > 5:
+        raise ValueError("walk verification capped at d <= 5")
     nv = len(q.vertices)
     outgoing: dict[tuple[int, int], CutArrow] = {}
     for a in q.arrows:

@@ -50,7 +50,7 @@ def parse_element(ws: WeightSystem, text: str) -> GroupElement:
         tors = [int(v) for v in tors_text.split(",") if v.strip() != ""]
         return normal_form(ws, tors + [0] * (ws.n - len(tors)), int(free_text))
     except (ValueError, IndexError) as exc:
-        raise InputError(f"cannot parse group element {text!r}") from exc
+        raise InputError(f"cannot parse group element {text!r}: {exc}") from exc
 
 
 def _coeff_parse(text: str):

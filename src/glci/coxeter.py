@@ -2,8 +2,9 @@
 
 Route one multiplies closed-form cyclotomic-like factors; route two builds the
 integer matrix of the degree-shift action on a block basis of the Grothendieck
-group and takes an exact characteristic polynomial. The two never share code,
-so their agreement is a real check.
+group and takes its characteristic polynomial modulo a prime large enough to
+recover every integer coefficient. The two never share code, so their
+agreement is a real check. Both compute over the integers only.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .grading import WeightSystem, normalize_weights
@@ -91,22 +90,6 @@ class IntPolynomial:
             k >>= 1
         return result
 
-    def divmod_exact(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division over Q; quotient and remainder converted back to ints."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        div = [Fraction(c) for c in other.coeffs]
-        q = [Fraction(0)] * max(0, len(rem) - len(div) + 1)
-        lead = div[-1]
-        for shift in range(len(rem) - len(div), -1, -1):
-            f = rem[shift + len(div) - 1] / lead
-            if f:
-                q[shift] = f
-                for i, dc in enumerate(div):
-                    rem[shift + i] -= f * dc
-        return _frac_list_to_poly(q), _frac_list_to_poly(rem)
-
     def evaluate(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -130,15 +113,6 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({format_poly(self)!r})"
-
-
-def _frac_list_to_poly(values: list[Fraction]) -> IntPolynomial:
-    out = []
-    for v in values:
-        if v.denominator != 1:
-            raise ValueError("division was not exact over the integers")
-        out.append(int(v))
-    return IntPolynomial(out)
 
 
 def format_poly(p: IntPolynomial) -> str:
@@ -185,25 +159,29 @@ def _phi_sorted(key: tuple[int, ...]) -> IntPolynomial:
     """Moebius inversion of the telescoping identity prod over index subsets
     I of S of phi_I = g_S, with g_I = (1 - t^lcm I)^(prod I / lcm I) and
     g_() = 1 - t: phi_S is the product of g_I over |S - I| even divided by
-    the product over |S - I| odd, by one exact division.  The exponents are
-    summed per lcm first, so equal factors cancel before the division."""
+    the product over |S - I| odd.  The exponents are summed per lcm first, so
+    equal factors cancel.  Dividing p by 1 - t^L is the stride-L prefix sum
+    q[i] = p[i] + q[i - L] of the power series quotient, kept to deg p + 1
+    terms.  A division that is not exact leaves nonzero coefficients above
+    deg p - L, so the degree check below also proves every division exact."""
     exponents: dict[int, int] = {}
     for size in range(len(key) + 1):
         sign = -1 if (len(key) - size) % 2 else 1
         for sub in itertools.combinations(key, size):
             L = math.lcm(*sub)
             exponents[L] = exponents.get(L, 0) + sign * (math.prod(sub) // L)
-    num = den = IntPolynomial([1])
+    num = IntPolynomial([1])
     for L, e in exponents.items():
         if e > 0:
             num = num * _one_minus_power(L, e)
-        elif e < 0:
-            den = den * _one_minus_power(L, -e)
-    result, rem = num.divmod_exact(den)
-    if not rem.is_zero():
-        raise AssertionError(f"phi division left a remainder for {key}")
+    coeffs = list(num.coeffs)
+    for L, e in exponents.items():
+        for _ in range(-e):
+            for r in range(L):
+                coeffs[r::L] = itertools.accumulate(coeffs[r::L])
+    result = IntPolynomial(coeffs)
     if result.degree != math.prod(a - 1 for a in key):
-        raise AssertionError(f"phi degree mismatch for {key}")
+        raise AssertionError(f"phi division not exact for {key}")
     return result
 
 
@@ -244,30 +222,6 @@ def k0_rank(ws: WeightSystem) -> int:
             base.weights[i] - 1 for i in subset
         )
     return total
-
-
-@dataclass(frozen=True)
-class BlockBasisIndex:
-    """Index of one Grothendieck-group basis element: a subset of weight
-    indices (0-based, at most d of them), a level 0 <= e <= d - |subset|, and
-    a torsion tuple with entries 1 <= a_i <= p_i - 1 along the subset."""
-
-    subset: tuple[int, ...]
-    level: int
-    torsion: tuple[int, ...]
-
-
-def grothendieck_basis(ws: WeightSystem) -> list[BlockBasisIndex]:
-    """Basis indices in the row/column order of the omega action matrix."""
-    base = normalize_weights(ws)
-    out = []
-    for _, subset in _weight_subsets(ws):
-        tuples = list(
-            itertools.product(*(range(1, base.weights[i]) for i in subset))
-        )
-        for level in range(base.d + 1 - len(subset)):
-            out.extend(BlockBasisIndex(subset, level, t) for t in tuples)
-    return out
 
 
 def omega_action_block(weights: Sequence[int]) -> list[list[int]]:
@@ -323,45 +277,71 @@ def omega_action_matrix(ws: WeightSystem) -> list[list[int]]:
     return mat
 
 
+# Exponents e of the Mersenne primes 2^e - 1 below 2^20000.
+MERSENNE_EXPONENTS = (
+    2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279,
+    2203, 2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937,
+)
+
+
 def char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
-    """det(t*I - M) for a square integer matrix, by exact Hessenberg reduction."""
+    """det(t*I - M) for a square integer matrix, by Hessenberg reduction and
+    the Hessenberg recurrence over GF(P).
+
+    Each coefficient is a signed sum of principal minors, so by Hadamard its
+    absolute value is at most B = prod over rows r of (2 + isqrt(|r|^2)).
+    P is the first Mersenne prime above 2B, and each residue is lifted to
+    the symmetric range (-P/2, P/2).
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return IntPolynomial([1])
-    h = [[Fraction(v) for v in row] for row in matrix]
+    bound = math.prod(2 + math.isqrt(sum(v * v for v in row)) for row in matrix)
+    primes = (2**e - 1 for e in MERSENNE_EXPONENTS)
+    P = next((p for p in primes if p > 2 * bound), None)
+    if P is None:
+        raise ValueError(
+            f"char_poly coefficient bound has {bound.bit_length()} bits, more than "
+            f"the largest prime 2^{MERSENNE_EXPONENTS[-1]} - 1 allows"
+        )
+    h = [[v % P for v in row] for row in matrix]
     for j in range(n - 2):
-        piv = next((r for r in range(j + 1, n) if h[r][j] != 0), None)
+        piv = next((r for r in range(j + 1, n) if h[r][j]), None)
         if piv is None:
             continue
         if piv != j + 1:
             h[piv], h[j + 1] = h[j + 1], h[piv]
             for row in h:
                 row[piv], row[j + 1] = row[j + 1], row[piv]
-        inv = 1 / h[j + 1][j]
+        inv = pow(h[j + 1][j], -1, P)
+        hj1 = h[j + 1]
         for i in range(j + 2, n):
             if h[i][j]:
-                f = h[i][j] * inv
-                hi, hj1 = h[i], h[j + 1]
+                f = h[i][j] * inv % P
+                hi = h[i]
                 for col in range(j, n):
-                    hi[col] -= f * hj1[col]
+                    if hj1[col]:
+                        hi[col] = (hi[col] - f * hj1[col]) % P
                 for row in h:
-                    row[j + 1] += f * row[i]
-    # Char-poly recurrence for an upper Hessenberg matrix.
-    polys: list[list[Fraction]] = [[Fraction(1)]]
+                    if row[i]:
+                        row[j + 1] = (row[j + 1] + f * row[i]) % P
+    # Char-poly recurrence for an upper Hessenberg matrix; a zero on the
+    # subdiagonal ends the sum, since every later term carries it.
+    polys: list[list[int]] = [[1]]
     for m in range(1, n + 1):
         prev = polys[m - 1]
-        cur = [Fraction(0)] * (m + 1)
+        diag = h[m - 1][m - 1]
+        cur = [0] + prev
         for i, c in enumerate(prev):
-            cur[i + 1] += c
-            cur[i] -= h[m - 1][m - 1] * c
-        subprod = Fraction(1)
+            cur[i] -= diag * c
+        subprod = 1
         for i in range(m - 1, 0, -1):
-            subprod *= h[i][i - 1]
-            coef = h[i - 1][m - 1] * subprod
+            subprod = subprod * h[i][i - 1] % P
+            if not subprod:
+                break
+            coef = h[i - 1][m - 1] * subprod % P
             if coef:
                 for k, c in enumerate(polys[i - 1]):
                     cur[k] -= coef * c
-        polys.append(cur)
-    return _frac_list_to_poly(polys[n])
+        polys.append([c % P for c in cur])
+    return IntPolynomial([c - P if 2 * c > P else c for c in polys[n]])

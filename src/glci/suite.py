@@ -39,21 +39,15 @@ class CheckResult:
     detail: str = ""
 
 
-def weight_tuples(max_weight: int = 6, max_len: int = 6, max_product: int = 240):
-    """Nondecreasing tuples with entries in [2, max_weight], product bounded."""
-    out = [()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for tup in frontier:
-            lo = tup[-1] if tup else 2
-            for p in range(lo, max_weight + 1):
-                cand = tup + (p,)
-                if len(cand) <= max_len and math.prod(cand) <= max_product:
-                    nxt.append(cand)
-        out.extend(nxt)
-        frontier = [t for t in nxt if len(t) < max_len]
-    return sorted(set(out), key=lambda t: (len(t), t))
+def weight_tuples() -> list[tuple[int, ...]]:
+    """Nondecreasing tuples with entries in [2, 6], length at most 6 and
+    product at most 240, by length and then lexicographically."""
+    return [
+        tup
+        for k in range(7)
+        for tup in itertools.combinations_with_replacement(range(2, 7), k)
+        if math.prod(tup) <= 240
+    ]
 
 
 def default_grid() -> list[WeightSystem]:
@@ -78,11 +72,11 @@ MATRIX_FIXTURES: tuple[tuple[int, tuple[int, ...]], ...] = (
 )
 
 
-def matrix_grid(max_rank: int = 80) -> list[WeightSystem]:
+def matrix_grid() -> list[WeightSystem]:
     seen = set()
     grid = []
     for ws in default_grid():
-        if coxeter.k0_rank(ws) <= max_rank:
+        if coxeter.k0_rank(ws) <= 80:
             seen.add((ws.d, ws.weights))
             grid.append(ws)
     for d, tup in MATRIX_FIXTURES:

@@ -151,6 +151,13 @@ def test_structure_constants_with_explicit_points():
     assert associativity_spot_check(alg)
 
 
+def test_structure_constants_rejects_degenerate_points():
+    # (0:1) repeats the second coordinate hyperplane: a 1x1 minor vanishes
+    ws = WeightSystem(1, (2, 3, 5), ((Fraction(0), Fraction(1)),))
+    with pytest.raises(ValueError, match="general position"):
+        structure_constants(ws, canonical_interval(ws))
+
+
 def test_global_dimension_examples():
     cases = [
         ((1, ()), 1),  # Kronecker algebra is hereditary

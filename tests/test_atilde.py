@@ -71,6 +71,6 @@ def test_rejects_too_many_weights():
 
 
 def test_walk_cap():
-    q = atilde_presentation(WeightSystem(2, ()))
+    q = atilde_presentation(WeightSystem(6, ()))
     with pytest.raises(ValueError):
-        verify_cut(q, max_dim=1)
+        verify_cut(q)

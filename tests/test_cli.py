@@ -147,6 +147,16 @@ def test_quiver_custom_interval(capsys):
     assert len(payload["vertices"]) == 4
 
 
+def test_quiver_bad_element_names_the_reason(capsys):
+    # weight 1 is normalized away, so (1;1,2,3) takes two torsion coordinates
+    code, _, err = run_cli(
+        capsys, "quiver", "-d", "1", "-w", "1,2,3", "--interval", "0,0,0;0..0,0,0;1"
+    )
+    assert code == 2
+    assert "cannot parse group element" in err
+    assert "expected 2 torsion coordinates, got 3" in err
+
+
 def test_quiver_cm_interval_empty_is_ok(capsys):
     code, out, _ = run_cli(
         capsys, "quiver", "--dim", "2", "--weights", "2,3,4", "--interval", "cm", "--format", "dot"

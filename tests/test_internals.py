@@ -2,9 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
+
+import pytest
 
 from glci.algebra import global_dimension, structure_constants
-from glci.coxeter import IntPolynomial, char_poly
+from glci.coxeter import MERSENNE_EXPONENTS, IntPolynomial, char_poly
 from glci.grading import (
     GroupElement,
     WeightSystem,
@@ -47,12 +50,105 @@ def naive_char_poly(matrix):
     return det(tuple(range(n)), tuple(range(n)))
 
 
+def fraction_char_poly(matrix):
+    """det(t*I - M) by Hessenberg reduction and recurrence over Q."""
+    n = len(matrix)
+    h = [[Fraction(v) for v in row] for row in matrix]
+    for j in range(n - 2):
+        piv = next((r for r in range(j + 1, n) if h[r][j] != 0), None)
+        if piv is None:
+            continue
+        if piv != j + 1:
+            h[piv], h[j + 1] = h[j + 1], h[piv]
+            for row in h:
+                row[piv], row[j + 1] = row[j + 1], row[piv]
+        inv = 1 / h[j + 1][j]
+        for i in range(j + 2, n):
+            if h[i][j]:
+                f = h[i][j] * inv
+                hi, hj1 = h[i], h[j + 1]
+                for col in range(j, n):
+                    hi[col] -= f * hj1[col]
+                for row in h:
+                    row[j + 1] += f * row[i]
+    polys = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        cur = [Fraction(0)] * (m + 1)
+        for i, c in enumerate(prev):
+            cur[i + 1] += c
+            cur[i] -= h[m - 1][m - 1] * c
+        subprod = Fraction(1)
+        for i in range(m - 1, 0, -1):
+            subprod *= h[i][i - 1]
+            coef = h[i - 1][m - 1] * subprod
+            for k, c in enumerate(polys[i - 1]):
+                cur[k] -= coef * c
+        polys.append(cur)
+    assert all(c.denominator == 1 for c in polys[n])
+    return IntPolynomial([int(c) for c in polys[n]])
+
+
+def _hadamard_bits(matrix):
+    return math.prod(2 + math.isqrt(sum(v * v for v in row)) for row in matrix).bit_length()
+
+
 def test_char_poly_against_cofactor_expansion():
     rng = random.Random(20240815)
     for n in (1, 2, 3, 4, 5):
         for _ in range(4):
             m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
             assert char_poly(m) == naive_char_poly(m), m
+
+
+def test_char_poly_with_huge_entries_against_both_oracles():
+    # entries up to 10^40 push the coefficient bound past 2^127 and 2^521
+    rng = random.Random(314159)
+    bits = []
+    for n in (1, 2, 3, 4, 5, 6):
+        for scale in (10**3, 10**20, 10**40):
+            m = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(n)]
+            expected = fraction_char_poly(m)
+            assert char_poly(m) == expected, m
+            if n <= 5:
+                assert naive_char_poly(m) == expected, m
+            bits.append(_hadamard_bits(m))
+    assert max(bits) > 521
+
+
+def test_char_poly_property_against_both_oracles():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+    )
+    def check(m):
+        expected = naive_char_poly(m)
+        assert fraction_char_poly(m) == expected
+        assert char_poly(m) == expected
+
+    check()
+
+
+def test_char_poly_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2718)
+    for n in (3, 6, 9):
+        for scale in (2, 10**40):
+            m = [[rng.randint(-scale, scale) for _ in range(n)] for _ in range(n)]
+            coeffs = sympy.Matrix(m).charpoly().all_coeffs()
+            assert char_poly(m) == IntPolynomial([int(c) for c in reversed(coeffs)]), m
+
+
+def test_char_poly_refuses_a_bound_past_the_prime_table():
+    assert char_poly([[2 ** (MERSENNE_EXPONENTS[-1] - 2)]]).coeffs[0] < 0
+    with pytest.raises(ValueError):
+        char_poly([[2 ** MERSENNE_EXPONENTS[-1]]])
 
 
 def test_smith_normal_form_against_determinants():

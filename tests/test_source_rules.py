@@ -31,6 +31,19 @@ def test_library_imports_only_stdlib_and_uses_no_floats():
             ), f"{where}: float() call"
 
 
+def test_coxeter_is_integer_only():
+    """Both Coxeter routes compute over the integers, never over Q."""
+    path = next(p for p in SOURCES if p.name == "coxeter.py")
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert all(name.split(".")[0] != "fractions" for name in names), node.lineno
+
+
 def test_every_module_level_definition_is_used():
     """Each top-level function and class in the library is named somewhere
     in the library or its tests besides its own definition."""

@@ -1,21 +1,22 @@
 import math
 
 from glci import suite
-from glci.coxeter import grothendieck_basis, k0_rank
+from glci.coxeter import k0_rank
 from glci.grading import Trichotomy, WeightSystem
 
 
 def test_weight_tuples_bounds():
-    tuples = suite.weight_tuples(max_weight=4, max_len=3, max_product=30)
-    assert () in tuples
-    assert all(len(t) <= 3 and math.prod(t) <= 30 for t in tuples)
-    assert all(all(2 <= p <= 4 for p in t) for t in tuples)
+    tuples = suite.weight_tuples()
+    assert len(tuples) == len(set(tuples)) == 127
+    assert tuples[0] == () and tuples == sorted(tuples, key=lambda t: (len(t), t))
+    assert all(len(t) <= 6 and math.prod(t) <= 240 for t in tuples)
+    assert all(all(2 <= p <= 6 for p in t) for t in tuples)
     assert all(tuple(sorted(t)) == t for t in tuples)
-    assert (2, 3, 4) in tuples and (4, 4, 4) not in tuples
+    assert (2, 2, 2, 2, 3, 5) in tuples and (2, 2, 2, 2, 4, 4) not in tuples
 
 
 def test_matrix_grid_respects_rank_cap_and_fixtures():
-    grid = suite.matrix_grid(max_rank=80)
+    grid = suite.matrix_grid()
     pairs = {(ws.d, ws.weights) for ws in grid}
     for fixture in suite.MATRIX_FIXTURES:
         assert fixture in pairs
@@ -23,18 +24,6 @@ def test_matrix_grid_respects_rank_cap_and_fixtures():
     for ws in grid:
         if (ws.d, ws.weights) not in fixtures:
             assert k0_rank(ws) <= 80
-
-
-def test_grothendieck_basis_order_and_size():
-    for ws in (WeightSystem(1, (2, 3, 5)), WeightSystem(2, (2, 3))):
-        basis = grothendieck_basis(ws)
-        assert len(basis) == k0_rank(ws)
-        for b in basis:
-            assert len(b.subset) <= ws.d
-            assert 0 <= b.level <= ws.d - len(b.subset)
-            assert all(
-                1 <= a <= ws.weights[i] - 1 for i, a in zip(b.subset, b.torsion)
-            )
 
 
 def test_run_batteries_filter_and_narrowing():
