@@ -7,6 +7,7 @@ Output is deterministic byte for byte for a fixed invocation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -350,7 +351,9 @@ def cmd_suite(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser is built once per process: parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="glci",
         description="Exact invariants of Geigle-Lenzing complete intersections",

@@ -23,7 +23,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import algebra, atilde, classify, coxeter, grading, matfac
@@ -551,14 +550,18 @@ def boxed_enumeration_oracle(
 ) -> tuple[set[tuple[int, ...]], bool]:
     """Sporadic tuples found by scanning the full box p_i <= box, together with
     a completeness certificate: no non-family prefix leaves room for a weight
-    beyond the box."""
-    target = Fraction(n - d - 1)
-    recip = {p: Fraction(1, p) for p in range(2, box + 1)}
+    beyond the box.
+
+    Sums of 1/p are exact integers scaled by L = lcm(2..box): every p in the
+    box divides L, so 1/p is L // p."""
+    scale = math.lcm(*range(2, box + 1))
+    target = (n - d - 1) * scale
+    recip = {p: scale // p for p in range(2, box + 1)}
 
     def family_covered(tup) -> bool:
         if cls != Trichotomy.FANO:
             return False
-        total = Fraction(0)
+        total = 0
         for k in range(min(len(tup), n)):
             if total >= target:
                 return True
@@ -576,8 +579,9 @@ def boxed_enumeration_oracle(
         if family_covered(prefix):
             continue
         gap = target - sum(recip[p] for p in prefix)
-        # A tail weight beyond the box would need 1/p > gap (Fano) or == gap.
-        if gap > 0 and Fraction(1, box) > gap:
+        # A tail weight p beyond the box would need L/p > gap (Fano) or
+        # == gap, and L/p < L/box, which is exact since box divides L.
+        if gap > 0 and scale // box > gap:
             complete = False
     return found, complete
 

@@ -4,6 +4,7 @@ import pytest
 
 from glci.algebra import canonical_interval, i_canonical_quiver
 from glci.cli import (
+    build_parser,
     main,
     parse_element,
     parse_weights,
@@ -182,6 +183,22 @@ def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    assert build_parser() is build_parser()
+    info = ("info", "--dim", "2", "--weights", "2,2,3,4", "--format", "json")
+    code, first, _ = run_cli(capsys, *info)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "suite", "--only", "mf", "-d", "2", "-w", "2,2,3,4")
+    assert code == 0 and out.endswith("1/1 checks passed\n")
+    code, _, _ = run_cli(capsys, "info", "--dim", "1", "--weights", "2,zz")
+    assert code == 2
+    with pytest.raises(SystemExit):
+        main(["info", "--dim", "one"])
+    capsys.readouterr()
+    code, last, _ = run_cli(capsys, *info)
+    assert code == 0 and last == first
 
 
 def test_invalid_weights_exit_code(capsys):

@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "glci").glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
@@ -31,9 +33,14 @@ def test_library_imports_only_stdlib_and_uses_no_floats():
             ), f"{where}: float() call"
 
 
-def test_coxeter_is_integer_only():
-    """Both Coxeter routes compute over the integers, never over Q."""
-    path = next(p for p in SOURCES if p.name == "coxeter.py")
+INTEGER_ONLY_MODULES = ("coxeter.py", "suite.py")
+
+
+@pytest.mark.parametrize("module", INTEGER_ONLY_MODULES)
+def test_module_is_integer_only(module):
+    """Both Coxeter routes and the suite's box scan compute over the
+    integers, never over Q."""
+    path = next(p for p in SOURCES if p.name == module)
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]

@@ -1,6 +1,10 @@
+import itertools
 import math
+from fractions import Fraction
 
-from glci import suite
+import pytest
+
+from glci import classify, suite
 from glci.coxeter import k0_rank
 from glci.grading import Trichotomy, WeightSystem
 
@@ -48,10 +52,65 @@ def test_run_batteries_filter_and_narrowing():
 
 
 def test_boxed_enumeration_oracle_matches_enumerator():
-    fano = suite.boxed_enumeration_oracle(1, 3, Trichotomy.FANO, box=10)
-    found, complete = fano
+    found, complete = suite.boxed_enumeration_oracle(1, 3, Trichotomy.FANO, box=10)
     assert complete
     assert found == {(2, 3, 3), (2, 3, 4), (2, 3, 5)}
+    assert found == set(classify.enumerate_weight_systems(1, 3, Trichotomy.FANO).sporadic)
+
+
+def _fraction_box_scan(d, n, cls, box):
+    """The box scan over `Fraction`: the oracle for the lcm-scaled integer scan."""
+    target = Fraction(n - d - 1)
+    recip = {p: Fraction(1, p) for p in range(2, box + 1)}
+
+    def family_covered(tup) -> bool:
+        if cls != Trichotomy.FANO:
+            return False
+        total = Fraction(0)
+        for k in range(min(len(tup), n)):
+            if total >= target:
+                return True
+            total += recip[tup[k]]
+        return False
+
+    found = set()
+    complete = True
+    for tup in itertools.combinations_with_replacement(range(2, box + 1), n):
+        total = sum(recip[p] for p in tup)
+        in_class = total > target if cls == Trichotomy.FANO else total == target
+        if in_class and not family_covered(tup):
+            found.add(tup)
+    for prefix in itertools.combinations_with_replacement(range(2, box + 1), n - 1):
+        if family_covered(prefix):
+            continue
+        gap = target - sum(recip[p] for p in prefix)
+        if gap > 0 and Fraction(1, box) > gap:
+            complete = False
+    return found, complete
+
+
+BOX_SCAN_CASES = (
+    [(1, 3, cls, box) for cls in (Trichotomy.FANO, Trichotomy.CALABI_YAU) for box in (5, 6)]
+    + [
+        (2, 4, cls, box)
+        for cls in (Trichotomy.FANO, Trichotomy.CALABI_YAU)
+        for box in (2, 3, 5, 7, 11, 12, 13, 24)
+    ]
+    + [(2, 5, Trichotomy.CALABI_YAU, 12), (2, 6, Trichotomy.CALABI_YAU, 7)]
+)
+
+
+@pytest.mark.parametrize("d,n,cls,box", BOX_SCAN_CASES)
+def test_integer_box_scan_matches_fraction_box_scan(d, n, cls, box):
+    assert suite.boxed_enumeration_oracle(d, n, cls, box) == _fraction_box_scan(d, n, cls, box)
+
+
+def test_box_scan_completeness_flips_between_boxes_5_and_6():
+    # The prefix (2,3) leaves the gap 1/6: below 1/5, so at box 5 a weight
+    # beyond the box is not ruled out, but not below 1/6.
+    for cls in (Trichotomy.FANO, Trichotomy.CALABI_YAU):
+        assert suite.boxed_enumeration_oracle(1, 3, cls, 5)[1] is False
+        assert suite.boxed_enumeration_oracle(1, 3, cls, 6)[1] is True
 
 
 def test_piece_dim_census_agrees_with_formula():
