@@ -8,6 +8,7 @@ exact rationals, and a projective-resolution oracle for the global dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -37,6 +38,7 @@ from .grading import (
 )
 from .linalg import Echelon, nullspace
 
+Scalar = Union[int, Fraction]
 Coefficient = Union[Fraction, str]
 
 
@@ -209,7 +211,8 @@ def cartan_matrix(ws: WeightSystem, elements: Sequence[GroupElement]) -> list[li
 
 @dataclass(frozen=True)
 class StructureAlgebra:
-    """Multiplication table of A^I on its monomial basis over exact rationals.
+    """Multiplication table of A^I on its monomial basis over exact rationals;
+    the coefficients are ints when the hyperplane rows are integral.
 
     Basis elements are triples (source vertex, target vertex, exponent tuple)
     where the exponents encode a monomial of degree source - target in the
@@ -220,7 +223,7 @@ class StructureAlgebra:
     ws: WeightSystem
     vertices: tuple[GroupElement, ...]
     pres_weights: tuple[int, ...]
-    lam_rows: tuple[tuple[Fraction, ...], ...]
+    lam_rows: tuple[tuple[Scalar, ...], ...]
     basis: tuple[tuple[int, int, tuple[int, ...]], ...]
     index: dict[tuple[int, int, tuple[int, ...]], int] = field(compare=False)
     by_pair: dict[tuple[int, int], tuple[int, ...]] = field(compare=False)
@@ -236,13 +239,23 @@ class StructureAlgebra:
         # Off-diagonal span: the vertex poset is directed, so this is the radical.
         return [k for k, (x, y, _) in enumerate(self.basis) if x != y]
 
-    def reduce_monomial(self, exps: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
+    @functools.cached_property
+    def arrows_by_vertex(self) -> dict[int, list[int]]:
+        """The arrows, off-diagonal single variables, keyed by the vertex
+        of the columns they act on."""
+        out: dict[int, list[int]] = {}
+        for k, (x, y, e) in enumerate(self.basis):
+            if x != y and sum(e) == 1:
+                out.setdefault(y, []).append(k)
+        return out
+
+    def reduce_monomial(self, exps: Sequence[int]) -> dict[tuple[int, ...], Scalar]:
         """Rewrite X_i^{p_i} for non-coordinate i until exponents are in range."""
         d = self.ws.d
-        pending = {tuple(exps): Fraction(1)}
-        done: dict[tuple[int, ...], Fraction] = {}
+        pending = {tuple(exps): 1}
+        done: dict[tuple[int, ...], Scalar] = {}
         while pending:
-            nxt: dict[tuple[int, ...], Fraction] = {}
+            nxt: dict[tuple[int, ...], Scalar] = {}
             for e, coeff in pending.items():
                 hot = next(
                     (
@@ -253,7 +266,7 @@ class StructureAlgebra:
                     None,
                 )
                 if hot is None:
-                    done[e] = done.get(e, Fraction(0)) + coeff
+                    done[e] = done.get(e, 0) + coeff
                     continue
                 row = self.lam_rows[hot - d - 1]
                 for j in range(d + 1):
@@ -263,24 +276,24 @@ class StructureAlgebra:
                     e2[hot] -= self.pres_weights[hot]
                     e2[j] += self.pres_weights[j]
                     key = tuple(e2)
-                    nxt[key] = nxt.get(key, Fraction(0)) + coeff * row[j]
+                    nxt[key] = nxt.get(key, 0) + coeff * row[j]
             pending = {k: v for k, v in nxt.items() if v}
         return {k: v for k, v in done.items() if v}
 
-    def multiply(self, a: int, b: int) -> dict[int, Fraction]:
+    def multiply(self, a: int, b: int) -> dict[int, Scalar]:
         """Product of basis elements a * b, zero unless the middle vertices match."""
         xa, ya, ea = self.basis[a]
         xb, yb, eb = self.basis[b]
         if ya != xb:
             return {}
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for e, coeff in self.reduce_monomial(
             [u + v for u, v in zip(ea, eb)]
         ).items():
             pos = self.index.get((xa, yb, e))
             if pos is None:
                 raise AssertionError("product fell outside the monomial basis")
-            out[pos] = out.get(pos, Fraction(0)) + coeff
+            out[pos] = out.get(pos, 0) + coeff
         return {k: v for k, v in out.items() if v}
 
 
@@ -333,6 +346,10 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
             raise ValueError("hyperplane coefficients are not in general position")
     else:
         lam_rows = ()
+    # Integral rows (Vandermonde ones always) as ints keep every product an int.
+    lam_rows = tuple(
+        tuple(v.numerator if v.denominator == 1 else v for v in row) for row in lam_rows
+    )
 
     verts = tuple(dict.fromkeys(elements))
     basis: list[tuple[int, int, tuple[int, ...]]] = []
@@ -373,12 +390,12 @@ def associativity_spot_check(alg: StructureAlgebra) -> bool:
     return True
 
 
-def _combine(alg, partial: dict[int, Fraction], other: int, right: bool):
-    out: dict[int, Fraction] = {}
+def _combine(alg, partial: dict[int, Scalar], other: int, right: bool):
+    out: dict[int, Scalar] = {}
     for pos, coeff in partial.items():
         prod = alg.multiply(pos, other) if right else alg.multiply(other, pos)
         for q, v in prod.items():
-            out[q] = out.get(q, Fraction(0)) + coeff * v
+            out[q] = out.get(q, 0) + coeff * v
     return {k: v for k, v in out.items() if v}
 
 
@@ -403,12 +420,12 @@ class _FreeModule:
     def dim_at(self, vertex: int) -> int:
         return len(self.slot[vertex])
 
-    def act(self, a: int, vertex: int, column: list[Fraction]) -> tuple[int, list[Fraction]]:
+    def act(self, a: int, vertex: int, column: list[Scalar]) -> tuple[int, list[Scalar]]:
         """Left action of basis element a on a column supported at `vertex`."""
         xa, ya, _ = self.alg.basis[a]
         if ya != vertex:
             raise ValueError("action source vertex mismatch")
-        out = [Fraction(0)] * self.dim_at(xa)
+        out = [0] * self.dim_at(xa)
         for k, coeff in enumerate(column):
             if not coeff:
                 continue
@@ -419,16 +436,16 @@ class _FreeModule:
 
 
 def _radical_submodule(alg, free: _FreeModule, cols_by_vertex):
-    """Echelon basis of J*M at each vertex, from columns spanning M."""
+    """Echelon basis of J*M at each vertex, from columns spanning M.
+
+    The arrows span J_1 with J = J_1 + J_1^2 + ..., so J*M = J_1*M for a
+    submodule M: only arrows act.
+    """
     nv = len(alg.vertices)
     rad_cols = {x: [] for x in range(nv)}
-    radical = alg.radical_positions()
-    rad_by_source: dict[int, list[int]] = {}
-    for a in radical:
-        rad_by_source.setdefault(alg.basis[a][1], []).append(a)
     for v in range(nv):
         for col in cols_by_vertex[v]:
-            for a in rad_by_source.get(v, ()):
+            for a in alg.arrows_by_vertex.get(v, ()):
                 target, image = free.act(a, v, col)
                 if any(image):
                     rad_cols[target].append(image)
@@ -454,7 +471,7 @@ def _cover_kernel(alg, free, gens):
         nc = cover.dim_at(x)
         if nc == 0:
             continue
-        rows = [[Fraction(0)] * nc for _ in range(free.dim_at(x))]
+        rows = [[0] * nc for _ in range(free.dim_at(x))]
         for k, (comp, pos) in enumerate(cover.slot[x]):
             v, col = gens[comp]
             tgt, image = free.act(pos, v, col)
@@ -480,8 +497,8 @@ def minimal_resolution_profile(alg: StructureAlgebra, vertex: int) -> list[list[
         for pos in alg.by_pair.get((x, vertex), ()):
             if x == vertex:
                 continue
-            col = [Fraction(0)] * free.dim_at(x)
-            col[free.offset[x][(0, pos)]] = Fraction(1)
+            col = [0] * free.dim_at(x)
+            col[free.offset[x][(0, pos)]] = 1
             cols[x].append(col)
     cols = {x: Echelon(c).rows for x, c in cols.items()}
     profile = [[vertex]]

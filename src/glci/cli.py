@@ -225,7 +225,10 @@ def cmd_mf(args) -> int:
     ws = _ws_from_args(args)
     indices = matfac.mf_enumerate(ws)
     if args.ell:
-        ell = tuple(int(v) for v in args.ell.split(","))
+        try:
+            ell = tuple(int(v) for v in args.ell.split(","))
+        except ValueError as exc:
+            raise InputError(f"cannot parse --ell {args.ell!r}: {exc}") from exc
         indices = [matfac.MFIndex(ell)]
     failures = 0
     payload = []

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import linalg
@@ -93,10 +93,10 @@ class MultiPoly:
                 out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(self.nvars, out)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, point: Sequence[int]) -> int:
+        total = 0
         for e, c in self.terms.items():
-            term = Fraction(c)
+            term = c
             for v, k in zip(point, e):
                 if k:
                     term *= v**k
@@ -247,20 +247,22 @@ def hypersurface_poly(ws: WeightSystem) -> MultiPoly:
 
 
 def _mat_mul(a, b) -> list[list[MultiPoly]]:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
+    """Product of two MultiPoly matrices from their nonzero entries only: the
+    terms of each output entry accumulate in one dict."""
     nvars = a[0][0].nvars
+    cols = len(b[0])
+    b_rows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in b]
     out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = MultiPoly.zero(nvars)
-            for k in range(inner):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
+    for row in a:
+        acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(cols)]
+        for entry, b_row in zip(row, b_rows):
+            for e1, c1 in entry.terms.items():
+                for j, terms in b_row:
+                    dst = acc[j]
+                    for e2, c2 in terms.items():
+                        key = tuple(map(operator.add, e1, e2))
+                        dst[key] = dst.get(key, 0) + c1 * c2
+        out.append([MultiPoly(nvars, terms) for terms in acc])
     return out
 
 
@@ -287,6 +289,7 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
     """Check M*N = N*M = f*Id symbolically and per-entry degree homogeneity."""
     ws = pair.ws
     f = hypersurface_poly(ws)
+    zero = MultiPoly.zero(ws.n)
     failures = []
     identity_ok = True
     for name, prod, k in (
@@ -295,15 +298,13 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
     ):
         for i in range(k):
             for j in range(k):
-                expected = f if i == j else MultiPoly.zero(ws.n)
+                expected = f if i == j else zero
                 if prod[i][j] != expected:
                     identity_ok = False
                     failures.append(f"{name} entry ({i},{j}) != expected")
     homogeneity_ok = True
-    for name, rows, src_pos, src_sets, tgt_pos, tgt_sets in (
-        ("M", pair.m_rows, -1, pair.odd_subsets, 0, pair.even_subsets),
-        ("N", pair.n_rows, 0, pair.even_subsets, 1, pair.odd_subsets),
-    ):
+    degrees: dict[tuple[int, ...], GroupElement] = {}  # monomial -> its degree
+    for name, rows, src_pos, tgt_pos in (("M", pair.m_rows, -1, 0), ("N", pair.n_rows, 0, 1)):
         src_shifts = pair.shifts[src_pos]
         tgt_shifts = pair.shifts[tgt_pos]
         for i, row in enumerate(rows):
@@ -315,11 +316,13 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
                     homogeneity_ok = False
                     failures.append(f"{name} entry ({i},{j}) is not a monomial")
                     continue
-                if _monomial_degree(ws, entry) != expected:
+                (e,) = entry.terms
+                if e not in degrees:
+                    degrees[e] = _monomial_degree(ws, entry)
+                if degrees[e] != expected:
                     homogeneity_ok = False
                     failures.append(
-                        f"{name} entry ({i},{j}) has degree "
-                        f"{_monomial_degree(ws, entry)} != {expected}"
+                        f"{name} entry ({i},{j}) has degree {degrees[e]} != {expected}"
                     )
     return MFReport(identity_ok, homogeneity_ok, tuple(failures))
 
@@ -334,8 +337,8 @@ def _corner_minor(pair: GradedMatrixPair) -> list[list[MultiPoly]]:
 def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
     """Nonvanishing of det of the N-submatrix on subsets avoiding the last index.
 
-    The entries are evaluated at deterministic pseudo-random rational points
-    and the determinant is taken exactly with `linalg.det`, at up to 5
+    The entries are evaluated at deterministic pseudo-random positive integer
+    points and the determinant is taken exactly with `linalg.det`, at up to 5
     points.  A nonzero value proves the polynomial determinant nonzero; five
     zero values report a singular minor without proof.  For a pair from
     `mf_build` the determinant is +-f'^(2^(d-1)) with f' the sum of the first
@@ -345,7 +348,7 @@ def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
     nvars = pair.ws.n
     for attempt in range(1, 6):
         rng = random.Random(10_007 * attempt + 17)
-        point = [Fraction(rng.randint(1, 10**6), rng.randint(1, 97)) for _ in range(2 * nvars)]
+        point = [rng.randint(1, 10**6) for _ in range(2 * nvars)]
         values = [[entry.evaluate(point) for entry in row] for row in minor]
         if linalg.det(values) != 0:
             return True

@@ -158,6 +158,15 @@ def test_quiver_bad_element_names_the_reason(capsys):
     assert "expected 2 torsion coordinates, got 3" in err
 
 
+def test_mf_bad_ell_names_the_flag_and_text(capsys):
+    code, out, err = run_cli(capsys, "mf", "-d", "1", "-w", "2,3,5", "--ell", "1,x,2")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: cannot parse --ell '1,x,2': invalid literal for int() with base 10: 'x'\n"
+    )
+
+
 def test_quiver_cm_interval_empty_is_ok(capsys):
     code, out, _ = run_cli(
         capsys, "quiver", "--dim", "2", "--weights", "2,3,4", "--interval", "cm", "--format", "dot"

@@ -1,10 +1,13 @@
 """The exact linear algebra kernel against oracles that share no code with it."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glci.linalg import Echelon, det, nullspace
 
@@ -34,6 +37,51 @@ def naive_det(matrix):
             term *= matrix[i][perm[i]]
         total += term
     return total
+
+
+def _fraction_echelon(rows):
+    """The former `Echelon` over Fraction: (echelon rows, pivots), each input
+    row reduced against the earlier echelon rows by division."""
+    ech_rows, pivots = [], []
+    for v in rows:
+        v = list(v)
+        for row, p in zip(ech_rows, pivots):
+            if v[p]:
+                f = Fraction(v[p]) / row[p]
+                for i, x in enumerate(row):
+                    if x:
+                        v[i] -= f * x
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            ech_rows.append(v)
+            pivots.append(p)
+    return ech_rows, pivots
+
+
+def _fraction_det(m):
+    ech_rows, pivots = _fraction_echelon(m)
+    if len(pivots) < len(m):
+        return 0
+    inversions = sum(a > b for a, b in itertools.combinations(pivots, 2))
+    product = Fraction(1)
+    for row, p in zip(ech_rows, pivots):
+        product *= row[p]
+    return -product if inversions % 2 else product
+
+
+def _fraction_nullspace(rows, ncols):
+    ech_rows, pivots = _fraction_echelon(rows)
+    out = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, p in zip(reversed(ech_rows), reversed(pivots)):
+            acc = sum((x * vec[c] for c, x in enumerate(row) if x and c != p), Fraction(0))
+            vec[p] = -acc / row[p]
+        out.append(vec)
+    return out
 
 
 def _entry(rng, fractions):
@@ -120,7 +168,55 @@ def test_int_input_gives_exact_values():
     assert kernel == [[Fraction(-1, 2), 1, 0], [0, 0, 1]]
     _assert_exact([x for vec in kernel for x in vec])
     ech = Echelon([[2, 1], [1, 1]])
-    assert ech.rows == [[2, 1], [0, Fraction(1, 2)]]
+    assert ech.rows == [[2, 1], [0, 1]]
     _assert_exact([x for row in ech.rows for x in row])
     _assert_exact(ech.reduce([1, 0]))
     assert not ech.add([4, 3]) and ech.pivots == [0, 1]
+
+
+@st.composite
+def _matrices(draw):
+    """Int or Fraction matrices up to 5 x 6, zero-heavy, with some rows forced
+    to be combinations of earlier ones."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
+    small = st.sampled_from((0, 0, 0, -1, 1, -2, 2, 3))
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, small | st.integers(-50, 50), st.integers(1, 12))
+    else:
+        entry = small | st.integers(-(10**6), 10**6)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    for k in range(2, nrows):
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+            a, b = draw(small), draw(st.builds(Fraction, small, st.integers(1, 3)))
+            rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_matrices(), st.data())
+def test_integer_echelon_against_fraction_echelon(rows, data):
+    ncols = len(rows[0]) if rows else data.draw(st.integers(1, 6))
+    ech = Echelon(rows)
+    ref_rows, ref_pivots = _fraction_echelon(rows)
+    assert ech.pivots == ref_pivots
+    for row, ref, p in zip(ech.rows, ref_rows, ech.pivots):
+        # primitive integer rows with a positive pivot, spanning the same lines
+        assert all(type(x) is int for x in row) and row[p] > 0
+        assert math.gcd(*row) == 1
+        assert [Fraction(x, row[p]) for x in row] == [Fraction(x) / ref[p] for x in ref]
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+    combo = [sum((c * row[k] for c, row in zip(coeffs, rows)), 0) for k in range(ncols)]
+    other = data.draw(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols))
+    for v in (combo, other):
+        reduced = ech.reduce(v)
+        assert not any(reduced[p] for p in ech.pivots)
+        in_span = len(_fraction_echelon(rows + [v])[1]) == len(ref_pivots)
+        assert (not any(reduced)) == in_span, (rows, v)
+    k = min(len(rows), ncols)
+    square = [row[:k] for row in rows[:k]]
+    got = det(square)
+    assert got == _fraction_det(square)
+    if all(type(x) is int for row in square for x in row):
+        assert type(got) is int
+    assert nullspace(rows, ncols) == _fraction_nullspace(rows, ncols)
