@@ -227,6 +227,10 @@ class StructureAlgebra:
     basis: tuple[tuple[int, int, tuple[int, ...]], ...]
     index: dict[tuple[int, int, tuple[int, ...]], int] = field(compare=False)
     by_pair: dict[tuple[int, int], tuple[int, ...]] = field(compare=False)
+    # multiply's results by (a, b); callers only read the dicts it returns
+    products: dict[tuple[int, int], dict[int, Scalar]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     @property
     def dim(self) -> int:
@@ -234,10 +238,6 @@ class StructureAlgebra:
 
     def idempotent(self, vertex: int) -> int:
         return self.index[(vertex, vertex, (0,) * len(self.pres_weights))]
-
-    def radical_positions(self) -> list[int]:
-        # Off-diagonal span: the vertex poset is directed, so this is the radical.
-        return [k for k, (x, y, _) in enumerate(self.basis) if x != y]
 
     @functools.cached_property
     def arrows_by_vertex(self) -> dict[int, list[int]]:
@@ -281,7 +281,11 @@ class StructureAlgebra:
         return {k: v for k, v in done.items() if v}
 
     def multiply(self, a: int, b: int) -> dict[int, Scalar]:
-        """Product of basis elements a * b, zero unless the middle vertices match."""
+        """Product of basis elements a * b, zero unless the middle vertices
+        match; computed once per pair and kept in `products`."""
+        cached = self.products.get((a, b))
+        if cached is not None:
+            return cached
         xa, ya, ea = self.basis[a]
         xb, yb, eb = self.basis[b]
         if ya != xb:
@@ -294,7 +298,8 @@ class StructureAlgebra:
             if pos is None:
                 raise AssertionError("product fell outside the monomial basis")
             out[pos] = out.get(pos, 0) + coeff
-        return {k: v for k, v in out.items() if v}
+        out = self.products[(a, b)] = {k: v for k, v in out.items() if v}
+        return out
 
 
 def _graded_monomials(

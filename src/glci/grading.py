@@ -112,7 +112,17 @@ def gen_c(ws: WeightSystem) -> GroupElement:
 
 
 def add(ws: WeightSystem, x: GroupElement, y: GroupElement) -> GroupElement:
-    return normal_form(ws, [a + b for a, b in zip(x.torsion, y.torsion)], x.free + y.free)
+    """x + y for x, y in normal form: 0 <= a + b < 2p, so each coordinate
+    carries at most one c."""
+    free = x.free + y.free
+    tors = []
+    for a, b, p in zip(x.torsion, y.torsion, ws.weights, strict=True):
+        s = a + b
+        if s >= p:
+            s -= p
+            free += 1
+        tors.append(s)
+    return GroupElement(tuple(tors), free)
 
 
 def negate(ws: WeightSystem, x: GroupElement) -> GroupElement:
@@ -120,7 +130,17 @@ def negate(ws: WeightSystem, x: GroupElement) -> GroupElement:
 
 
 def sub(ws: WeightSystem, x: GroupElement, y: GroupElement) -> GroupElement:
-    return normal_form(ws, [a - b for a, b in zip(x.torsion, y.torsion)], x.free - y.free)
+    """x - y for x, y in normal form: -p < a - b < p, so each coordinate
+    borrows at most one c."""
+    free = x.free - y.free
+    tors = []
+    for a, b, p in zip(x.torsion, y.torsion, ws.weights, strict=True):
+        s = a - b
+        if s < 0:
+            s += p
+            free -= 1
+        tors.append(s)
+    return GroupElement(tuple(tors), free)
 
 
 def smul(ws: WeightSystem, k: int, x: GroupElement) -> GroupElement:

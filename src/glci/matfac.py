@@ -9,9 +9,9 @@ at once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -171,23 +171,36 @@ def _position_sign(i: int, subset: tuple[int, ...]) -> int:
     return (-1) ** sum(1 for j in subset if j <= i)
 
 
-def _entry(
-    nvars: int,
-    weights: tuple[int, ...],
-    ell: tuple[int, ...],
-    row: tuple[int, ...],
-    col: tuple[int, ...],
-) -> MultiPoly:
-    rs, cs = set(row), set(col)
-    if rs >= cs and len(rs - cs) == 1:
-        (i,) = rs - cs
-        return MultiPoly.x_power(nvars, i, ell[i - 1], _position_sign(i, row))
-    if cs >= rs and len(cs - rs) == 1:
-        (j,) = cs - rs
-        return MultiPoly.lam_x_power(
-            nvars, j, weights[j - 1] - ell[j - 1], _position_sign(j, col)
-        )
-    return MultiPoly.zero(nvars)
+@functools.cache
+def _incidence(n: int):
+    """The Koszul incidence of the pair in n variables: the odd and even
+    subsets, then M and N as tables of slots.
+
+    Row r is nonzero only at the columns r minus {i}, holding the sign of i
+    in r times X_i^{ell_i} (slot 4(i - 1), or 4(i - 1) + 1 when negative),
+    and r plus {j}, holding the sign of j in that column times
+    lambda_j X_j^{p_j - ell_j} (slot 4(j - 1) + 2, or 4(j - 1) + 3).  Every
+    other entry is slot 4n, the zero.
+    """
+    odd = tuple(subsets_by_parity(n, 1))
+    even = tuple(subsets_by_parity(n, 0))
+
+    def table(sources, targets):
+        col = {s: k for k, s in enumerate(targets)}
+        out = []
+        for r in sources:
+            row = [4 * n] * len(targets)
+            for i in range(1, n + 1):
+                if i in r:
+                    c = tuple(v for v in r if v != i)
+                    row[col[c]] = 4 * (i - 1) + (_position_sign(i, r) < 0)
+                else:
+                    c = tuple(sorted(r + (i,)))
+                    row[col[c]] = 4 * (i - 1) + 2 + (_position_sign(i, c) < 0)
+            out.append(tuple(row))
+        return tuple(out)
+
+    return odd, even, table(odd, even), table(even, odd)
 
 
 def shift_label(
@@ -222,13 +235,14 @@ def mf_build(ws: WeightSystem, index: MFIndex) -> GradedMatrixPair:
     ):
         raise ValueError(f"exponent index {ell} out of range for {base.weights}")
     n = base.n
-    odd = tuple(subsets_by_parity(n, 1))
-    even = tuple(subsets_by_parity(n, 0))
-    m_rows = tuple(
-        tuple(_entry(n, base.weights, ell, r, c) for c in even) for r in odd
-    )
-    n_rows = tuple(
-        tuple(_entry(n, base.weights, ell, r, c) for c in odd) for r in even
+    odd, even, m_table, n_table = _incidence(n)
+    slots: list[MultiPoly] = []
+    for i, (l, p) in enumerate(zip(ell, base.weights), start=1):
+        x, z = MultiPoly.x_power(n, i, l), MultiPoly.lam_x_power(n, i, p - l)
+        slots += (x, -x, z, -z)
+    slots.append(MultiPoly.zero(n))  # slot 4n, shared by every zero entry
+    m_rows, n_rows = (
+        tuple(tuple(slots[s] for s in row) for row in table) for table in (m_table, n_table)
     )
     shifts = {
         -1: tuple(shift_label(base, ell, s, -1) for s in odd),
@@ -244,26 +258,6 @@ def hypersurface_poly(ws: WeightSystem) -> MultiPoly:
     for i, p in enumerate(base.weights, start=1):
         total = total + MultiPoly.lam_x_power(base.n, i, p)
     return total
-
-
-def _mat_mul(a, b) -> list[list[MultiPoly]]:
-    """Product of two MultiPoly matrices from their nonzero entries only: the
-    terms of each output entry accumulate in one dict."""
-    nvars = a[0][0].nvars
-    cols = len(b[0])
-    b_rows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in b]
-    out = []
-    for row in a:
-        acc: list[dict[tuple[int, ...], int]] = [{} for _ in range(cols)]
-        for entry, b_row in zip(row, b_rows):
-            for e1, c1 in entry.terms.items():
-                for j, terms in b_row:
-                    dst = acc[j]
-                    for e2, c2 in terms.items():
-                        key = tuple(map(operator.add, e1, e2))
-                        dst[key] = dst.get(key, 0) + c1 * c2
-        out.append([MultiPoly(nvars, terms) for terms in acc])
-    return out
 
 
 def _monomial_degree(ws: WeightSystem, poly: MultiPoly) -> GroupElement:
@@ -285,32 +279,64 @@ class MFReport:
         return self.identity_ok and self.homogeneity_ok
 
 
+def _nonzero(rows) -> list[list[tuple[int, MultiPoly]]]:
+    return [[(j, e) for j, e in enumerate(row) if e.terms] for row in rows]
+
+
 def mf_verify(pair: GradedMatrixPair) -> MFReport:
-    """Check M*N = N*M = f*Id symbolically and per-entry degree homogeneity."""
+    """Check M*N = N*M = f*Id symbolically and per-entry degree homogeneity.
+
+    Each row of a product is accumulated from the nonzero entries into one
+    dict keyed by (column, packed exponent).  An exponent tuple packs into
+    one int in base B = 2 * (largest exponent in M, N or f) + 1, so adding
+    packed exponents multiplies monomials without carrying between digits,
+    and the packing is exact for any pair (a negative exponent widens B by
+    twice its distance below zero).
+    """
     ws = pair.ws
     f = hypersurface_poly(ws)
-    zero = MultiPoly.zero(ws.n)
+    m_nonzero, n_nonzero = _nonzero(pair.m_rows), _nonzero(pair.n_rows)
+    monomials = set(f.terms)
+    for rows in (m_nonzero, n_nonzero):
+        monomials.update(e for row in rows for _, entry in row for e in entry.terms)
+    digits = {k for e in monomials for k in e}
+    low = min(0, *digits)
+    base = 2 * (max(digits) - low) + 1
+    packed = {e: functools.reduce(lambda acc, k: acc * base + k, e, 0) for e in monomials}
+
+    def pack(rows):
+        return [
+            [(j, [(packed[e], c) for e, c in entry.terms.items()]) for j, entry in row]
+            for row in rows
+        ]
+
+    m_packed, n_packed = pack(m_nonzero), pack(n_nonzero)
+    f_packed = [(packed[e], c) for e, c in f.terms.items()]
     failures = []
     identity_ok = True
-    for name, prod, k in (
-        ("M*N", _mat_mul(pair.m_rows, pair.n_rows), pair.size),
-        ("N*M", _mat_mul(pair.n_rows, pair.m_rows), pair.size),
-    ):
-        for i in range(k):
-            for j in range(k):
-                expected = f if i == j else zero
-                if prod[i][j] != expected:
-                    identity_ok = False
-                    failures.append(f"{name} entry ({i},{j}) != expected")
+    for name, left, right in (("M*N", m_packed, n_packed), ("N*M", n_packed, m_packed)):
+        for i, row in enumerate(left):
+            acc: dict[tuple[int, int], int] = {}
+            for k, left_terms in row:
+                for j, right_terms in right[k]:
+                    for e1, c1 in left_terms:
+                        for e2, c2 in right_terms:
+                            key = (j, e1 + e2)
+                            acc[key] = acc.get(key, 0) + c1 * c2
+            got = {key: c for key, c in acc.items() if c}
+            want = {(i, e): c for e, c in f_packed}
+            if got != want:
+                identity_ok = False
+                keys = got.keys() | want.keys()
+                bad = {key[0] for key in keys if got.get(key) != want.get(key)}
+                failures.extend(f"{name} entry ({i},{j}) != expected" for j in sorted(bad))
     homogeneity_ok = True
     degrees: dict[tuple[int, ...], GroupElement] = {}  # monomial -> its degree
-    for name, rows, src_pos, tgt_pos in (("M", pair.m_rows, -1, 0), ("N", pair.n_rows, 0, 1)):
+    for name, rows, src_pos, tgt_pos in (("M", m_nonzero, -1, 0), ("N", n_nonzero, 0, 1)):
         src_shifts = pair.shifts[src_pos]
         tgt_shifts = pair.shifts[tgt_pos]
         for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if entry.is_zero():
-                    continue
+            for j, entry in row:
                 expected = sub(ws, tgt_shifts[j], src_shifts[i])
                 if not entry.is_single_monomial():
                     homogeneity_ok = False

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -238,16 +239,22 @@ def test_cm_quiver_signature_cube():
     assert len(rels) == 6
 
 
+def _radical_positions(alg):
+    """The off-diagonal span: the vertex poset is directed, so this is the
+    radical."""
+    return [k for k, (x, y, _) in enumerate(alg.basis) if x != y]
+
+
 def test_radical_is_nilpotent():
     # off-diagonal span is an ideal whose powers vanish (directed poset)
     ws = WeightSystem(1, (2, 3, 3))
     alg = structure_constants(ws, canonical_interval(ws))
-    layer = {pos: Fraction(1) for pos in alg.radical_positions()}
+    layer = {pos: Fraction(1) for pos in _radical_positions(alg)}
     power = 1
     while layer and power <= alg.dim:
         nxt = {}
         for a in layer:
-            for b in alg.radical_positions():
+            for b in _radical_positions(alg):
                 for pos, coeff in alg.multiply(a, b).items():
                     nxt[pos] = nxt.get(pos, Fraction(0)) + coeff
         layer = {k: v for k, v in nxt.items() if v}
@@ -289,7 +296,7 @@ def _all_radical_submodule(alg, free, cols_by_vertex):
     nv = len(alg.vertices)
     rad_cols = {x: [] for x in range(nv)}
     rad_by_source = {}
-    for a in alg.radical_positions():
+    for a in _radical_positions(alg):
         rad_by_source.setdefault(alg.basis[a][1], []).append(a)
     for v in range(nv):
         for col in cols_by_vertex[v]:
@@ -330,7 +337,7 @@ def test_arrows_generate_every_radical_monomial():
     alg = structure_constants(ws, canonical_interval(ws))
     # each radical monomial off the arrows is arrow * radical monomial,
     # with coefficient 1
-    radical = set(alg.radical_positions())
+    radical = set(_radical_positions(alg))
     arrows = {a for group in alg.arrows_by_vertex.values() for a in group}
     assert arrows < radical
     factored = set()
@@ -350,3 +357,37 @@ def test_generic_structure_constants_are_ints(d, weights):
         c for a in range(alg.dim) for b in range(alg.dim) for c in alg.multiply(a, b).values()
     ]
     assert coeffs and all(type(c) is int for c in coeffs)
+
+
+def _gldim_algebras():
+    return [
+        structure_constants(ws, canonical_interval(ws))
+        for ws in suite.GLDIM_FIXTURES + suite.GLDIM_EXTRA
+    ]
+
+
+class _NoMemo(dict):
+    """A products table that keeps nothing, so every multiply recomputes."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_memoized_products_stay_fresh():
+    # callers only read what multiply returns: after the gldim battery's
+    # calls every cached product still equals a freshly computed one
+    for alg in _gldim_algebras():
+        global_dimension(alg)
+        assert associativity_spot_check(alg)
+        assert alg.products
+        fresh = replace(alg, products=_NoMemo())
+        for (a, b), product in alg.products.items():
+            assert product == fresh.multiply(a, b), (a, b)
+
+
+def test_resolution_profiles_match_without_the_memo():
+    for alg in _gldim_algebras():
+        uncached = replace(alg, products=_NoMemo())
+        for v in range(len(alg.vertices)):
+            assert minimal_resolution_profile(alg, v) == minimal_resolution_profile(uncached, v)
+        assert not uncached.products

@@ -27,6 +27,7 @@ from glci.grading import (
     presentation,
     smith_normal_form,
     smul,
+    sub,
     trichotomy,
     zero,
 )
@@ -206,3 +207,34 @@ def test_weight_system_validation():
         WeightSystem(1, (0,))
     with pytest.raises(ValueError):
         WeightSystem(1, (1, 2), ((Fraction(1), Fraction(1)),))
+
+
+def test_add_sub_match_the_normal_form_route():
+    # add/sub on normal-form operands carry or borrow one c per coordinate;
+    # the reference reduces the raw coordinate sums with normal_form
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        ws = WeightSystem(1, tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))))
+
+        def element():
+            tors = tuple(draw(st.integers(0, p - 1)) for p in ws.weights)
+            return GroupElement(tors, draw(st.integers(-3, 3)))
+
+        return ws, element(), element()
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        ws, x, y = case
+        raw_sum = [a + b for a, b in zip(x.torsion, y.torsion)]
+        raw_diff = [a - b for a, b in zip(x.torsion, y.torsion)]
+        assert add(ws, x, y) == normal_form(ws, raw_sum, x.free + y.free)
+        assert sub(ws, x, y) == normal_form(ws, raw_diff, x.free - y.free)
+
+    check()
+    ws = WeightSystem(1, (1, 2, 3))
+    with pytest.raises(ValueError):
+        add(ws, zero(ws), GroupElement((0, 0), 0))

@@ -1,4 +1,6 @@
 import itertools
+import operator
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +11,7 @@ from glci.matfac import (
     MFIndex,
     MultiPoly,
     _corner_minor,
+    _position_sign,
     expected_index_count,
     hypersurface_poly,
     mf_build,
@@ -278,3 +281,210 @@ def test_all_indices_cover_box():
     ells = {i.ell for i in mf_enumerate(ws)}
     manual = set(itertools.product((1,), (1,), (1, 2), (1, 2, 3)))
     assert ells == manual
+
+
+# The four `mf --verify` systems of the benchmark's verify workload.
+VERIFY_SYSTEMS = (
+    WeightSystem(3, (3, 3, 4, 4, 5)),
+    WeightSystem(2, (4, 5, 5, 5)),
+    WeightSystem(3, (2, 3, 3, 3, 4)),
+    WeightSystem(3, (3, 3, 3, 3, 3)),
+)
+
+
+def _entry(nvars, weights, ell, row, col):
+    """One entry of the pair by comparing the row and column subsets: an
+    oracle for the Koszul incidence in `mf_build`."""
+    rs, cs = set(row), set(col)
+    if rs >= cs and len(rs - cs) == 1:
+        (i,) = rs - cs
+        return MultiPoly.x_power(nvars, i, ell[i - 1], _position_sign(i, row))
+    if cs >= rs and len(cs - rs) == 1:
+        (j,) = cs - rs
+        return MultiPoly.lam_x_power(
+            nvars, j, weights[j - 1] - ell[j - 1], _position_sign(j, col)
+        )
+    return MultiPoly.zero(nvars)
+
+
+def _mat_mul(a, b):
+    """Product of two MultiPoly matrices, every output entry a MultiPoly:
+    an oracle for the packed row products in `mf_verify`."""
+    nvars = a[0][0].nvars
+    cols = len(b[0])
+    b_rows = [[(j, e.terms) for j, e in enumerate(row) if e.terms] for row in b]
+    out = []
+    for row in a:
+        acc = [{} for _ in range(cols)]
+        for entry, b_row in zip(row, b_rows):
+            for e1, c1 in entry.terms.items():
+                for j, terms in b_row:
+                    dst = acc[j]
+                    for e2, c2 in terms.items():
+                        key = tuple(map(operator.add, e1, e2))
+                        dst[key] = dst.get(key, 0) + c1 * c2
+        out.append([MultiPoly(nvars, terms) for terms in acc])
+    return out
+
+
+def _oracle_identity_failures(pair):
+    f = hypersurface_poly(pair.ws)
+    zero = MultiPoly.zero(pair.ws.n)
+    failures = []
+    for name, prod in (
+        ("M*N", _mat_mul(pair.m_rows, pair.n_rows)),
+        ("N*M", _mat_mul(pair.n_rows, pair.m_rows)),
+    ):
+        for i in range(pair.size):
+            for j in range(pair.size):
+                if prod[i][j] != (f if i == j else zero):
+                    failures.append(f"{name} entry ({i},{j}) != expected")
+    return failures
+
+
+def _sampled_indices(ws):
+    """Every index, or a seeded sample of 12 when the pairs hold more than
+    2^14 entries in all, as for (3;3,3,4,4,5)."""
+    indices = mf_enumerate(ws)
+    if len(indices) * 4 ** (ws.d + 1) > 2**14:
+        return random.Random(11).sample(indices, 12)
+    return indices
+
+
+@pytest.mark.parametrize("ws", suite.MF_FIXTURES + VERIFY_SYSTEMS, ids=str)
+def test_mf_build_matches_set_comparison_oracle(ws):
+    for index in _sampled_indices(ws):
+        pair = mf_build(ws, index)
+        weights, ell = pair.ws.weights, index.ell
+        for rows, sources, targets in (
+            (pair.m_rows, pair.odd_subsets, pair.even_subsets),
+            (pair.n_rows, pair.even_subsets, pair.odd_subsets),
+        ):
+            expected = [[_entry(ws.n, weights, ell, r, c) for c in targets] for r in sources]
+            assert [list(row) for row in rows] == expected, index
+
+
+def _tampered(pair, rng):
+    """Pairs that break the identity or keep it, one per kind of edit."""
+    n = pair.ws.n
+    rows = [list(r) for r in pair.m_rows]
+    nonzero = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if e.terms]
+    zeros = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if not e.terms]
+    (i, j), (k, m) = rng.choice(nonzero), rng.choice(zeros)
+    edits = {
+        "negated": {(i, j): -rows[i][j]},
+        "dropped": {(i, j): MultiPoly.zero(n)},
+        "spurious": {(k, m): X(n, 1, 1)},
+        "extra term": {(i, j): rows[i][j] + LX(n, 2, 1)},
+        "rescaled": {(i, j): rows[i][j] * MultiPoly.monomial(n, 2, {})},
+        "swapped": {(i, j): rows[k][m], (k, m): rows[i][j]},
+        "same": {(i, j): rows[i][j] * MultiPoly.monomial(n, 1, {})},
+    }
+    for kind, edit in edits.items():
+        bad = [list(r) for r in rows]
+        for (a, b), entry in edit.items():
+            bad[a][b] = entry
+        yield kind, replace(pair, m_rows=tuple(tuple(r) for r in bad))
+
+
+@pytest.mark.parametrize("ws", suite.MF_FIXTURES + VERIFY_SYSTEMS, ids=str)
+def test_mf_verify_agrees_with_oracle_product(ws):
+    rng = random.Random(5)
+    for count, index in enumerate(_sampled_indices(ws)):
+        pair = mf_build(ws, index)
+        report = mf_verify(pair)
+        assert report.ok and not report.failures and not _oracle_identity_failures(pair)
+        if count >= 4:
+            continue
+        for kind, bad in _tampered(pair, rng):
+            expected = _oracle_identity_failures(bad)
+            report = mf_verify(bad)
+            assert report.identity_ok == (not expected), (index, kind)
+            got = [line for line in report.failures if line.endswith("!= expected")]
+            assert got == expected, (index, kind)
+            assert (kind == "same") == (not expected)
+
+
+@pytest.mark.parametrize("ws", [WeightSystem(1, (2, 3, 5)), WeightSystem(3, (3, 3, 4, 4, 5))], ids=str)
+@pytest.mark.parametrize("carry", ["p + 1", "2p + 1", "3p", "-(2p + 1)"])
+def test_packed_identity_check_rejects_carry_collisions(ws, carry):
+    """An exponent above every weight must not carry into the next digit.
+    In base b = carry (p the largest weight), X_1^{l-1} X_2^b packs like
+    X_1^l when X_1 is the higher digit, and X_1^b X_2^{l-1} like X_2^l when
+    it is the lower one; a base taken from the weights passes both.  A
+    negative b lowers the exponent below zero and borrows instead, which a
+    base that ignores negative exponents passes."""
+    p = max(ws.weights)
+    b = {"p + 1": p + 1, "2p + 1": 2 * p + 1, "3p": 3 * p, "-(2p + 1)": -(2 * p + 1)}[carry]
+    pair = mf_build(ws, mf_enumerate(ws)[-1])
+    n = ws.n
+    for var, other in ((0, 1), (1, 0)):
+        rows = [list(r) for r in pair.m_rows]
+        i, j, e, c = next(
+            (i, j, e, c)
+            for i, r in enumerate(rows)
+            for j, entry in enumerate(r)
+            for e, c in entry.terms.items()
+            if e[var] and not any(e[n:])
+        )
+        e = list(e)
+        e[var] -= 1 if b > 0 else -1
+        e[other] += b
+        rows[i][j] = MultiPoly(n, {tuple(e): c})
+        report = mf_verify(replace(pair, m_rows=tuple(tuple(r) for r in rows)))
+        assert not report.identity_ok, (var, e)
+        assert f"M*N entry ({i},{i}) != expected" in report.failures
+
+
+def test_packed_identity_check_rejects_a_monomial_in_a_zero_entry():
+    ws = WeightSystem(2, (2, 2, 3, 4))
+    pair = mf_build(ws, MFIndex((1, 1, 2, 3)))
+    rows = [list(r) for r in pair.n_rows]
+    j = next(j for j, e in enumerate(rows[0]) if e.is_zero())
+    rows[0][j] = X(ws.n, 4, 1)
+    report = mf_verify(replace(pair, n_rows=tuple(tuple(r) for r in rows)))
+    assert not report.identity_ok
+    assert report.failures[0].startswith("M*N entry (")
+
+
+def _kronecker(poly, base, order):
+    """Each exponent tuple as one int, digits placed least significant first
+    in `order`: the substitution the packed identity check relies on."""
+    return {sum(e[q] * base**k for k, q in enumerate(order)): c for e, c in poly.terms.items()}
+
+
+@pytest.mark.parametrize("msb_first", [True, False])
+def test_packed_identity_check_doubles_the_largest_exponent(msb_first):
+    """A base of one more than the largest exponent is not exact: products
+    carry.  With u = (lowest variable)^D, D the largest weight, and each term
+    of g the term of f minus u, borrowed in base D + 1, u * g packs like f in
+    that base while every exponent of u, g and f stays at most D."""
+    ws = WeightSystem(1, (2, 3, 5))
+    n, top = ws.n, max(ws.weights)
+    order = list(reversed(range(2 * n))) if msb_first else list(range(2 * n))
+    f = hypersurface_poly(ws)
+    g_terms = {}
+    for e in f.terms:
+        digits = list(e)
+        digits[order[0]] -= top
+        for low, high in zip(order, order[1:]):
+            if digits[low] < 0:
+                digits[low] += top + 1
+                digits[high] -= 1
+        assert 0 <= min(digits) and max(digits) <= top
+        g_terms[tuple(digits)] = 1
+    u = MultiPoly.monomial(n, 1, {order[0]: top})
+    g = MultiPoly(n, g_terms)
+    assert u * g != f
+    assert _kronecker(u * g, top + 1, order) == _kronecker(f, top + 1, order)
+    pair = mf_build(ws, MFIndex((1, 1, 1)))
+    tiny = replace(
+        pair,
+        odd_subsets=pair.odd_subsets[:1],
+        even_subsets=pair.even_subsets[:1],
+        m_rows=((u,),),
+        n_rows=((g,),),
+    )
+    report = mf_verify(tiny)
+    assert not report.identity_ok
+    assert report.failures[:2] == ("M*N entry (0,0) != expected", "N*M entry (0,0) != expected")
