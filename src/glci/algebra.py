@@ -90,16 +90,20 @@ def check_convex(ws: WeightSystem, elements: Sequence[GroupElement]) -> bool:
 
     Every y >= x is reached from x by steps +x_i and +c, so a gap shows up as
     a one-step successor of a member that leaves the set while staying below
-    some member.
+    some member.  It suffices to compare the leaving successors with the
+    locally maximal members T, those none of whose successors stay in the
+    set: climbing from any member through successors inside the set rises
+    strictly and ends in T.  For an interval T is its top alone.
     """
     members = set(elements)
     steps = [gen_x(ws, i) for i in range(1, ws.n + 1)] + [gen_c(ws)]
+    outside, tops = set(), []
     for x in members:
-        for g in steps:
-            s = add(ws, x, g)
-            if s not in members and any(leq(ws, s, z) for z in members):
-                return False
-    return True
+        leaving = [s for s in (add(ws, x, g) for g in steps) if s not in members]
+        outside.update(leaving)
+        if len(leaving) == len(steps):
+            tops.append(x)
+    return not any(leq(ws, s, t) for s in outside for t in tops)
 
 
 def _symbolic_coeff(i: int, j: int) -> str:

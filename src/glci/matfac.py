@@ -20,6 +20,8 @@ from . import linalg
 from .grading import (
     GroupElement,
     WeightSystem,
+    add,
+    gen_c,
     normal_form,
     normalize_weights,
     sub,
@@ -244,10 +246,12 @@ def mf_build(ws: WeightSystem, index: MFIndex) -> GradedMatrixPair:
     m_rows, n_rows = (
         tuple(tuple(slots[s] for s in row) for row in table) for table in (m_table, n_table)
     )
+    below = tuple(shift_label(base, ell, s, -1) for s in odd)
+    c = gen_c(base)
     shifts = {
-        -1: tuple(shift_label(base, ell, s, -1) for s in odd),
+        -1: below,
         0: tuple(shift_label(base, ell, s, 0) for s in even),
-        1: tuple(shift_label(base, ell, s, 1) for s in odd),
+        1: tuple(add(base, label, c) for label in below),  # (|I| + 1)/2 = (|I| - 1)/2 + 1
     }
     return GradedMatrixPair(base, MFIndex(ell), odd, even, m_rows, n_rows, shifts)
 

@@ -554,9 +554,10 @@ def boxed_enumeration_oracle(
 
     Sums of 1/p are exact integers scaled by L = lcm(2..box): every p in the
     box divides L, so 1/p is L // p."""
-    scale = math.lcm(*range(2, box + 1))
+    weights = range(2, box + 1)
+    scale = math.lcm(*weights)
     target = (n - d - 1) * scale
-    recip = {p: scale // p for p in range(2, box + 1)}
+    recips = [scale // p for p in weights]
 
     def family_covered(tup) -> bool:
         if cls != Trichotomy.FANO:
@@ -565,25 +566,23 @@ def boxed_enumeration_oracle(
         for k in range(min(len(tup), n)):
             if total >= target:
                 return True
-            total += recip[tup[k]]
+            total += scale // tup[k]
         return False
 
-    found = set()
-    complete = True
-    for tup in itertools.combinations_with_replacement(range(2, box + 1), n):
-        total = sum(recip[p] for p in tup)
-        in_class = total > target if cls == Trichotomy.FANO else total == target
-        if in_class and not family_covered(tup):
-            found.add(tup)
-    for prefix in itertools.combinations_with_replacement(range(2, box + 1), n - 1):
-        if family_covered(prefix):
-            continue
-        gap = target - sum(recip[p] for p in prefix)
-        # A tail weight p beyond the box would need L/p > gap (Fano) or
-        # == gap, and L/p < L/box, which is exact since box divides L.
-        if gap > 0 and scale // box > gap:
-            complete = False
-    return found, complete
+    def scan(k: int, keep: Callable[[int], bool]):
+        # Tuples and their reciprocal sums come from two iterators over the
+        # same positions, so they run in one order; every tuple is summed.
+        tuples = itertools.combinations_with_replacement(weights, k)
+        sums = map(sum, itertools.combinations_with_replacement(recips, k))
+        return itertools.compress(tuples, map(keep, sums))
+
+    in_class = target.__lt__ if cls == Trichotomy.FANO else target.__eq__
+    found = {tup for tup in scan(n, in_class) if not family_covered(tup)}
+    # A tail weight p beyond the box would need L/p > gap (Fano) or == gap,
+    # with 0 < L/p < L/box, which is exact since box divides L.  So a
+    # prefix leaves room when 0 < target - sum < L/box.
+    near = scan(n - 1, range(target - scale // box + 1, target).__contains__)
+    return found, all(family_covered(prefix) for prefix in near)
 
 
 def battery_enumeration(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:

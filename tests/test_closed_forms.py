@@ -1,5 +1,5 @@
-"""Closed forms against enumerate-and-test oracles: intervals, step
-convexity and the slice Hom-vanishing corner test.
+"""Closed forms against enumerate-and-test oracles: intervals, convexity
+and the slice Hom-vanishing corner test.
 
 The oracles below are the original enumerate-and-test routines.  They share
 only the group arithmetic (`add`, `sub`, `leq`, `delta`) with the library,
@@ -29,6 +29,7 @@ from glci.grading import (
     add,
     delta,
     gen_c,
+    gen_x,
     leq,
     interval,
     interval_size,
@@ -66,6 +67,19 @@ def _convex_by_intervals(ws, elements):
             if x == z or not leq(ws, x, z):
                 continue
             if any(y not in members for y in _interval_by_enumeration(ws, x, z)):
+                return False
+    return True
+
+
+def _convex_by_steps(ws, elements):
+    """Step convexity: no successor (+x_i or +c) of a member leaves the set
+    while staying below some member.  Compares against every member."""
+    members = set(elements)
+    steps = [gen_x(ws, i) for i in range(1, ws.n + 1)] + [gen_c(ws)]
+    for x in members:
+        for g in steps:
+            s = add(ws, x, g)
+            if s not in members and any(leq(ws, s, z) for z in members):
                 return False
     return True
 
@@ -155,6 +169,58 @@ def test_step_convexity_matches_naive_check_on_random_subsets():
             assert check_convex(ws, subset) == naive, (ws, subset)
             seen[naive] += 1
     assert seen[True] > 20 and seen[False] > 20
+
+
+def test_convexity_matches_both_oracles_on_random_subsets():
+    """Two intervals (or two from one bottom), an interval with one member
+    removed, or a random part of a small interval: all but the last often
+    have several locally maximal members, the only members the library's
+    test compares against."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        ws = WeightSystem(draw(st.integers(1, 2)), draw(st.sampled_from(SMALL_WEIGHTS)))
+
+        def element(free):
+            tors = [draw(st.integers(0, p - 1)) for p in ws.weights]
+            return normal_form(ws, tors, draw(free))
+
+        def piece(lo):
+            return interval(ws, lo, add(ws, lo, element(st.integers(0, 1))))
+
+        kind = draw(st.sampled_from(("two intervals", "one bottom", "one gap", "random part")))
+        lo = element(st.integers(-1, 1))
+        subset = piece(lo)
+        if kind == "two intervals":
+            subset += piece(element(st.integers(-1, 1)))
+        elif kind == "one bottom":  # convex, with a top per interval
+            subset += piece(lo)
+        elif kind == "one gap" and subset:
+            del subset[draw(st.integers(0, len(subset) - 1))]
+        elif kind == "random part":
+            subset = [z for z in subset if draw(st.booleans())]
+        return ws, subset
+
+    seen = {}
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        ws, subset = case
+        expected = _convex_by_intervals(ws, subset)
+        assert _convex_by_steps(ws, subset) == expected
+        assert check_convex(ws, subset) == expected
+        members = set(subset)
+        steps = [gen_x(ws, i) for i in range(1, ws.n + 1)] + [gen_c(ws)]
+        tops = [x for x in members if all(add(ws, x, g) not in members for g in steps)]
+        key = (expected, len(tops) >= 2)
+        seen[key] = seen.get(key, 0) + 1
+
+    check()
+    assert all(seen.get((convex, True), 0) > 10 for convex in (True, False)), seen
+    assert seen.get((False, False), 0) > 10, seen
 
 
 def _hom_vanishing_pairwise(ws, pieces, ells):

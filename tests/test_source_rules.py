@@ -117,3 +117,33 @@ def test_every_defaulted_parameter_is_set():
                 ):
                     unset.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
     assert not unset, unset
+
+
+def _module_tree(module):
+    path = next(p for p in SOURCES if p.name == module)
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_box_scan_oracle_is_independent_of_classify():
+    """The suite's box scan checks `classify.enumerate_weight_systems`, so
+    its body names nothing `classify` defines and calls no enumerator:
+    otherwise the two could agree by sharing a fault."""
+    defined = {"classify", "enumerate_weight_systems"}
+    for node in _module_tree("classify.py").body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    oracle = next(
+        node
+        for node in _module_tree("suite.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "boxed_enumeration_oracle"
+    )
+    used = [
+        (node.lineno, name)
+        for node in ast.walk(oracle)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None))
+        if name in defined
+    ]
+    assert not used, used
