@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -207,10 +208,13 @@ def canonical_interval_size(ws: WeightSystem) -> int:
 
 
 def cartan_matrix(ws: WeightSystem, elements: Sequence[GroupElement]) -> list[list[int]]:
-    base = normalize_weights(ws)
-    return [
-        [piece_dim(base, sub(base, x, y)) for y in elements] for x in elements
-    ]
+    """dim R_{x - y}; x - y has free part x.free - y.free - #{i : x_i < y_i}."""
+
+    def dim(x: GroupElement, y: GroupElement) -> int:
+        f = x.free - y.free - sum(map(operator.lt, x.torsion, y.torsion))
+        return math.comb(f + ws.d, ws.d) if f >= 0 else 0
+
+    return [[dim(x, y) for y in elements] for x in elements]
 
 
 @dataclass(frozen=True)

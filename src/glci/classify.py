@@ -28,8 +28,8 @@ from .grading import (
     add,
     coset_data_mod_omega,
     coset_key,
-    delta,
-    delta_omega,
+    delta_l,
+    delta_omega_l,
     gen_c,
     gen_x,
     interval,
@@ -103,14 +103,11 @@ def frac_cy(ws: WeightSystem) -> FracCY:
     base = normalize_weights(ws)
     if base.n <= base.d + 1:
         return FracCY("zero")
-    p = math.lcm(*base.weights) if base.weights else 1
-    if base.n == base.d + 2:
-        m = p * (base.d + 2 * delta_omega(base))
-        if m.denominator != 1:
-            raise AssertionError("fractional dimension numerator must be integral")
-        return FracCY("pair", int(m), p, Fraction(int(m), p))
-    if trichotomy(base) == Trichotomy.CALABI_YAU:
-        return FracCY("pair", base.d * p, p, Fraction(base.d * p, p))
+    p = math.lcm(*base.weights)
+    if base.n == base.d + 2 or trichotomy(base) == Trichotomy.CALABI_YAU:
+        # m = p * (d + 2 * delta(omega)), which is d * p when Calabi-Yau
+        m = base.d * p + 2 * delta_omega_l(base)
+        return FracCY("pair", m, p, Fraction(m, p))
     return FracCY("none")
 
 
@@ -133,35 +130,36 @@ def enumerate_weight_systems(d: int, n: int, cls: Trichotomy) -> WeightEnumerati
         raise ValueError("anti-Fano weight systems are not a finite enumeration")
     if d < 1 or n < 0 or n > d + 4:
         raise ValueError("enumeration guard: need d >= 1 and 0 <= n <= d + 4")
-    target = Fraction(n - d - 1)
+    target = n - d - 1
     families: list[tuple[int, ...]] = []
     sporadic: list[tuple[int, ...]] = []
 
-    def extend(prefix: tuple[int, ...], total: Fraction):
+    def extend(prefix: tuple[int, ...], num: int, den: int):
+        # the degree sum of the prefix is num / den, den = prod(prefix)
         k = len(prefix)
-        if cls == Trichotomy.FANO and k < n and total >= target:
+        excess = num - target * den
+        if cls == Trichotomy.FANO and k < n and excess >= 0:
             families.append(prefix)
             return
-        if cls == Trichotomy.CALABI_YAU and k < n and total >= target:
+        if cls == Trichotomy.CALABI_YAU and k < n and excess >= 0:
             # Weights only add positive degree, so no completion balances out.
             return
         if k == n:
-            if (cls == Trichotomy.FANO and total > target) or (
-                cls == Trichotomy.CALABI_YAU and total == target
+            if (cls == Trichotomy.FANO and excess > 0) or (
+                cls == Trichotomy.CALABI_YAU and excess == 0
             ):
                 sporadic.append(prefix)
             return
         p = prefix[-1] if prefix else 2
         while True:
-            best = total + Fraction(n - k, p)
-            if cls == Trichotomy.FANO and best <= target:
+            # den * p times the excess of the best completion, n - k more p's
+            best = excess * p + (n - k) * den
+            if best < 0 or (cls == Trichotomy.FANO and best == 0):
                 break
-            if cls == Trichotomy.CALABI_YAU and best < target:
-                break
-            extend(prefix + (p,), total + Fraction(1, p))
+            extend(prefix + (p,), num * p + den, den * p)
             p += 1
 
-    extend((), Fraction(0))
+    extend((), 0, 1)
     return WeightEnumeration(tuple(families), tuple(sporadic))
 
 
@@ -269,11 +267,12 @@ def main2_slice(ws: WeightSystem) -> SliceData:
     count = coset_data_mod_omega(sorted_ws).count
     distinct = len({coset_key(sorted_ws, x) for x in elements}) == len(elements)
 
-    # delta is monotone, so the extreme degrees sit at the piece endpoints
-    max_gap = max(delta(sorted_ws, hi) for _, hi in pieces) - min(
-        delta(sorted_ws, lo) for lo, _ in pieces
+    # delta is monotone, so the extreme degrees sit at the piece endpoints;
+    # both degrees are scaled by L, and ceil(gap / -dw) = -(gap // dw)
+    max_gap = max(delta_l(sorted_ws, hi) for _, hi in pieces) - min(
+        delta_l(sorted_ws, lo) for lo, _ in pieces
     )
-    ell_bound = max(0, math.ceil(max_gap / -delta_omega(sorted_ws)))
+    ell_bound = max(0, -(max_gap // delta_omega_l(sorted_ws)))
     vanish = hom_vanishing_from_corners(sorted_ws, pieces, range(1, ell_bound + 1))
 
     report = SliceReport(len(elements), count, distinct, vanish, ell_bound)

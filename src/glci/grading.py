@@ -3,8 +3,8 @@
 The group L is generated by x_1, ..., x_n and c subject to p_i * x_i = c.
 Every element has a unique normal form sum(a_i * x_i) + a * c with
 0 <= a_i < p_i; all functions in this module keep elements in that form.
-No floating point is used anywhere: torsion data are ints, degrees are
-`fractions.Fraction`.
+No floating point is used anywhere: torsion data are ints, degrees are ints
+scaled by L = lcm(p_i); only `delta` and `delta_omega` return `Fraction`s.
 """
 
 from __future__ import annotations
@@ -156,9 +156,15 @@ def leq(ws: WeightSystem, x: GroupElement, y: GroupElement) -> bool:
     return is_nonneg(sub(ws, y, x))
 
 
+def delta_l(ws: WeightSystem, x: GroupElement) -> int:
+    """L * delta(x) for L = lcm(p_i): x_i -> L // p_i, c -> L."""
+    big = math.lcm(*ws.weights)
+    return x.free * big + sum(a * (big // p) for a, p in zip(x.torsion, ws.weights))
+
+
 def delta(ws: WeightSystem, x: GroupElement) -> Fraction:
     """Degree map: x_i -> 1/p_i, c -> 1."""
-    return sum((Fraction(a, p) for a, p in zip(x.torsion, ws.weights)), Fraction(x.free))
+    return Fraction(delta_l(ws, x), math.lcm(*ws.weights))
 
 
 def omega(ws: WeightSystem) -> GroupElement:
@@ -166,14 +172,18 @@ def omega(ws: WeightSystem) -> GroupElement:
     return normal_form(ws, [-1] * ws.n, ws.n - ws.d - 1)
 
 
+def delta_omega_l(ws: WeightSystem) -> int:
+    """L * delta(omega) for L = lcm(p_i)."""
+    big = math.lcm(*ws.weights)
+    return (ws.n - ws.d - 1) * big - sum(big // p for p in ws.weights)
+
+
 def delta_omega(ws: WeightSystem) -> Fraction:
-    return Fraction(ws.n - ws.d - 1) - sum(
-        (Fraction(1, p) for p in ws.weights), Fraction(0)
-    )
+    return Fraction(delta_omega_l(ws), math.lcm(*ws.weights))
 
 
 def trichotomy(ws: WeightSystem) -> Trichotomy:
-    dw = delta_omega(ws)
+    dw = delta_omega_l(ws)
     if dw < 0:
         return Trichotomy.FANO
     if dw == 0:
@@ -254,12 +264,13 @@ def _omega_presentation_matrix(ws: WeightSystem) -> list[list[int]]:
 
 def coset_data_mod_omega(ws: WeightSystem) -> CosetData:
     factors = tuple(smith_normal_form(_omega_presentation_matrix(ws)))
-    if delta_omega(ws) == 0:
+    dw = delta_omega_l(ws)
+    if dw == 0:
         return CosetData(None, factors)
-    count = abs(math.prod(ws.weights) * delta_omega(ws))
-    if count.denominator != 1:
+    # |prod(p) * delta(omega)|, with delta(omega) = dw / L
+    count, rest = divmod(abs(math.prod(ws.weights) * dw), math.lcm(*ws.weights))
+    if rest:
         raise AssertionError("coset count must be an integer")
-    count = int(count)
     prod = math.prod(f for f in factors if f)
     if 0 in factors or prod != count:
         raise AssertionError(
@@ -326,15 +337,16 @@ def coset_key(ws: WeightSystem, x: GroupElement) -> GroupElement:
     """Canonical representative of x modulo the omega subgroup.
 
     Valid when delta(omega) != 0: the representative is the unique element of
-    the coset whose degree lies in [0, |delta(omega)|).
+    the coset whose degree lies in [0, |delta(omega)|).  Scaling both degrees
+    by L leaves the quotient, so k = floor(delta_l(x) / |delta_omega_l|).
     """
-    dw = delta_omega(ws)
+    dw = delta_omega_l(ws)
     if dw == 0:
         raise ValueError("coset keys require delta(omega) != 0")
-    m = abs(dw)
-    k = math.floor(delta(ws, x) / m)
-    step = 1 if dw < 0 else -1
-    return add(ws, x, smul(ws, step * k, omega(ws)))
+    k = delta_l(ws, x) // abs(dw)
+    step = k if dw < 0 else -k
+    # x + step * omega, with omega = (n-d-1)c - sum(x_i)
+    return normal_form(ws, [a - step for a in x.torsion], x.free + step * (ws.n - ws.d - 1))
 
 
 def general_position_ok(ws: WeightSystem) -> bool:

@@ -29,6 +29,7 @@ from glci.grading import (
     generic_lambda,
     interval,
     negate,
+    normalize_weights,
     piece_dim,
     smul,
     sub,
@@ -119,6 +120,24 @@ def test_cartan_matrix_examples():
     assert total == sum(
         piece_dim(ws235, sub(ws235, x, y)) for x in box235 for y in box235
     )
+
+
+def cartan_by_differences(ws, elements):
+    """The former body of `cartan_matrix`: the normal form of x - y, then its
+    graded piece; kept as an oracle for the free-part count."""
+    base = normalize_weights(ws)
+    return [[piece_dim(base, sub(base, x, y)) for y in elements] for x in elements]
+
+
+def test_cartan_matrix_matches_the_difference_oracle_on_the_quiver_grid():
+    # the quiver_structure battery's default grid, on [0, dc] and its negation
+    grid = [ws for ws in suite.default_grid() if k0_rank(ws) <= 30]
+    assert len(grid) > 100
+    for ws in grid:
+        base = normalize_weights(ws)
+        box = canonical_interval(base)
+        for elements in (box, [negate(base, x) for x in box]):
+            assert cartan_matrix(base, elements) == cartan_by_differences(base, elements), ws
 
 
 def test_cartan_transpose_under_negation():

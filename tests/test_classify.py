@@ -1,4 +1,7 @@
+import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +18,16 @@ from glci.classify import (
     orlov_rank_delta,
     vb_finite,
 )
-from glci.grading import Trichotomy, WeightSystem, coset_key
+from glci.cli import main
+from glci.grading import (
+    Trichotomy,
+    WeightSystem,
+    coset_data_mod_omega,
+    coset_key,
+    normalize_weights,
+)
+from glci.suite import default_grid
+from test_grading import delta_by_fractions, delta_omega_by_fractions, trichotomy_by_fractions
 
 
 def test_cm_finite_examples():
@@ -188,3 +200,135 @@ def test_classification_report_consistency():
     report2 = classification_report(WeightSystem(2, (2, 3)))
     assert report2.is_regular and report2.cm_rank == 0
     assert report2.gldim_canonical == 2
+
+
+def enumerate_by_fractions(d, n, cls):
+    """The former `Fraction` body of `enumerate_weight_systems`, kept as an
+    oracle for its integer running numerator."""
+    target = Fraction(n - d - 1)
+    families, sporadic = [], []
+
+    def extend(prefix, total):
+        k = len(prefix)
+        if cls == Trichotomy.FANO and k < n and total >= target:
+            families.append(prefix)
+            return
+        if cls == Trichotomy.CALABI_YAU and k < n and total >= target:
+            return
+        if k == n:
+            if (cls == Trichotomy.FANO and total > target) or (
+                cls == Trichotomy.CALABI_YAU and total == target
+            ):
+                sporadic.append(prefix)
+            return
+        p = prefix[-1] if prefix else 2
+        while True:
+            best = total + Fraction(n - k, p)
+            if cls == Trichotomy.FANO and best <= target:
+                break
+            if cls == Trichotomy.CALABI_YAU and best < target:
+                break
+            extend(prefix + (p,), total + Fraction(1, p))
+            p += 1
+
+    extend((), Fraction(0))
+    return tuple(families), tuple(sporadic)
+
+
+def test_enumeration_matches_the_fraction_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        d = draw(st.integers(1, 2))
+        return d, draw(st.integers(0, d + 4)), draw(st.sampled_from(
+            [Trichotomy.FANO, Trichotomy.CALABI_YAU]
+        ))
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((2, 4, Trichotomy.FANO))
+    @hypothesis.example((2, 4, Trichotomy.CALABI_YAU))
+    def check(case):
+        got = enumerate_weight_systems(*case)
+        assert (got.infinite_families, got.sporadic) == enumerate_by_fractions(*case)
+
+    check()
+
+
+# ---- output edges: every field derived from the degree map, against the
+# Fraction routes the library used before degrees became lcm-scaled integers
+
+EDGE_SYSTEMS = (
+    WeightSystem(1, (2, 3, 7, 43)),
+    WeightSystem(1, (2, 3, 7)),
+    WeightSystem(2, (2,) * 6),
+    WeightSystem(3, ()),
+)
+
+
+def frac_cy_by_fractions(base):
+    if base.n <= base.d + 1:
+        return "zero", None, None, None
+    p = math.lcm(*base.weights) if base.weights else 1
+    if base.n == base.d + 2:
+        m = p * (base.d + 2 * delta_omega_by_fractions(base))
+        assert m.denominator == 1
+        return "pair", int(m), p, Fraction(int(m), p)
+    if trichotomy_by_fractions(base) == Trichotomy.CALABI_YAU:
+        return "pair", base.d * p, p, Fraction(base.d * p, p)
+    return "none", None, None, None
+
+
+def coset_count_by_fractions(base):
+    dw = delta_omega_by_fractions(base)
+    if dw == 0:
+        return None
+    count = abs(math.prod(base.weights) * dw)
+    assert count.denominator == 1
+    return int(count)
+
+
+def test_degree_derived_outputs_match_the_fraction_routes():
+    systems = list(dict.fromkeys(default_grid() + list(EDGE_SYSTEMS)))
+    assert len(systems) == len(default_grid()) + 2  # (2;2,...,2) and (3;-) are on the grid
+    slices = sum(_check_degree_derived_outputs(ws) for ws in systems)
+    assert slices >= 40
+
+
+def _check_degree_derived_outputs(ws):
+    """Asserts every degree-derived output of ws; True when it has a slice."""
+    base = normalize_weights(ws)
+    tri = trichotomy_by_fractions(base)
+    count = coset_count_by_fractions(base)
+    cy = frac_cy(base)
+    assert (cy.kind, cy.m, cy.l, cy.reduced) == frac_cy_by_fractions(base), ws
+    assert coset_data_mod_omega(base).count == count, ws
+    report = classification_report(ws)
+    assert report.trichotomy == tri, ws
+    assert report.vb_finite == (base.d == 1 and tri == Trichotomy.FANO), ws
+    assert report.frac_cy == cy and report.coset_count == count, ws
+    sign = {Trichotomy.FANO: 1, Trichotomy.CALABI_YAU: 0, Trichotomy.ANTI_FANO: -1}[tri]
+    assert report.orlov_delta == sign * (count or 0), ws
+    if base.n == base.d + 2 and sorted(base.weights)[:2] == [2, 2]:
+        data = main2_slice(base)
+        gap = max(delta_by_fractions(data.ws, hi) for _, hi in data.pieces) - min(
+            delta_by_fractions(data.ws, lo) for lo, _ in data.pieces
+        )
+        expected = max(0, math.ceil(gap / -delta_omega_by_fractions(data.ws)))
+        assert data.report.ell_bound == expected, ws
+        return True
+    return False
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "info_ladder_golden.json"
+
+
+def test_info_json_matches_the_recorded_ladder(capsys):
+    golden = json.loads(GOLDEN.read_text())
+    assert len(golden) == 11
+    for key, expected in golden.items():
+        d, weights = key.split(";")
+        assert main(["info", "-d", d, "-w", weights, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == expected, key

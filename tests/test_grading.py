@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from glci.grading import (
     coset_data_mod_omega,
     coset_key,
     delta,
+    delta_l,
+    delta_omega,
+    delta_omega_l,
     elements_with_free_in,
     gen_c,
     gen_x,
@@ -238,3 +242,96 @@ def test_add_sub_match_the_normal_form_route():
     ws = WeightSystem(1, (1, 2, 3))
     with pytest.raises(ValueError):
         add(ws, zero(ws), GroupElement((0, 0), 0))
+
+
+# Fraction routes, the bodies `delta`, `delta_omega`, `trichotomy` and
+# `coset_key` had before degrees became lcm-scaled integers; kept as oracles.
+
+
+def delta_by_fractions(ws, x):
+    return sum((Fraction(a, p) for a, p in zip(x.torsion, ws.weights)), Fraction(x.free))
+
+
+def delta_omega_by_fractions(ws):
+    return Fraction(ws.n - ws.d - 1) - sum((Fraction(1, p) for p in ws.weights), Fraction(0))
+
+
+def trichotomy_by_fractions(ws):
+    dw = delta_omega_by_fractions(ws)
+    if dw < 0:
+        return Trichotomy.FANO
+    if dw == 0:
+        return Trichotomy.CALABI_YAU
+    return Trichotomy.ANTI_FANO
+
+
+def coset_key_by_fractions(ws, x):
+    dw = delta_omega_by_fractions(ws)
+    k = math.floor(delta_by_fractions(ws, x) / abs(dw))
+    step = 1 if dw < 0 else -1
+    return add(ws, x, smul(ws, step * k, omega(ws)))
+
+
+def _degree_property(check):
+    """Runs `check(ws, x)` on bounded weight systems, weights of 1 and the
+    empty tuple included, and an element x of each in normal form."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        ws = WeightSystem(
+            draw(st.integers(1, 4)), tuple(draw(st.lists(st.integers(1, 9), max_size=6)))
+        )
+        tors = tuple(draw(st.integers(0, p - 1)) for p in ws.weights)
+        return ws, GroupElement(tors, draw(st.integers(-5, 5)))
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    # Calabi-Yau, empty, all weights 1, and anti-Fano systems, always tried
+    @hypothesis.example((WeightSystem(1, (2, 3, 6)), GroupElement((1, 2, 5), -1)))
+    @hypothesis.example((WeightSystem(2, (2,) * 6), GroupElement((1,) * 6, -3)))
+    @hypothesis.example((WeightSystem(3, ()), GroupElement((), -5)))
+    @hypothesis.example((WeightSystem(2, (1, 1)), GroupElement((0, 0), 4)))
+    @hypothesis.example((WeightSystem(1, (2, 3, 7, 43)), GroupElement((1, 0, 6, 42), -4)))
+    def run(case):
+        check(*case)
+
+    run()
+
+
+def test_integer_degrees_match_the_fraction_oracle():
+    def check(ws, x):
+        scale = math.lcm(*ws.weights)
+        assert delta_l(ws, x) == scale * delta_by_fractions(ws, x)
+        assert delta_omega_l(ws) == scale * delta_omega_by_fractions(ws)
+        assert delta(ws, x) == delta_by_fractions(ws, x)
+        assert delta_omega(ws) == delta_omega_by_fractions(ws)
+        assert delta_l(ws, omega(ws)) == delta_omega_l(ws)
+
+    _degree_property(check)
+
+
+def test_trichotomy_matches_the_fraction_oracle():
+    def check(ws, x):
+        assert trichotomy(ws) == trichotomy_by_fractions(ws)
+
+    _degree_property(check)
+
+
+def test_coset_key_matches_the_fraction_oracle_and_lands_in_the_window():
+    # the key's scaled degree lies in [0, |delta_l(omega)|), and the key is
+    # the same for x - omega, x and x + omega
+    def check(ws, x):
+        dw = delta_omega_l(ws)
+        if dw == 0:
+            with pytest.raises(ValueError):
+                coset_key(ws, x)
+            return
+        key = coset_key(ws, x)
+        assert key == coset_key_by_fractions(ws, x)
+        assert 0 <= delta_l(ws, key) < abs(dw)
+        w = omega(ws)
+        assert coset_key(ws, add(ws, x, w)) == key == coset_key(ws, sub(ws, x, w))
+
+    _degree_property(check)

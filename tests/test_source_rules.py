@@ -147,3 +147,38 @@ def test_box_scan_oracle_is_independent_of_classify():
         if name in defined
     ]
     assert not used, used
+
+
+# Top-level definitions that may name `Fraction`: the hyperplane rows and the
+# output edges.  Degrees everywhere else are integers scaled by lcm(p_i).
+FRACTION_SITES = {
+    "grading.py": {"WeightSystem", "generic_lambda", "delta", "delta_omega"},
+    "classify.py": {"FracCY", "frac_cy"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(FRACTION_SITES))
+def test_fraction_is_named_only_at_its_sites(module):
+    named = {
+        getattr(node, "name", f"line {node.lineno}")
+        for node in _module_tree(module).body
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(
+            "Fraction" in (getattr(sub, "id", None), getattr(sub, "attr", None))
+            for sub in ast.walk(node)
+        )
+    }
+    assert named == FRACTION_SITES[module]
+
+
+def test_fraction_degrees_are_output_edges_only():
+    """`delta` and `delta_omega` build a `Fraction` from the scaled integer;
+    no library code calls them."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("delta", "delta_omega")
+    ]
+    assert not calls, calls
