@@ -513,13 +513,11 @@ def minimal_resolution_profile(alg: StructureAlgebra, vertex: int) -> list[list[
             col = [0] * free.dim_at(x)
             col[free.offset[x][(0, pos)]] = 1
             cols[x].append(col)
-    cols = {x: Echelon(c).rows for x, c in cols.items()}
     profile = [[vertex]]
     while not _module_is_zero(cols):
         gens = _minimal_generators(alg, free, cols)
         profile.append([v for v, _ in gens])
         free, cols = _cover_kernel(alg, free, gens)
-        cols = {x: Echelon(c).rows for x, c in cols.items()}
     return profile
 
 
@@ -581,34 +579,3 @@ def cm_tensor_check(ws: WeightSystem) -> bool:
         labels = tuple(sorted((first.label, second.label)))
         actual_relations.add((coords[first.source], labels[0], labels[1]))
     return actual_relations == expected_relations
-
-
-def cm_quiver_signature(ws: WeightSystem):
-    """Canonical form of the stable interval quiver, indexed by the weights >= 3.
-
-    Weight-2 coordinates are invisible in the interval [0, d*c + 2*omega]
-    (those torsion entries are pinned to 0 and their generators never act),
-    so two systems whose >=3 weights agree as multisets in order produce
-    equal signatures.  Used for the dimension-shift pairing check.
-    """
-    base = normalize_weights(ws)
-    if base.n != base.d + 2:
-        raise ValueError("signature is defined for n = d + 2")
-    quiver = i_canonical_quiver(base, cm_interval(base))
-    active = [i for i, p in enumerate(base.weights) if p >= 3]
-    relabel = {i + 1: k + 1 for k, i in enumerate(active)}
-
-    def vkey(vi: int):
-        return tuple(quiver.vertices[vi].torsion[i] for i in active)
-
-    arrows = sorted(
-        (vkey(a.source), vkey(a.target), relabel[a.label]) for a in quiver.arrows
-    )
-    rels = []
-    for rel in quiver.relations:
-        paths = []
-        for path in rel.paths:
-            labels = tuple(relabel[quiver.arrows[ai].label] for ai in path)
-            paths.append((vkey(quiver.arrows[path[0]].source), labels))
-        rels.append(tuple(sorted(paths)))
-    return arrows, sorted(rels)

@@ -76,7 +76,6 @@ class CutReport:
     acyclic_without_cut: bool
     walks_checked: int
     bad_walks: tuple[str, ...]
-    cut_count_per_vertex: tuple[int, ...]
 
     @property
     def ok(self) -> bool:
@@ -103,7 +102,6 @@ def verify_cut(q: OrbitQuiverWithCut) -> CutReport:
     acyclic = is_acyclic(nv, (a for a in q.arrows if not a.cut))
     labels = list(range(1, d + 2))
     bad = []
-    cut_counts = [0] * nv
     walks = 0
     for v in range(nv):
         for perm in itertools.permutations(labels):
@@ -118,10 +116,7 @@ def verify_cut(q: OrbitQuiverWithCut) -> CutReport:
                 bad.append(f"walk {perm} from vertex {v} does not close")
             elif cuts != 1:
                 bad.append(f"walk {perm} from vertex {v} crosses {cuts} cut arrows")
-        cut_counts[v] = sum(
-            1 for lab in labels if outgoing[(v, lab)].cut
-        )
-    return CutReport(acyclic, walks, tuple(bad), tuple(cut_counts))
+    return CutReport(acyclic, walks, tuple(bad))
 
 
 def noncut_matches_interval_quiver(q: OrbitQuiverWithCut) -> bool:

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     canonical_interval_size,
     cm_interval_size,
-    cm_quiver_signature,
+    cm_tensor_check,
 )
 from .coxeter import k0_rank
 from .grading import (
@@ -280,14 +280,19 @@ def main2_slice(ws: WeightSystem) -> SliceData:
 
 
 def knoerrer_partner(ws: WeightSystem) -> WeightSystem:
-    """One dimension up with an extra weight 2; the stable interval data agree."""
+    """One dimension up with an extra weight 2; the stable interval data agree.
+
+    Both stable interval quivers must pass `cm_tensor_check`: each is then
+    the commuting product of the type-A lines over the weights >= 3, which
+    the two systems share, so the quivers agree.
+    """
     base = normalize_weights(ws)
     if base.n != base.d + 2:
         raise ValueError("dimension-shift pairing requires n = d + 2")
     partner = WeightSystem(base.d + 1, (2,) + base.weights)
     if cm_interval_size(base) != cm_interval_size(partner):
         raise AssertionError("stable interval sizes disagree with the pairing")
-    if cm_quiver_signature(base) != cm_quiver_signature(partner):
+    if not (cm_tensor_check(base) and cm_tensor_check(partner)):
         raise AssertionError("stable interval quivers disagree with the pairing")
     return partner
 

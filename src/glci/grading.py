@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import det, smith_normal_form
+from .linalg import nonsingular, smith_normal_form
 
 
 class Trichotomy(Enum):
@@ -360,7 +360,7 @@ def general_position_ok(ws: WeightSystem) -> bool:
         for ri in itertools.combinations(range(r), k):
             for ci in itertools.combinations(range(c), k):
                 sub_m = [[rows[i][j] for j in ci] for i in ri]
-                if det(sub_m) == 0:
+                if not nonsingular(sub_m):
                     return False
     return True
 

@@ -1,17 +1,14 @@
 """Exact linear algebra: one echelon reduction over Q, and a Smith normal form over Z.
 
-Entries are ints or `fractions.Fraction`; every result is exact (an int or a
-Fraction, never a float).  `Echelon` is the only elimination over Q: span
-membership, rank, the determinant and the null space are all read off it.
-It eliminates over Z without division: on integer input only the vectors
-`nullspace` returns are Fractions.
+`Echelon` is the only elimination over Q: span membership, rank,
+nonsingularity and the null space are all read off it.  It eliminates over Z
+without division, so every result is a Python int; rational input is scaled
+to integers on entry.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -32,15 +29,15 @@ class Echelon:
         for row in rows:
             self.add(row)
 
-    def _eliminate(self, v: Sequence) -> tuple[list[int], int]:
-        """(w, t): the integer vector w = t*v minus a combination of the rows,
-        zero in every pivot column, with t a positive integer.
+    def reduce(self, v: Sequence) -> list[int]:
+        """A positive integer multiple of v minus a combination of the rows,
+        zero in every pivot column; all zero exactly when v lies in the span.
 
         Against a row with pivot b, an entry a becomes 0 by
         w <- (b/g)*w - (a/g)*row with g = gcd(a, b), with no division.
         """
         if set(map(type, v)) <= {int}:
-            w, t = list(v), 1
+            w = list(v)
         else:
             t = math.lcm(*(x.denominator for x in v))
             w = [x.numerator * (t // x.denominator) for x in v]
@@ -58,15 +55,14 @@ class Echelon:
                         w[i] -= a * row[i]
             else:
                 w = [b * x - a * y for x, y in zip(w, row)]
-                t *= b
-        return w, t
+        return w
 
-    def _push(self, w: list[int]) -> int:
-        """Store w divided by c, its content signed so the pivot is positive,
-        and return c; return 0 and store nothing when w is zero."""
+    def add(self, v: Sequence) -> bool:
+        """Extend the basis by v; False (and no change) when v is already in the span."""
+        w = self.reduce(v)
         p = next((i for i, x in enumerate(w) if x), None)
         if p is None:
-            return 0
+            return False
         c = math.gcd(*w)
         if w[p] < 0:
             c = -c
@@ -74,73 +70,32 @@ class Echelon:
             w = [x // c for x in w]
         self.rows.append(w)
         self.pivots.append(p)
-        return c
-
-    def reduce(self, v: Sequence) -> list[int]:
-        """A positive multiple of v minus a combination of the rows, zero in
-        every pivot column; all zero exactly when v lies in the span."""
-        return self._eliminate(v)[0]
-
-    def add(self, v: Sequence) -> bool:
-        """Extend the basis by v; False (and no change) when v is already in the span."""
-        return bool(self._push(self._eliminate(v)[0]))
+        return True
 
 
-def det(m: Sequence[Sequence]):
-    """Determinant of a square matrix.
-
-    Ordering the echelon rows' columns by pivot makes them upper triangular,
-    so their determinant is the sign of the pivot permutation times the pivot
-    product.  Row k is (t_k / c_k) * m[k] plus earlier input rows, with t_k
-    from the elimination and c_k the divisor that made it primitive, so the
-    determinant of m is that product times prod(c_k) / prod(t_k).
-    """
+def nonsingular(m: Sequence[Sequence]) -> bool:
+    """Whether the square matrix m has full rank (a nonzero determinant)."""
     ech = Echelon()
-    num = den = 1
-    for row in m:
-        w, t = ech._eliminate(row)
-        c = ech._push(w)
-        if not c:
-            return 0
-        num *= c
-        den *= t
-    inversions = sum(a > b for a, b in itertools.combinations(ech.pivots, 2))
-    num *= math.prod(row[p] for row, p in zip(ech.rows, ech.pivots))
-    if inversions % 2:
-        num = -num
-    return num // den if num % den == 0 else Fraction(num, den)
+    return all(ech.add(row) for row in m)
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[Fraction]]:
-    """Kernel basis of the map Q^ncols -> Q^len(rows) whose matrix is `rows`.
+def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[int]]:
+    """Integer kernel basis of the map Q^ncols -> Q^len(rows) whose matrix is `rows`.
 
-    One vector per non-pivot column, 1 there and 0 at the other non-pivot
-    columns, found by back-substitution through the echelon rows in reverse.
-    The vector is w / den with w an integer vector: solving a row for its
-    pivot entry scales w and den by the part of the pivot the new entry's
-    numerator does not cancel.
+    With A = rows, row j of [A^T | I] is (A e_j, e_j), so every vector in the
+    span of these ncols rows is (A u, u).  An echelon row with its pivot in the
+    unit part is zero in the first len(rows) columns, so its unit part u is in
+    the kernel, and such rows are independent (distinct pivots).  The other
+    echelon rows have independent leading parts in the row space of A^T, so
+    there are at most rank A of them and at least ncols - rank A of the first
+    kind: a kernel basis.
     """
-    ech = Echelon(rows)
-    pivots = set(ech.pivots)
-    out = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        w = [0] * ncols
-        w[free] = 1
-        den = 1
-        for row, p in zip(reversed(ech.rows), reversed(ech.pivots)):
-            acc = sum(row[c] * w[c] for c in range(p + 1, ncols) if row[c])
-            if not acc:
-                continue
-            g = math.gcd(acc, row[p])
-            m = row[p] // g
-            if m != 1:
-                w = [m * x for x in w]
-                den *= m
-            w[p] = -acc // g
-        out.append([Fraction(x, den) for x in w])
-    return out
+    m = len(rows)
+    ech = Echelon(
+        [row[j] for row in rows] + [int(k == j) for k in range(ncols)]
+        for j in range(ncols)
+    )
+    return [row[m:] for row, p in zip(ech.rows, ech.pivots) if p >= m]
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

@@ -367,10 +367,10 @@ def _corner_minor(pair: GradedMatrixPair) -> list[list[MultiPoly]]:
 def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
     """Nonvanishing of det of the N-submatrix on subsets avoiding the last index.
 
-    The entries are evaluated at deterministic pseudo-random positive integer
-    points and the determinant is taken exactly with `linalg.det`, at up to 5
-    points.  A nonzero value proves the polynomial determinant nonzero; five
-    zero values report a singular minor without proof.  For a pair from
+    The entries are evaluated exactly at up to 5 deterministic pseudo-random
+    positive integer points, and `linalg.nonsingular` tests each evaluation.
+    One nonsingular evaluation proves the polynomial determinant nonzero; five
+    singular ones report a singular minor without proof.  For a pair from
     `mf_build` the determinant is +-f'^(2^(d-1)) with f' the sum of the first
     n - 1 terms of f, which is positive at these points.
     """
@@ -380,7 +380,7 @@ def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
         rng = random.Random(10_007 * attempt + 17)
         point = [rng.randint(1, 10**6) for _ in range(2 * nvars)]
         values = [[entry.evaluate(point) for entry in row] for row in minor]
-        if linalg.det(values) != 0:
+        if linalg.nonsingular(values):
             return True
     return False
 

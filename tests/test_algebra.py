@@ -12,7 +12,6 @@ from glci.algebra import (
     cartan_matrix,
     check_convex,
     cm_interval,
-    cm_quiver_signature,
     cm_tensor_check,
     global_dimension,
     i_canonical_quiver,
@@ -249,13 +248,6 @@ def test_cm_tensor_check_examples():
     assert cm_tensor_check(WeightSystem(2, (2, 2, 3, 4)))
     with pytest.raises(ValueError):
         cm_tensor_check(WeightSystem(1, (2, 3)))
-
-
-def test_cm_quiver_signature_cube():
-    # (3,3,3): the stable interval quiver is the 2x2x2 commuting cube
-    arrows, rels = cm_quiver_signature(WeightSystem(1, (3, 3, 3)))
-    assert len(arrows) == 12
-    assert len(rels) == 6
 
 
 def _radical_positions(alg):

@@ -180,7 +180,7 @@ def test_mf_errors():
 
 def _symbolic_det(matrix):
     """Cofactor expansion along rows, memoized on the remaining column set:
-    an oracle for the corner minor independent of `linalg.det`."""
+    an oracle for the corner minor independent of `linalg.nonsingular`."""
     k = len(matrix)
     nvars = matrix[0][0].nvars
     cache = {}

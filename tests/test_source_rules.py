@@ -33,13 +33,13 @@ def test_library_imports_only_stdlib_and_uses_no_floats():
             ), f"{where}: float() call"
 
 
-INTEGER_ONLY_MODULES = ("coxeter.py", "matfac.py", "suite.py")
+INTEGER_ONLY_MODULES = ("coxeter.py", "linalg.py", "matfac.py", "suite.py")
 
 
 @pytest.mark.parametrize("module", INTEGER_ONLY_MODULES)
 def test_module_is_integer_only(module):
-    """Both Coxeter routes, the matrix factorizations and the suite's box
-    scan compute over the integers, never over Q."""
+    """Both Coxeter routes, the exact elimination, the matrix factorizations
+    and the suite's box scan compute over the integers, never over Q."""
     path = next(p for p in SOURCES if p.name == module)
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
