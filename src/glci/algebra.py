@@ -481,18 +481,15 @@ def _cover_kernel(alg, free, gens):
     cover = _FreeModule(alg, [v for v, _ in gens])
     kernel_cols = {x: [] for x in range(len(alg.vertices))}
     for x in range(len(alg.vertices)):
-        nc = cover.dim_at(x)
-        if nc == 0:
-            continue
-        rows = [[0] * nc for _ in range(free.dim_at(x))]
-        for k, (comp, pos) in enumerate(cover.slot[x]):
+        images = []
+        for comp, pos in cover.slot[x]:
             v, col = gens[comp]
             tgt, image = free.act(pos, v, col)
             if tgt != x:
                 raise AssertionError("graded cover map mismatch")
-            for i, val in enumerate(image):
-                rows[i][k] = val
-        kernel_cols[x] = nullspace(rows, nc)
+            images.append(image)
+        if images:
+            kernel_cols[x] = nullspace(images)
     return cover, kernel_cols
 
 

@@ -285,6 +285,39 @@ MERSENNE_EXPONENTS = (
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
+    """det(t*I - M) for a square integer matrix, one factor per connected
+    component of its nonzero pattern.
+
+    Indices i and j are joined when M[i][j] or M[j][i] is nonzero, i != j.
+    Ordering the indices component by component makes M block-diagonal, so
+    det(t*I - M) is the product of the components' characteristic
+    polynomials.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for i, row in enumerate(matrix):
+        for j in itertools.compress(range(n), row):
+            a, b = find(i), find(j)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    members: dict[int, list[int]] = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    result = IntPolynomial([1])
+    for idx in members.values():
+        result = result * _hessenberg_char_poly([[matrix[i][j] for j in idx] for i in idx])
+    return result
+
+
+def _hessenberg_char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
     """det(t*I - M) for a square integer matrix, by Hessenberg reduction and
     the Hessenberg recurrence over GF(P).
 
@@ -294,8 +327,6 @@ def char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
     the symmetric range (-P/2, P/2).
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
     bound = math.prod(2 + math.isqrt(sum(v * v for v in row)) for row in matrix)
     primes = (2**e - 1 for e in MERSENNE_EXPONENTS)
     P = next((p for p in primes if p > 2 * bound), None)

@@ -79,22 +79,21 @@ def nonsingular(m: Sequence[Sequence]) -> bool:
     return all(ech.add(row) for row in m)
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> list[list[int]]:
-    """Integer kernel basis of the map Q^ncols -> Q^len(rows) whose matrix is `rows`.
+def nullspace(columns: Sequence[Sequence]) -> list[list[int]]:
+    """Integer kernel basis of the linear map A whose image columns A e_j are
+    `columns`.
 
-    With A = rows, row j of [A^T | I] is (A e_j, e_j), so every vector in the
-    span of these ncols rows is (A u, u).  An echelon row with its pivot in the
-    unit part is zero in the first len(rows) columns, so its unit part u is in
-    the kernel, and such rows are independent (distinct pivots).  The other
-    echelon rows have independent leading parts in the row space of A^T, so
-    there are at most rank A of them and at least ncols - rank A of the first
-    kind: a kernel basis.
+    Row j of [A^T | I] is (A e_j, e_j), so every vector in the span of these
+    rows is (A u, u).  An echelon row with its pivot in the unit part is zero
+    in the first m = len(A e_j) columns, so its unit part u is in the kernel,
+    and such rows are independent (distinct pivots).  The other echelon rows
+    have independent leading parts in the row space of A^T, so there are at
+    most rank A of them and at least len(columns) - rank A of the first kind:
+    a kernel basis.
     """
-    m = len(rows)
-    ech = Echelon(
-        [row[j] for row in rows] + [int(k == j) for k in range(ncols)]
-        for j in range(ncols)
-    )
+    m = len(columns[0]) if columns else 0
+    n = len(columns)
+    ech = Echelon([*col, *[0] * j, 1, *[0] * (n - 1 - j)] for j, col in enumerate(columns))
     return [row[m:] for row, p in zip(ech.rows, ech.pivots) if p >= m]
 
 

@@ -128,6 +128,40 @@ def test_interval_and_size_with_weight_one_entries():
         _check_closed_forms(ws, rng)
 
 
+def test_interval_and_size_match_enumeration_on_random_endpoints():
+    """Any endpoints, empty intervals (y not >= x) included, on bounded
+    systems with weights of 1 and the empty tuple."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        ws = WeightSystem(
+            draw(st.integers(1, 3)), tuple(draw(st.lists(st.integers(1, 6), max_size=4)))
+        )
+
+        def element(free):
+            tors = [draw(st.integers(0, p - 1)) for p in ws.weights]
+            return normal_form(ws, tors, draw(free))
+
+        x = element(st.integers(-2, 2))
+        return ws, x, add(ws, x, element(st.integers(-1, ws.d + 1)))
+
+    seen = {True: 0, False: 0}
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        ws, x, y = case
+        expected = _interval_by_enumeration(ws, x, y)
+        assert interval(ws, x, y) == expected
+        assert interval_size(ws, x, y) == len(expected)
+        seen[bool(expected)] += 1
+
+    check()
+    assert seen[True] > 30 and seen[False] > 10, seen
+
+
 def test_interval_size_helpers_match_enumerated_intervals():
     for ws in (
         WeightSystem(1, (2, 3, 5)),

@@ -244,6 +244,56 @@ def test_add_sub_match_the_normal_form_route():
         add(ws, zero(ws), GroupElement((0, 0), 0))
 
 
+def _group_property(check):
+    """Runs `check(ws, x, y, z)` on bounded weight systems, weights of 1 and
+    the empty tuple included, and three elements of each in normal form."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        ws = WeightSystem(1, tuple(draw(st.lists(st.integers(1, 7), max_size=5))))
+
+        def element():
+            tors = tuple(draw(st.integers(0, p - 1)) for p in ws.weights)
+            return GroupElement(tors, draw(st.integers(-4, 4)))
+
+        return ws, element(), element(), element()
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((WeightSystem(1, (2, 3)), *(GroupElement((1, 2), k) for k in (0, -1, 1))))
+    def run(case):
+        check(*case)
+
+    run()
+
+
+def test_add_is_commutative_with_zero_as_identity():
+    def check(ws, x, y, z):
+        assert add(ws, x, y) == add(ws, y, x)
+        assert add(ws, x, zero(ws)) == x == add(ws, zero(ws), x)
+
+    _group_property(check)
+
+
+def test_add_is_associative():
+    def check(ws, x, y, z):
+        assert add(ws, add(ws, x, y), z) == add(ws, x, add(ws, y, z))
+
+    _group_property(check)
+
+
+def test_negate_is_the_additive_inverse():
+    def check(ws, x, y, z):
+        assert add(ws, x, negate(ws, x)) == zero(ws)
+        assert negate(ws, negate(ws, x)) == x
+        assert sub(ws, y, x) == add(ws, y, negate(ws, x))
+        assert negate(ws, add(ws, x, y)) == add(ws, negate(ws, x), negate(ws, y))
+
+    _group_property(check)
+
+
 # Fraction routes, the bodies `delta`, `delta_omega`, `trichotomy` and
 # `coset_key` had before degrees became lcm-scaled integers; kept as oracles.
 

@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from glci.algebra import global_dimension, structure_constants
-from glci.coxeter import MERSENNE_EXPONENTS, IntPolynomial, char_poly
+from glci.coxeter import (
+    MERSENNE_EXPONENTS,
+    IntPolynomial,
+    char_poly,
+    coxeter_polynomial,
+    omega_action_blocks,
+    omega_action_matrix,
+)
 from glci.grading import (
     GroupElement,
     WeightSystem,
@@ -149,6 +156,82 @@ def test_char_poly_refuses_a_bound_past_the_prime_table():
     assert char_poly([[2 ** (MERSENNE_EXPONENTS[-1] - 2)]]).coeffs[0] < 0
     with pytest.raises(ValueError):
         char_poly([[2 ** MERSENNE_EXPONENTS[-1]]])
+
+
+def test_char_poly_bounds_each_component_on_its_own():
+    """Three 1x1 components of 7,000 bits: the whole-matrix bound would pass
+    the prime table, each component's bound fits below 2^9689 - 1."""
+    big = 2**7000
+    m = [[big if i == j else 0 for j in range(3)] for i in range(3)]
+    assert char_poly(m) == IntPolynomial([-big, 1]) ** 3
+
+
+def _permuted_direct_sum(blocks, perm):
+    """The direct sum of the square `blocks` with index i renamed perm[i]:
+    the block-diagonal matrix conjugated by a permutation matrix."""
+    n = len(perm)
+    m = [[0] * n for _ in range(n)]
+    offset = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                m[perm[offset + i]][perm[offset + j]] = v
+        offset += len(block)
+    return m
+
+
+def test_char_poly_of_permuted_block_diagonal_matrices():
+    """`char_poly` factors at the components of the nonzero pattern; the
+    oracles reduce the whole matrix.  Blocks repeat, so equal components
+    must count once per copy."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+    square = st.integers(1, 5).flatmap(
+        lambda b: st.lists(st.lists(entry, min_size=b, max_size=b), min_size=b, max_size=b)
+    )
+
+    @st.composite
+    def cases(draw):
+        blocks = []
+        for _ in range(draw(st.integers(1, 4))):
+            if blocks and draw(st.booleans()):
+                blocks.append(draw(st.sampled_from(blocks)))
+            else:
+                blocks.append(draw(square))
+        perm = draw(st.permutations(range(sum(map(len, blocks)))))
+        return blocks, _permuted_direct_sum(blocks, perm)
+
+    seen = {"repeated": 0, "whole naive": 0}
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+    @hypothesis.given(cases())
+    def check(case):
+        blocks, m = case
+        expected = fraction_char_poly(m)
+        assert char_poly(m) == expected
+        product = IntPolynomial([1])
+        for block in blocks:
+            product = product * naive_char_poly(block)
+        assert product == expected
+        if len(m) <= 6:
+            assert naive_char_poly(m) == expected
+            seen["whole naive"] += 1
+        seen["repeated"] += len(set(map(repr, blocks))) < len(blocks)
+
+    check()
+    assert seen["repeated"] > 30 and seen["whole naive"] > 30, seen
+
+
+def test_char_poly_of_the_omega_matrix_is_the_product_over_its_blocks():
+    ws = WeightSystem(2, (7, 11, 13))
+    full = char_poly(omega_action_matrix(ws))
+    chi = coxeter_polynomial(ws)
+    assert full in (chi, -chi) and full.degree == 311
+    product = IntPolynomial([1])
+    for _, _, block in omega_action_blocks(ws):
+        product = product * char_poly(block)
+    assert full == product
 
 
 def test_smith_normal_form_against_determinants():

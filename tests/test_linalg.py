@@ -99,6 +99,11 @@ def _random_rows(rng, nrows, ncols, fractions):
     return rows
 
 
+def _columns(rows, ncols):
+    """The image columns A e_j of the matrix `rows`, the input of `nullspace`."""
+    return [[row[j] for row in rows] for j in range(ncols)]
+
+
 def _assert_ints(values):
     for v in values:
         assert type(v) is int, (v, type(v))
@@ -154,7 +159,7 @@ def test_echelon_and_nullspace_against_sympy():
             in_span = not any(ech.reduce(v))
             assert in_span == (to_sympy(rows + [v]).rank() == reference.rank()), (rows, v)
         expected = [from_sympy(vec) for vec in reference.nullspace()]
-        _assert_same_kernel(nullspace(rows, ncols), expected)
+        _assert_same_kernel(nullspace(_columns(rows, ncols)), expected)
 
 
 def test_kernel_vectors_are_annihilated():
@@ -162,7 +167,7 @@ def test_kernel_vectors_are_annihilated():
     for trial in range(200):
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
         rows = _random_rows(rng, nrows, ncols, fractions=trial % 3 == 0)
-        kernel = nullspace(rows, ncols)
+        kernel = nullspace(_columns(rows, ncols))
         assert len(kernel) == ncols - len(Echelon(rows).rows)
         assert len(Echelon(kernel).rows) == len(kernel), (rows, kernel)
         for vec in kernel:
@@ -173,7 +178,7 @@ def test_kernel_vectors_are_annihilated():
 def test_int_input_gives_exact_values():
     assert nonsingular([[2, 1], [1, 1]]) and nonsingular([[3, 1], [1, 2]])
     assert not nonsingular([[1, 2], [2, 4]])
-    kernel = nullspace([[2, 1, 0]], 3)
+    kernel = nullspace([[2], [1], [0]])
     assert kernel == [[1, -2, 0], [0, 0, 1]]
     _assert_ints([x for vec in kernel for x in vec])
     ech = Echelon([[2, 1], [1, 1]])
@@ -225,4 +230,4 @@ def test_integer_echelon_against_fraction_echelon(rows, data):
     k = min(len(rows), ncols)
     square = [row[:k] for row in rows[:k]]
     assert nonsingular(square) == (_fraction_det(square) != 0)
-    _assert_same_kernel(nullspace(rows, ncols), _fraction_nullspace(rows, ncols))
+    _assert_same_kernel(nullspace(_columns(rows, ncols)), _fraction_nullspace(rows, ncols))
