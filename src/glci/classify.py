@@ -27,7 +27,7 @@ from .grading import (
     WeightSystem,
     add,
     coset_data_mod_omega,
-    coset_key,
+    coset_keys,
     delta_l,
     delta_omega_l,
     gen_c,
@@ -133,33 +133,36 @@ def enumerate_weight_systems(d: int, n: int, cls: Trichotomy) -> WeightEnumerati
     target = n - d - 1
     families: list[tuple[int, ...]] = []
     sporadic: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...], num: int, den: int):
-        # the degree sum of the prefix is num / den, den = prod(prefix)
+    # Depth first over (prefix, num, den), the degree sum of the prefix being
+    # num / den with den = prod(prefix); an explicit stack, since a recursive
+    # closure would hold itself through its own cell in a reference cycle.
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 1)]
+    while stack:
+        prefix, num, den = stack.pop()
         k = len(prefix)
         excess = num - target * den
         if cls == Trichotomy.FANO and k < n and excess >= 0:
             families.append(prefix)
-            return
+            continue
         if cls == Trichotomy.CALABI_YAU and k < n and excess >= 0:
             # Weights only add positive degree, so no completion balances out.
-            return
+            continue
         if k == n:
             if (cls == Trichotomy.FANO and excess > 0) or (
                 cls == Trichotomy.CALABI_YAU and excess == 0
             ):
                 sporadic.append(prefix)
-            return
+            continue
+        children = []
         p = prefix[-1] if prefix else 2
         while True:
             # den * p times the excess of the best completion, n - k more p's
             best = excess * p + (n - k) * den
             if best < 0 or (cls == Trichotomy.FANO and best == 0):
                 break
-            extend(prefix + (p,), num * p + den, den * p)
+            children.append((prefix + (p,), num * p + den, den * p))
             p += 1
-
-    extend((), 0, 1)
+        stack.extend(reversed(children))  # smallest p is visited first
     return WeightEnumeration(tuple(families), tuple(sporadic))
 
 
@@ -265,7 +268,7 @@ def main2_slice(ws: WeightSystem) -> SliceData:
     )
 
     count = coset_data_mod_omega(sorted_ws).count
-    distinct = len({coset_key(sorted_ws, x) for x in elements}) == len(elements)
+    distinct = len(set(coset_keys(sorted_ws, elements))) == len(elements)
 
     # delta is monotone, so the extreme degrees sit at the piece endpoints;
     # both degrees are scaled by L, and ceil(gap / -dw) = -(gap // dw)

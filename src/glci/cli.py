@@ -10,11 +10,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import algebra, atilde, classify, coxeter, matfac, suite
-from .algebra import Arrow, Quiver, Relation
+from .algebra import Arrow, Quiver
 from .coxeter import format_poly
 from .grading import (
     GroupElement,
@@ -54,13 +53,6 @@ def parse_element(ws: WeightSystem, text: str) -> GroupElement:
         raise InputError(f"cannot parse group element {text!r}: {exc}") from exc
 
 
-def _coeff_parse(text: str):
-    try:
-        return Fraction(text)
-    except ValueError:
-        return text
-
-
 def quiver_to_json(q: Quiver) -> dict:
     return {
         "vertices": [{"torsion": list(v.torsion), "free": v.free} for v in q.vertices],
@@ -75,23 +67,6 @@ def quiver_to_json(q: Quiver) -> dict:
             for rel in q.relations
         ],
     }
-
-
-def quiver_from_json(data: dict) -> Quiver:
-    vertices = tuple(
-        GroupElement(tuple(v["torsion"]), v["free"]) for v in data["vertices"]
-    )
-    arrows = tuple(
-        Arrow(a["from"], a["to"], a["label"]) for a in data["arrows"]
-    )
-    relations = tuple(
-        Relation(
-            tuple(_coeff_parse(c) for c in rel["coeffs"]),
-            tuple(tuple(path) for path in rel["paths"]),
-        )
-        for rel in data["relations"]
-    )
-    return Quiver(vertices, arrows, relations)
 
 
 def quiver_to_dot(q: Quiver, cut_flags: Optional[Sequence[bool]] = None) -> str:

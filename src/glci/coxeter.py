@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Sequence
 
 from .grading import WeightSystem, normalize_weights
@@ -30,7 +31,7 @@ class IntPolynomial:
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs[:end]))
+        object.__setattr__(self, "coeffs", tuple([int(c) for c in coeffs[:end]]))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -134,12 +135,30 @@ def format_poly(p: IntPolynomial) -> str:
     return "".join(parts)
 
 
-def _one_minus_power(length: int, exponent: int) -> IntPolynomial:
-    """(1 - t^length)^exponent expanded with exact binomials."""
-    out = [0] * (length * exponent + 1)
-    for j in range(exponent + 1):
-        out[j * length] = (-1) ** j * math.comb(exponent, j)
-    return IntPolynomial(out)
+def _expand(exponents: dict[int, int], degree: int) -> IntPolynomial:
+    """prod over L of (1 - t^L)^exponents[L], a polynomial of the given degree.
+
+    Multiplying by 1 - t^L is the stride difference p[i] - p[i - L].
+    Dividing p by 1 - t^L is the stride-L prefix sum q[i] = p[i] + q[i - L]
+    of the power series quotient, kept to N = deg p + 1 terms; all factors
+    of positive exponent come first, so every step is exact arithmetic in
+    Z[[t]] / t^N.  If the result r has the given degree, r times the
+    divisors has degree below N and agrees with the numerator modulo t^N,
+    so the two are equal: the degree check proves every division exact.
+    """
+    coeffs = [1]
+    for L, e in exponents.items():
+        for _ in range(e):
+            coeffs = coeffs + [0] * L
+            coeffs[L:] = map(operator.sub, coeffs[L:], coeffs)
+    for L, e in exponents.items():
+        for _ in range(-e):
+            for r in range(L):
+                coeffs[r::L] = itertools.accumulate(coeffs[r::L])
+    result = IntPolynomial(coeffs)
+    if result.degree != degree:
+        raise AssertionError(f"division by 1 - t^L not exact for exponents {exponents}")
+    return result
 
 
 def phi(values: Sequence[int]) -> IntPolynomial:
@@ -155,34 +174,27 @@ def phi(values: Sequence[int]) -> IntPolynomial:
 
 
 @functools.cache
-def _phi_sorted(key: tuple[int, ...]) -> IntPolynomial:
-    """Moebius inversion of the telescoping identity prod over index subsets
-    I of S of phi_I = g_S, with g_I = (1 - t^lcm I)^(prod I / lcm I) and
+def _phi_exponents(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """phi_S as (L, exponent) pairs of prod (1 - t^L)^exponent, summed per L.
+
+    Moebius inversion of the telescoping identity prod over index subsets I
+    of S of phi_I = g_S, with g_I = (1 - t^lcm I)^(prod I / lcm I) and
     g_() = 1 - t: phi_S is the product of g_I over |S - I| even divided by
-    the product over |S - I| odd.  The exponents are summed per lcm first, so
-    equal factors cancel.  Dividing p by 1 - t^L is the stride-L prefix sum
-    q[i] = p[i] + q[i - L] of the power series quotient, kept to deg p + 1
-    terms.  A division that is not exact leaves nonzero coefficients above
-    deg p - L, so the degree check below also proves every division exact."""
+    the product over |S - I| odd.
+    """
     exponents: dict[int, int] = {}
     for size in range(len(key) + 1):
         sign = -1 if (len(key) - size) % 2 else 1
         for sub in itertools.combinations(key, size):
             L = math.lcm(*sub)
             exponents[L] = exponents.get(L, 0) + sign * (math.prod(sub) // L)
-    num = IntPolynomial([1])
-    for L, e in exponents.items():
-        if e > 0:
-            num = num * _one_minus_power(L, e)
-    coeffs = list(num.coeffs)
-    for L, e in exponents.items():
-        for _ in range(-e):
-            for r in range(L):
-                coeffs[r::L] = itertools.accumulate(coeffs[r::L])
-    result = IntPolynomial(coeffs)
-    if result.degree != math.prod(a - 1 for a in key):
-        raise AssertionError(f"phi division not exact for {key}")
-    return result
+    return tuple(exponents.items())
+
+
+@functools.cache
+def _phi_sorted(key: tuple[int, ...]) -> IntPolynomial:
+    """phi_S for a sorted key; its degree is prod(a - 1)."""
+    return _expand(dict(_phi_exponents(key)), math.prod(a - 1 for a in key))
 
 
 def _weight_subsets(ws: WeightSystem):
@@ -194,22 +206,32 @@ def _weight_subsets(ws: WeightSystem):
             yield base, subset
 
 
-def coxeter_polynomial(ws: WeightSystem) -> IntPolynomial:
-    """Product formula: prod over |I| <= d of phi(p_i : i in I)^(d+1-|I|)."""
-    result = IntPolynomial([1])
+def _phi_multiplicities(ws: WeightSystem) -> dict[tuple[int, ...], int]:
+    """Sorted weight tuple of each phi factor -> its combined exponent, in
+    the order the subsets first reach it."""
+    exps: dict[tuple[int, ...], int] = {}
     for base, subset in _weight_subsets(ws):
-        factor = phi(tuple(base.weights[i] for i in subset))
-        result = result * factor ** (base.d + 1 - len(subset))
-    return result
+        key = tuple(sorted(base.weights[i] for i in subset))
+        exps[key] = exps.get(key, 0) + base.d + 1 - len(subset)
+    return exps
+
+
+def coxeter_polynomial(ws: WeightSystem) -> IntPolynomial:
+    """Product formula: prod over |I| <= d of phi(p_i : i in I)^(d+1-|I|).
+
+    Each phi factor is a ratio of factors 1 - t^L, so the product is
+    expanded once, from the exponents of all factors summed per L.
+    """
+    exponents: dict[int, int] = {}
+    for key, mult in _phi_multiplicities(ws).items():
+        for L, e in _phi_exponents(key):
+            exponents[L] = exponents.get(L, 0) + mult * e
+    return _expand(exponents, k0_rank(ws))
 
 
 def coxeter_factors(ws: WeightSystem) -> list[tuple[IntPolynomial, int]]:
     """Distinct phi factors of the product formula with combined exponents."""
-    exps: dict[tuple[int, ...], int] = {}
-    base = normalize_weights(ws)
-    for _, subset in _weight_subsets(ws):
-        key = tuple(sorted(base.weights[i] for i in subset))
-        exps[key] = exps.get(key, 0) + base.d + 1 - len(subset)
+    exps = _phi_multiplicities(ws)
     ordered = sorted(exps, key=lambda k: (len(k), k))
     return [(phi(k), exps[k]) for k in ordered]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -240,10 +241,6 @@ class CosetData:
     count: Optional[int]
     invariant_factors: tuple[int, ...]
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.count is None
-
 
 def _omega_presentation_matrix(ws: WeightSystem) -> list[list[int]]:
     # Generators x_1..x_n with c = p_n * x_n eliminated; last row kills omega.
@@ -334,19 +331,32 @@ def elements_with_free_in(ws: WeightSystem, lo: int, hi: int) -> Iterable[GroupE
 
 
 def coset_key(ws: WeightSystem, x: GroupElement) -> GroupElement:
-    """Canonical representative of x modulo the omega subgroup.
+    """Canonical representative of x modulo the omega subgroup; see `coset_keys`."""
+    return coset_keys(ws, [x])[0]
+
+
+def coset_keys(ws: WeightSystem, xs: Iterable[GroupElement]) -> list[GroupElement]:
+    """Canonical representatives of the elements xs modulo the omega subgroup.
 
     Valid when delta(omega) != 0: the representative is the unique element of
     the coset whose degree lies in [0, |delta(omega)|).  Scaling both degrees
     by L leaves the quotient, so k = floor(delta_l(x) / |delta_omega_l|).
+    L, the scaled degrees of the x_i and delta_omega_l are computed once for
+    all of xs.
     """
     dw = delta_omega_l(ws)
     if dw == 0:
         raise ValueError("coset keys require delta(omega) != 0")
-    k = delta_l(ws, x) // abs(dw)
-    step = k if dw < 0 else -k
-    # x + step * omega, with omega = (n-d-1)c - sum(x_i)
-    return normal_form(ws, [a - step for a in x.torsion], x.free + step * (ws.n - ws.d - 1))
+    big = math.lcm(*ws.weights)
+    parts = [big // p for p in ws.weights]
+    sign = 1 if dw < 0 else -1
+    shift = ws.n - ws.d - 1
+    keys = []
+    for x in xs:
+        step = sign * ((x.free * big + sum(map(operator.mul, x.torsion, parts))) // abs(dw))
+        # x + step * omega, with omega = (n-d-1)c - sum(x_i)
+        keys.append(normal_form(ws, [a - step for a in x.torsion], x.free + step * shift))
+    return keys
 
 
 def general_position_ok(ws: WeightSystem) -> bool:

@@ -87,15 +87,33 @@ def matrix_grid() -> list[WeightSystem]:
 # ---------------------------------------------------------------- batteries
 
 
+def _count_top(ws: WeightSystem, torsion: Sequence[int]) -> int:
+    """The largest free value a with (torsion; a) in [0, d*c], by counting:
+    d - #{i : t_i != 0}."""
+    return ws.d - sum(1 for a in torsion if a)
+
+
 def battery_group_laws(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
-    """Group laws plus the three-way order characterization of the interval."""
+    """Group laws plus the three-way order characterization of the interval
+    x in [0, d*c] <=> x.free >= 0 and x.free + #{a_i != 0} <= d
+    <=> x >= 0 and x + omega is not >= 0.
+
+    The order check runs once per torsion tuple t: with x0 = (t; 0), the
+    largest a with (t; a) in the box is (d*c - x0).free by the first form,
+    `_count_top` by the second and -(x0 + omega).free - 1 by the third, and
+    all three forms require a >= 0, so equal tops make the forms agree at
+    every free value.  The forms are then also tested element by element on
+    the seeded pool of elements with free part in [-2d, 2d]."""
     results = []
     for ws in grid if grid is not None else default_grid():
         rng = random.Random(1234 + ws.d * 1000 + hash(ws.weights) % 1000)
-        elems = list(grading.elements_with_free_in(ws, -2 * ws.d, 2 * ws.d))
+        tors = list(itertools.product(*(range(p) for p in ws.weights)))
+        span = 4 * ws.d + 1  # free values -2d..2d per torsion tuple
+        size = len(tors) * span
+        picks = range(size) if size <= 200 else rng.sample(range(size), 200)
+        pool = [GroupElement(tors[k // span], -2 * ws.d + k % span) for k in picks]
         ok = True
         detail = ""
-        pool = elems if len(elems) <= 200 else rng.sample(elems, 200)
         for _ in range(40):
             x, y, z = (rng.choice(pool) for _ in range(3))
             if grading.add(ws, x, y) != grading.add(ws, y, x):
@@ -114,14 +132,23 @@ def battery_group_laws(grid: Optional[Sequence[WeightSystem]] = None) -> list[Ch
             if grading.normal_form(ws, denorm, x.free - sum(bumps)) != x:
                 ok, detail = False, f"normal form not left inverse at {x}"
                 break
+        w = grading.omega(ws)
+        dc = grading.smul(ws, ws.d, grading.gen_c(ws))
         if ok:
-            w = grading.omega(ws)
-            dc = grading.smul(ws, ws.d, grading.gen_c(ws))
-            for x in elems:
-                in_box = grading.is_nonneg(x) and grading.leq(ws, x, dc)
-                count_form = x.free >= 0 and (
-                    x.free + sum(1 for a in x.torsion if a) <= ws.d
+            for t in tors:
+                x0 = GroupElement(t, 0)
+                tops = (
+                    grading.sub(ws, dc, x0).free,
+                    _count_top(ws, t),
+                    -grading.add(ws, x0, w).free - 1,
                 )
+                if len(set(tops)) != 1:
+                    ok, detail = False, f"order characterization fails at {x0}: tops {tops}"
+                    break
+        if ok:
+            for x in pool:
+                in_box = grading.is_nonneg(x) and grading.leq(ws, x, dc)
+                count_form = x.free >= 0 and x.free <= _count_top(ws, x.torsion)
                 dual_form = grading.is_nonneg(x) and not grading.is_nonneg(
                     grading.add(ws, x, w)
                 )
@@ -167,7 +194,7 @@ def battery_coset_structure(grid: Optional[Sequence[WeightSystem]] = None) -> li
             continue
         data = grading.coset_data_mod_omega(base)
         box = algebra.canonical_interval(base)
-        reps = {grading.coset_key(base, x) for x in box}
+        reps = set(grading.coset_keys(base, box))
         ok = len(reps) == data.count
         detail = f"{len(reps)} cosets hit of {data.count}"
         if ok and base.n <= base.d + 1:

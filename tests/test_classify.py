@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from fractions import Fraction
@@ -135,6 +136,20 @@ def test_enumerate_guards():
         enumerate_weight_systems(2, 4, Trichotomy.ANTI_FANO)
     with pytest.raises(ValueError):
         enumerate_weight_systems(2, 9, Trichotomy.FANO)
+
+
+def test_enumeration_leaves_nothing_for_the_cyclic_collector():
+    # The recursion must not hold itself in a reference cycle, or every call
+    # would leave its lists to a full collection.
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_weight_systems(2, 4, Trichotomy.FANO)
+        for n in (4, 5, 6):
+            enumerate_weight_systems(2, n, Trichotomy.CALABI_YAU)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_orlov_rank_delta_examples():

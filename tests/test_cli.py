@@ -1,18 +1,43 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from glci.algebra import canonical_interval, i_canonical_quiver
+from glci.algebra import Arrow, Quiver, Relation, canonical_interval, i_canonical_quiver
 from glci.cli import (
     build_parser,
     main,
     parse_element,
     parse_weights,
-    quiver_from_json,
     quiver_to_dot,
     quiver_to_json,
 )
-from glci.grading import WeightSystem, normalize_weights
+from glci.grading import GroupElement, WeightSystem, normalize_weights
+
+
+def _coeff_parse(text: str):
+    try:
+        return Fraction(text)
+    except ValueError:
+        return text
+
+
+def quiver_from_json(data: dict) -> Quiver:
+    """Inverse of `quiver_to_json`: the oracle its round trips are read back with."""
+    vertices = tuple(
+        GroupElement(tuple(v["torsion"]), v["free"]) for v in data["vertices"]
+    )
+    arrows = tuple(
+        Arrow(a["from"], a["to"], a["label"]) for a in data["arrows"]
+    )
+    relations = tuple(
+        Relation(
+            tuple(_coeff_parse(c) for c in rel["coeffs"]),
+            tuple(tuple(path) for path in rel["paths"]),
+        )
+        for rel in data["relations"]
+    )
+    return Quiver(vertices, arrows, relations)
 
 
 def run_cli(capsys, *argv):

@@ -15,7 +15,8 @@ from glci.coxeter import (
     omega_action_matrix,
     phi,
 )
-from glci.grading import WeightSystem
+from glci.grading import WeightSystem, normalize_weights
+from glci.suite import default_grid
 
 
 ONE_MINUS_T = IntPolynomial([1, -1])
@@ -122,6 +123,61 @@ def test_coxeter_polynomial_small_cases():
     assert coxeter_polynomial(WeightSystem(2, (1, 2, 3))) == coxeter_polynomial(
         WeightSystem(2, (2, 3))
     )
+
+
+def coxeter_polynomial_by_phi(ws):
+    """The product formula multiplied out phi by phi, as `coxeter_polynomial`
+    did before it summed the exponents of all factors per lcm; the oracle."""
+    base = normalize_weights(ws)
+    result = IntPolynomial([1])
+    for size in range(min(base.d, base.n) + 1):
+        for subset in itertools.combinations(base.weights, size):
+            result = result * phi(subset) ** (base.d + 1 - size)
+    return result
+
+
+INFO_LADDER = tuple(
+    WeightSystem(d, weights)
+    for d, weights in (
+        (1, (2, 3, 5)),
+        (1, (2, 3, 7, 43)),
+        (2, (7, 11, 13)),
+        (3, (2, 2, 2, 2, 2)),
+        (2, (5, 5, 5, 5)),
+        (3, (4, 4, 4, 4, 4)),
+        (2, (8, 8, 8, 8)),
+        (2, (6, 6, 6, 6, 6)),
+        (2, (10, 10, 10, 10)),
+        (2, (12, 12, 12, 12)),
+        (2, (15, 15, 15, 15)),
+    )
+)
+
+
+def test_coxeter_polynomial_matches_the_phi_by_phi_oracle_on_the_grid_and_ladder():
+    systems = default_grid() + list(INFO_LADDER)
+    assert len(systems) == 392
+    for ws in systems:
+        chi = coxeter_polynomial(ws)
+        assert chi == coxeter_polynomial_by_phi(ws), ws
+        assert chi.degree == k0_rank(ws)
+
+
+def test_coxeter_polynomial_matches_the_phi_by_phi_oracle_on_random_systems():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(1, 3), st.lists(st.integers(1, 7), max_size=4))
+    # weights of 1 only, repeated weights past d, and n = 0
+    @hypothesis.example(2, [1, 1, 1])
+    @hypothesis.example(1, [7, 7, 7, 7])
+    @hypothesis.example(3, [])
+    def run(d, weights):
+        ws = WeightSystem(d, tuple(weights))
+        assert coxeter_polynomial(ws) == coxeter_polynomial_by_phi(ws)
+
+    run()
 
 
 def test_coxeter_factors_match_product():

@@ -10,6 +10,7 @@ from glci.grading import (
     add,
     coset_data_mod_omega,
     coset_key,
+    coset_keys,
     delta,
     delta_l,
     delta_omega,
@@ -121,7 +122,7 @@ def test_coset_data_examples():
     assert coset_data_mod_omega(W235).count == 1
     assert coset_data_mod_omega(WeightSystem(2, (2, 2, 3, 4))).count == 28
     infinite = coset_data_mod_omega(WeightSystem(1, (2, 3, 6)))
-    assert infinite.is_infinite and 0 in infinite.invariant_factors
+    assert infinite.count is None and 0 in infinite.invariant_factors
     # n = 0: quotient is Z/(d+1)
     assert coset_data_mod_omega(WeightSystem(3, ())).count == 4
 
@@ -377,11 +378,19 @@ def test_coset_key_matches_the_fraction_oracle_and_lands_in_the_window():
         if dw == 0:
             with pytest.raises(ValueError):
                 coset_key(ws, x)
+            with pytest.raises(ValueError):
+                coset_keys(ws, [])
             return
         key = coset_key(ws, x)
         assert key == coset_key_by_fractions(ws, x)
         assert 0 <= delta_l(ws, key) < abs(dw)
         w = omega(ws)
         assert coset_key(ws, add(ws, x, w)) == key == coset_key(ws, sub(ws, x, w))
+        assert coset_keys(ws, [sub(ws, x, w), x, add(ws, x, w), zero(ws)]) == [
+            key,
+            key,
+            key,
+            coset_key_by_fractions(ws, zero(ws)),
+        ]
 
     _degree_property(check)

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from glci import classify, suite
+from glci import classify, grading, suite
 from glci.coxeter import k0_rank
-from glci.grading import Trichotomy, WeightSystem
+from glci.grading import GroupElement, Trichotomy, WeightSystem
 
 
 def test_weight_tuples_bounds():
@@ -120,3 +120,50 @@ def test_piece_dim_census_agrees_with_formula():
     census = suite._piece_dim_census(ws, 3)
     for x, count in census.items():
         assert count == grading.piece_dim(ws, x)
+
+
+ORDER_SYSTEMS = (
+    WeightSystem(2, (2, 3, 4)),
+    WeightSystem(1, (2, 3, 5)),
+    WeightSystem(3, (2, 2, 2, 2, 2)),
+)
+
+
+_SUB, _ADD, _COUNT_TOP = grading.sub, grading.add, suite._count_top
+
+
+def _sub_dropping_a_borrow(ws, x, y):
+    z = _SUB(ws, x, y)
+    borrows = any(a < b for a, b in zip(x.torsion, y.torsion))
+    return GroupElement(z.torsion, z.free + 1) if borrows else z
+
+
+def _add_dropping_a_carry(ws, x, y):
+    z = _ADD(ws, x, y)
+    carries = any(a + b >= p for a, b, p in zip(x.torsion, y.torsion, ws.weights))
+    return GroupElement(z.torsion, z.free - 1) if carries else z
+
+
+def _count_top_off_by_one(ws, torsion):
+    return _COUNT_TOP(ws, torsion) + 1
+
+
+@pytest.mark.parametrize(
+    "module,name,broken,order_check",
+    [
+        (grading, "sub", _sub_dropping_a_borrow, True),
+        (grading, "add", _add_dropping_a_carry, False),
+        (suite, "_count_top", _count_top_off_by_one, True),
+    ],
+    ids=["sub-drops-a-borrow", "add-drops-a-carry", "count-off-by-one"],
+)
+def test_group_laws_battery_fails_on_a_broken_route(monkeypatch, module, name, broken, order_check):
+    assert all(r.ok for r in suite.battery_group_laws(ORDER_SYSTEMS))
+    monkeypatch.setattr(module, name, broken)
+    results = suite.battery_group_laws(ORDER_SYSTEMS)
+    assert len(results) == len(ORDER_SYSTEMS)
+    for r in results:
+        assert not r.ok, r.label
+        # the per-class order check runs before the pool and reports the tops
+        if order_check:
+            assert r.detail.startswith("order characterization fails at") and "tops" in r.detail
