@@ -21,6 +21,7 @@ from .grading import (
     GroupElement,
     WeightSystem,
     add,
+    delta_l,
     general_position_ok,
     generic_lambda,
     gen_c,
@@ -37,7 +38,7 @@ from .grading import (
     sub,
     zero,
 )
-from .linalg import Echelon, nullspace
+from .linalg import GraphEchelon
 
 Scalar = Union[int, Fraction]
 Coefficient = Union[Fraction, str]
@@ -244,18 +245,11 @@ class StructureAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def idempotent(self, vertex: int) -> int:
-        return self.index[(vertex, vertex, (0,) * len(self.pres_weights))]
-
     @functools.cached_property
-    def arrows_by_vertex(self) -> dict[int, list[int]]:
-        """The arrows, off-diagonal single variables, keyed by the vertex
-        of the columns they act on."""
-        out: dict[int, list[int]] = {}
-        for k, (x, y, e) in enumerate(self.basis):
-            if x != y and sum(e) == 1:
-                out.setdefault(y, []).append(k)
-        return out
+    def degree_order(self) -> list[int]:
+        """The vertex indices by increasing `delta_l`.  A nonzero e_x A e_y
+        with x != y has x - y effective and nonzero, so delta(x) > delta(y)."""
+        return sorted(range(len(self.vertices)), key=lambda v: delta_l(self.ws, self.vertices[v]))
 
     def reduce_monomial(self, exps: Sequence[int]) -> dict[tuple[int, ...], Scalar]:
         """Rewrite X_i^{p_i} for non-coordinate i until exponents are in range."""
@@ -367,9 +361,12 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
     verts = tuple(dict.fromkeys(elements))
     basis: list[tuple[int, int, tuple[int, ...]]] = []
     by_pair: dict[tuple[int, int], list[int]] = {}
+    expected = 0
     for xi, x in enumerate(verts):
         for yi, y in enumerate(verts):
-            monos = _graded_monomials(base.d, pres_weights, sub(base, x, y))
+            degree = sub(base, x, y)
+            expected += piece_dim(base, degree)
+            monos = _graded_monomials(base.d, pres_weights, degree)
             if monos:
                 by_pair[(xi, yi)] = list(
                     range(len(basis), len(basis) + len(monos))
@@ -384,7 +381,6 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
         index={b: k for k, b in enumerate(basis)},
         by_pair={k: tuple(v) for k, v in by_pair.items()},
     )
-    expected = sum(piece_dim(base, sub(base, x, y)) for x in verts for y in verts)
     if alg.dim != expected:
         raise AssertionError("basis size disagrees with the Cartan count")
     return alg
@@ -417,11 +413,10 @@ class _FreeModule:
 
     def __init__(self, alg: StructureAlgebra, summands: Sequence[int]):
         self.alg = alg
-        self.summands = tuple(summands)
         self.slot: dict[int, list[tuple[int, int]]] = {
             v: [] for v in range(len(alg.vertices))
         }
-        for comp, v in enumerate(self.summands):
+        for comp, v in enumerate(summands):
             for x in range(len(alg.vertices)):
                 for pos in alg.by_pair.get((x, v), ()):
                     self.slot[x].append((comp, pos))
@@ -448,73 +443,52 @@ class _FreeModule:
         return xa, out
 
 
-def _radical_submodule(alg, free: _FreeModule, cols_by_vertex):
-    """Echelon basis of J*M at each vertex, from columns spanning M.
+def _resolution_step(alg: StructureAlgebra, free: _FreeModule, cols_by_vertex):
+    """Minimal generators (vertex, column) of the submodule M of `free` with
+    the basis `cols_by_vertex` at each vertex (vertices where M is zero are
+    absent), their projective cover, and the cover's kernel in the same form.
 
-    The arrows span J_1 with J = J_1 + J_1^2 + ..., so J*M = J_1*M for a
-    submodule M: only arrows act.
+    Vertices are visited by increasing degree.  At x, the images b*g of the
+    generators g found so far, for b in e_x A e_{v_g}, span (J*M)_x: the
+    radical part of e_x A e_y is zero unless delta(y) < delta(x), and each
+    earlier M_y is spanned by such images and its own generators.  The
+    images are also the cover map at x on the earlier summands, and the new
+    generators at x, independent of the images, fill its last slots; so the
+    kernel at x is the null space of the images, padded with zeros, and
+    there are new generators only when dim M_x exceeds the images' rank.
     """
-    nv = len(alg.vertices)
-    rad_cols = {x: [] for x in range(nv)}
-    for v in range(nv):
-        for col in cols_by_vertex[v]:
-            for a in alg.arrows_by_vertex.get(v, ()):
-                target, image = free.act(a, v, col)
-                if any(image):
-                    rad_cols[target].append(image)
-    return {x: Echelon(cols) for x, cols in rad_cols.items()}
-
-
-def _minimal_generators(alg, free, cols_by_vertex):
-    """Homogeneous columns of M lifting a basis of M / J*M."""
-    rad = _radical_submodule(alg, free, cols_by_vertex)
-    gens = []
-    for v in range(len(alg.vertices)):
-        for col in cols_by_vertex[v]:
-            if rad[v].add(col):
-                gens.append((v, col))
-    return gens
-
-
-def _cover_kernel(alg, free, gens):
-    """Kernel of the projective cover of the module generated by `gens`."""
-    cover = _FreeModule(alg, [v for v, _ in gens])
-    kernel_cols = {x: [] for x in range(len(alg.vertices))}
-    for x in range(len(alg.vertices)):
-        images = []
-        for comp, pos in cover.slot[x]:
-            v, col = gens[comp]
-            tgt, image = free.act(pos, v, col)
-            if tgt != x:
-                raise AssertionError("graded cover map mismatch")
-            images.append(image)
-        if images:
-            kernel_cols[x] = nullspace(images)
-    return cover, kernel_cols
-
-
-def _module_is_zero(cols_by_vertex) -> bool:
-    return all(not cols for cols in cols_by_vertex.values())
+    gens: list[tuple[int, list[Scalar]]] = []
+    kernel_cols = {}
+    for x in alg.degree_order:
+        images = [
+            free.act(b, v, col)[1] for v, col in gens for b in alg.by_pair.get((x, v), ())
+        ]
+        if not images and x not in cols_by_vertex:
+            continue
+        graph = GraphEchelon(images, free.dim_at(x))
+        kernel, cols, new = graph.kernel(), cols_by_vertex.get(x, []), []
+        if len(cols) > len(images) - len(kernel):  # else the images span M_x
+            new = [col for col in cols if graph.extend_image(col)]
+        if kernel:
+            kernel_cols[x] = [row + [0] * len(new) for row in kernel]
+        gens += [(x, col) for col in new]
+    return gens, _FreeModule(alg, [v for v, _ in gens]), kernel_cols
 
 
 def minimal_resolution_profile(alg: StructureAlgebra, vertex: int) -> list[list[int]]:
-    """Vertex indices of the projective cover summands in each homological
-    degree of the minimal resolution of the simple at `vertex`."""
-    nv = len(alg.vertices)
+    """Vertex indices, in increasing order, of the projective cover summands
+    in each homological degree of the minimal resolution of the simple at
+    `vertex`."""
     free = _FreeModule(alg, [vertex])
-    cols = {x: [] for x in range(nv)}
-    for x in range(nv):
-        for pos in alg.by_pair.get((x, vertex), ()):
-            if x == vertex:
-                continue
-            col = [0] * free.dim_at(x)
-            col[free.offset[x][(0, pos)]] = 1
-            cols[x].append(col)
+    cols = {  # rad P_vertex: every basis column off the vertex itself
+        x: [[int(k == j) for k in range(dim)] for j in range(dim)]
+        for x in range(len(alg.vertices))
+        if x != vertex and (dim := free.dim_at(x))
+    }
     profile = [[vertex]]
-    while not _module_is_zero(cols):
-        gens = _minimal_generators(alg, free, cols)
-        profile.append([v for v, _ in gens])
-        free, cols = _cover_kernel(alg, free, gens)
+    while cols:
+        gens, free, cols = _resolution_step(alg, free, cols)
+        profile.append(sorted(v for v, _ in gens))
     return profile
 
 

@@ -1,9 +1,9 @@
 """Exact linear algebra: one echelon reduction over Q, and a Smith normal form over Z.
 
 `Echelon` is the only elimination over Q: span membership, rank,
-nonsingularity and the null space are all read off it.  It eliminates over Z
-without division, so every result is a Python int; rational input is scaled
-to integers on entry.
+nonsingularity and the null space (through `GraphEchelon`, which also grows
+the image) are all read off it.  It eliminates over Z without division, so
+every result is a Python int; rational input is scaled to integers on entry.
 """
 
 from __future__ import annotations
@@ -59,7 +59,10 @@ class Echelon:
 
     def add(self, v: Sequence) -> bool:
         """Extend the basis by v; False (and no change) when v is already in the span."""
-        w = self.reduce(v)
+        return self._insert(self.reduce(v))
+
+    def _insert(self, w: list[int]) -> bool:
+        """Append a reduced vector w as a primitive row; False when w is zero."""
         p = next((i for i, x in enumerate(w) if x), None)
         if p is None:
             return False
@@ -79,22 +82,38 @@ def nonsingular(m: Sequence[Sequence]) -> bool:
     return all(ech.add(row) for row in m)
 
 
-def nullspace(columns: Sequence[Sequence]) -> list[list[int]]:
-    """Integer kernel basis of the linear map A whose image columns A e_j are
-    `columns`.
+class GraphEchelon(Echelon):
+    """Echelon basis of the row space of [A^T | I], for the linear map A
+    whose image columns A e_j, each of `height` entries, are `columns`.
 
-    Row j of [A^T | I] is (A e_j, e_j), so every vector in the span of these
-    rows is (A u, u).  An echelon row with its pivot in the unit part is zero
-    in the first m = len(A e_j) columns, so its unit part u is in the kernel,
-    and such rows are independent (distinct pivots).  The other echelon rows
-    have independent leading parts in the row space of A^T, so there are at
-    most rank A of them and at least len(columns) - rank A of the first kind:
-    a kernel basis.
+    Every vector of that span is (A u, u).  A row whose pivot index is at
+    least `height` has a zero leading part, so its unit part is in the
+    kernel.  These kernel rows have distinct pivots; the other rows have
+    independent leading parts in the image, at most rank A of them, so the
+    kernel rows, at least len(columns) - rank A, are a kernel basis.  The
+    other rows' leading parts are an echelon basis of the image, and reducing
+    against a kernel row only scales the leading part, so a vector's leading
+    part lies in the image exactly when that of its reduction is zero.
     """
-    m = len(columns[0]) if columns else 0
-    n = len(columns)
-    ech = Echelon([*col, *[0] * j, 1, *[0] * (n - 1 - j)] for j, col in enumerate(columns))
-    return [row[m:] for row, p in zip(ech.rows, ech.pivots) if p >= m]
+
+    def __init__(self, columns: Sequence[Sequence], height: int):
+        self.height, self.units = height, len(columns)
+        n = self.units
+        super().__init__([*c, *[0] * j, 1, *[0] * (n - 1 - j)] for j, c in enumerate(columns))
+
+    def extend_image(self, v: Sequence) -> bool:
+        """Add the column v to the image; False (and no change) when it lies there."""
+        w = self.reduce([*v, *[0] * self.units])
+        return any(w[: self.height]) and self._insert(w)
+
+    def kernel(self) -> list[list[int]]:
+        """Integer kernel basis of A; rows from `extend_image` pivot before `height`."""
+        return [row[self.height :] for row, p in zip(self.rows, self.pivots) if p >= self.height]
+
+
+def nullspace(columns: Sequence[Sequence]) -> list[list[int]]:
+    """Integer kernel basis of the linear map with image columns `columns`."""
+    return GraphEchelon(columns, len(columns[0]) if columns else 0).kernel()
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:

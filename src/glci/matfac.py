@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,6 +22,7 @@ from .grading import (
     GroupElement,
     WeightSystem,
     add,
+    delta_l,
     gen_c,
     normal_form,
     normalize_weights,
@@ -335,24 +337,29 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
                 bad = {key[0] for key in keys if got.get(key) != want.get(key)}
                 failures.extend(f"{name} entry ({i},{j}) != expected" for j in sorted(bad))
     homogeneity_ok = True
-    degrees: dict[tuple[int, ...], GroupElement] = {}  # monomial -> its degree
+    # L embeds in Z x prod Z/p_i by x -> (delta_l(x), torsion), so degrees are
+    # compared by these integer keys, with no difference formed in L.
+    keys = {pos: [(delta_l(ws, x), x.torsion) for x in xs] for pos, xs in pair.shifts.items()}
+    degrees: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}  # monomial -> its key
     for name, rows, src_pos, tgt_pos in (("M", m_nonzero, -1, 0), ("N", n_nonzero, 0, 1)):
-        src_shifts = pair.shifts[src_pos]
-        tgt_shifts = pair.shifts[tgt_pos]
         for i, row in enumerate(rows):
+            src_l, src_t = keys[src_pos][i]
             for j, entry in row:
-                expected = sub(ws, tgt_shifts[j], src_shifts[i])
                 if not entry.is_single_monomial():
                     homogeneity_ok = False
                     failures.append(f"{name} entry ({i},{j}) is not a monomial")
                     continue
                 (e,) = entry.terms
                 if e not in degrees:
-                    degrees[e] = _monomial_degree(ws, entry)
-                if degrees[e] != expected:
+                    x = _monomial_degree(ws, entry)
+                    degrees[e] = delta_l(ws, x), x.torsion
+                tgt_l, tgt_t = keys[tgt_pos][j]
+                diff_t = tuple(map(operator.mod, map(operator.sub, tgt_t, src_t), ws.weights))
+                if degrees[e] != (tgt_l - src_l, diff_t):
                     homogeneity_ok = False
                     failures.append(
-                        f"{name} entry ({i},{j}) has degree {degrees[e]} != {expected}"
+                        f"{name} entry ({i},{j}) has degree {_monomial_degree(ws, entry)} != "
+                        f"{sub(ws, pair.shifts[tgt_pos][j], pair.shifts[src_pos][i])}"
                     )
     return MFReport(identity_ok, homogeneity_ok, tuple(failures))
 

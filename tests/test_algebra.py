@@ -17,11 +17,15 @@ from glci.algebra import (
     i_canonical_quiver,
     is_acyclic,
     minimal_resolution_profile,
+    StructureAlgebra,
     structure_constants,
+    _FreeModule,
+    _resolution_step,
 )
 from glci.coxeter import k0_rank
-from glci.linalg import Echelon
+from glci.linalg import Echelon, nullspace
 from glci.grading import (
+    GroupElement,
     WeightSystem,
     gen_c,
     gen_x,
@@ -153,7 +157,7 @@ def test_structure_constants_field_case():
     ws = WeightSystem(1, (2, 3, 5))
     alg = structure_constants(ws, [zero(ws)])
     assert alg.dim == 1
-    one = alg.idempotent(0)
+    one = alg.index[(0, 0, (0,) * len(alg.pres_weights))]
     assert alg.multiply(one, one) == {one: Fraction(1)}
 
 
@@ -181,6 +185,19 @@ def test_structure_constants_rejects_degenerate_points():
     # (0:1) repeats the second coordinate hyperplane: a 1x1 minor vanishes
     ws = WeightSystem(1, (2, 3, 5), ((Fraction(0), Fraction(1)),))
     with pytest.raises(ValueError, match="general position"):
+        structure_constants(ws, canonical_interval(ws))
+
+
+@pytest.mark.parametrize("drop", [slice(1, None), slice(None, -1)])
+def test_structure_constants_checks_its_basis_against_the_cartan_count(monkeypatch, drop):
+    # one degree per vertex pair feeds both the monomials and the piece_dim
+    # count, so a monomial list that loses an element is caught
+    graded_monomials = algebra._graded_monomials
+    monkeypatch.setattr(
+        algebra, "_graded_monomials", lambda *args: graded_monomials(*args)[drop]
+    )
+    ws = WeightSystem(1, (2, 3, 5))
+    with pytest.raises(AssertionError, match="Cartan count"):
         structure_constants(ws, canonical_interval(ws))
 
 
@@ -302,29 +319,95 @@ def test_global_dimension_of_stable_interval_algebras():
         assert global_dimension(alg) == expected, (d, weights)
 
 
-def _all_radical_submodule(alg, free, cols_by_vertex):
-    """J*M acted on by every radical basis element, not only the arrows."""
+def _arrows_by_vertex(alg):
+    """The arrows, off-diagonal single variables, keyed by the vertex of the
+    columns they act on."""
+    out = {}
+    for k, (x, y, e) in enumerate(alg.basis):
+        if x != y and sum(e) == 1:
+            out.setdefault(y, []).append(k)
+    return out
+
+
+def _radical_by_vertex(alg):
+    """Every radical basis element, keyed the same way."""
+    out = {}
+    for a in _radical_positions(alg):
+        out.setdefault(alg.basis[a][1], []).append(a)
+    return out
+
+
+def _radical_submodule(alg, free, cols_by_vertex, acting):
+    """Echelon basis of J*M at each vertex from columns spanning M, acted on
+    by `acting` (either table above).  The arrows span J_1 with
+    J = J_1 + J_1^2 + ..., so J*M = J_1*M and the arrows suffice."""
     nv = len(alg.vertices)
     rad_cols = {x: [] for x in range(nv)}
-    rad_by_source = {}
-    for a in _radical_positions(alg):
-        rad_by_source.setdefault(alg.basis[a][1], []).append(a)
     for v in range(nv):
         for col in cols_by_vertex[v]:
-            for a in rad_by_source.get(v, ()):
+            for a in acting.get(v, ()):
                 target, image = free.act(a, v, col)
                 if any(image):
                     rad_cols[target].append(image)
     return {x: Echelon(cols) for x, cols in rad_cols.items()}
 
 
+def _minimal_generators(alg, free, cols_by_vertex, acting):
+    """Homogeneous columns of M lifting a basis of M / J*M."""
+    rad = _radical_submodule(alg, free, cols_by_vertex, acting)
+    gens = []
+    for v in range(len(alg.vertices)):
+        for col in cols_by_vertex[v]:
+            if rad[v].add(col):
+                gens.append((v, col))
+    return gens
+
+
+def _cover_kernel(alg, free, gens):
+    """Kernel of the projective cover of the module generated by `gens`."""
+    cover = _FreeModule(alg, [v for v, _ in gens])
+    kernel_cols = {x: [] for x in range(len(alg.vertices))}
+    for x in range(len(alg.vertices)):
+        images = []
+        for comp, pos in cover.slot[x]:
+            v, col = gens[comp]
+            target, image = free.act(pos, v, col)
+            assert target == x, "graded cover map mismatch"
+            images.append(image)
+        if images:
+            kernel_cols[x] = nullspace(images)
+    return cover, kernel_cols
+
+
+def _three_pass_profile(alg, vertex, acting):
+    """The resolution oracle: per step the radical of M from `acting`, the
+    generators modulo it, and the kernel of a second elimination."""
+    nv = len(alg.vertices)
+    free = _FreeModule(alg, [vertex])
+    cols = {x: [] for x in range(nv)}
+    for x in range(nv):
+        for pos in alg.by_pair.get((x, vertex), ()):
+            if x != vertex:
+                col = [0] * free.dim_at(x)
+                col[free.offset[x][(0, pos)]] = 1
+                cols[x].append(col)
+    profile = [[vertex]]
+    while any(cols.values()):
+        gens = _minimal_generators(alg, free, cols, acting)
+        profile.append([v for v, _ in gens])
+        free, cols = _cover_kernel(alg, free, gens)
+    return profile
+
+
 def _radical_oracle_cases():
     line = WeightSystem(1, (2, 3, 5))
     chain = interval(line, zero(line), smul(line, 2, gen_x(line, 3)))
-    cases = [(ws, canonical_interval(ws)) for ws in suite.GLDIM_FIXTURES + suite.GLDIM_EXTRA]
+    systems = suite.GLDIM_FIXTURES + suite.GLDIM_EXTRA + (WeightSystem(3, (2, 2, 2, 2)),)
+    cases = [(ws, canonical_interval(ws)) for ws in systems]
     cases += [(line, chain), (line, canonical_interval(line))]
-    cube = WeightSystem(1, (3, 3, 3))
-    cases.append((cube, cm_interval(cube)))
+    for weights in ((2, 3, 3), (2, 2, 3), (2, 2, 2), (3, 3, 3)):
+        stable = WeightSystem(1, weights)
+        cases.append((stable, cm_interval(stable)))
     return cases
 
 
@@ -333,14 +416,98 @@ def _radical_oracle_cases():
     _radical_oracle_cases(),
     ids=lambda v: str(v) if isinstance(v, WeightSystem) else f"{len(v)} vertices",
 )
-def test_arrow_radical_matches_all_radical_oracle(monkeypatch, ws, elements):
-    # J*M = J_1*M: resolutions built from arrow actions equal the ones built
-    # from the action of the whole radical, vertex by vertex
+def test_arrow_radical_matches_all_radical_oracle(ws, elements):
+    # the one-pass step in degree order equals the three-pass route with the
+    # radical from the arrows (J*M = J_1*M) and from every radical element
     alg = structure_constants(ws, elements)
-    by_arrows = [minimal_resolution_profile(alg, v) for v in range(len(alg.vertices))]
-    monkeypatch.setattr(algebra, "_radical_submodule", _all_radical_submodule)
-    by_radical = [minimal_resolution_profile(alg, v) for v in range(len(alg.vertices))]
-    assert by_arrows == by_radical
+    arrows, radical = _arrows_by_vertex(alg), _radical_by_vertex(alg)
+    for v in range(len(alg.vertices)):
+        by_degree = minimal_resolution_profile(alg, v)
+        assert by_degree == _three_pass_profile(alg, v, arrows), v
+        assert by_degree == _three_pass_profile(alg, v, radical), v
+
+
+def _square_with_a_diagonal():
+    """A directed algebra outside the interval family: the commuting square
+    v0 -> v1 -> v3, v0 -> v2 -> v3 (X1 then X2, X2 then X1) and a third arrow
+    v0 -> v3 (X3).  In rad P_0 both paths of the square give one image at v3,
+    so a resolution step meets a kernel and a new generator, X3, at the same
+    vertex; on the interval algebras of the other cases it never does."""
+    ws = WeightSystem(2, ())
+    vertices = tuple(GroupElement((), free) for free in (0, 1, 1, 2))
+    basis = [(v, v, (0, 0, 0)) for v in range(4)] + [
+        (1, 0, (1, 0, 0)),
+        (2, 0, (0, 1, 0)),
+        (3, 1, (0, 1, 0)),
+        (3, 2, (1, 0, 0)),
+        (3, 0, (1, 1, 0)),
+        (3, 0, (0, 0, 1)),
+    ]
+    by_pair = {}
+    for k, (x, y, _) in enumerate(basis):
+        by_pair.setdefault((x, y), []).append(k)
+    return StructureAlgebra(
+        ws=ws,
+        vertices=vertices,
+        pres_weights=(1, 1, 1),
+        lam_rows=(),
+        basis=tuple(basis),
+        index={b: k for k, b in enumerate(basis)},
+        by_pair={key: tuple(v) for key, v in by_pair.items()},
+    )
+
+
+def _step_algebras():
+    # the last seven oracle cases: (3;2,2,2,2), the two (1;2,3,5) intervals
+    # and the four stable intervals
+    cases = [
+        pytest.param(structure_constants(ws, el), id=f"{ws}-{len(el)} vertices")
+        for ws, el in _radical_oracle_cases()[-7:]
+    ]
+    return [pytest.param(_square_with_a_diagonal(), id="square with a diagonal")] + cases
+
+
+@pytest.mark.parametrize("alg", _step_algebras())
+def test_resolution_step_returns_the_cover_kernel(alg):
+    # the kernel columns at x are whole vectors of the cover there, sent to
+    # zero by the cover map and independent, and there are dim cover - dim M
+    # of them: so the cover maps onto M and they span its kernel
+    nv = len(alg.vertices)
+    for v in range(nv):
+        free = _FreeModule(alg, [v])
+        cols = {
+            x: [[int(k == j) for k in range(free.dim_at(x))] for j in range(free.dim_at(x))]
+            for x in range(nv)
+            if x != v and free.dim_at(x)
+        }
+        while cols:
+            gens, cover, kernel = _resolution_step(alg, free, cols)
+            for x in range(nv):
+                columns = kernel.get(x, [])
+                for col in columns:
+                    assert len(col) == cover.dim_at(x), (v, x)
+                    image = [0] * free.dim_at(x)
+                    for c, (comp, pos) in zip(col, cover.slot[x]):
+                        g_vertex, g_col = gens[comp]
+                        for i, e in enumerate(free.act(pos, g_vertex, g_col)[1]):
+                            image[i] += c * e
+                    assert not any(image), (v, x)
+                rank = len(Echelon(cols.get(x, [])).rows)
+                assert len(Echelon(columns).rows) == len(columns) == cover.dim_at(x) - rank
+            free, cols = cover, kernel
+
+
+def test_resolution_of_the_square_with_a_diagonal():
+    # P_3 covers the one relation of the square in degree 2
+    alg = _square_with_a_diagonal()
+    assert associativity_spot_check(alg)
+    arrows, radical = _arrows_by_vertex(alg), _radical_by_vertex(alg)
+    for v in range(4):
+        profile = minimal_resolution_profile(alg, v)
+        assert profile == _three_pass_profile(alg, v, arrows)
+        assert profile == _three_pass_profile(alg, v, radical)
+    assert minimal_resolution_profile(alg, 0) == [[0], [1, 2, 3], [3]]
+    assert global_dimension(alg) == 2
 
 
 def test_arrows_generate_every_radical_monomial():
@@ -349,7 +516,7 @@ def test_arrows_generate_every_radical_monomial():
     # each radical monomial off the arrows is arrow * radical monomial,
     # with coefficient 1
     radical = set(_radical_positions(alg))
-    arrows = {a for group in alg.arrows_by_vertex.values() for a in group}
+    arrows = {a for group in _arrows_by_vertex(alg).values() for a in group}
     assert arrows < radical
     factored = set()
     for a in arrows:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glci.linalg import Echelon, nonsingular, nullspace
+from glci.linalg import Echelon, GraphEchelon, nonsingular, nullspace
 
 
 def naive_det(matrix):
@@ -231,3 +231,24 @@ def test_integer_echelon_against_fraction_echelon(rows, data):
     square = [row[:k] for row in rows[:k]]
     assert nonsingular(square) == (_fraction_det(square) != 0)
     _assert_same_kernel(nullspace(_columns(rows, ncols)), _fraction_nullspace(rows, ncols))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_matrices(), st.data())
+def test_graph_echelon_grows_the_image_and_keeps_the_kernel(rows, data):
+    # extend_image answers membership in the span of the columns and of the
+    # vectors it added before, and leaves the kernel of the columns as it was
+    ncols = len(rows[0]) if rows else data.draw(st.integers(1, 6))
+    columns = _columns(rows, ncols)
+    graph = GraphEchelon(columns, len(rows))
+    kernel = graph.kernel()
+    _assert_same_kernel(kernel, _fraction_nullspace(rows, ncols))
+    vector = st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    combo = [sum((c * col[i] for c, col in zip(coeffs, columns)), 0) for i in range(len(rows))]
+    image = list(columns)
+    for v in [combo, *data.draw(st.lists(vector, max_size=4)), combo]:
+        grows = len(_fraction_echelon(image + [v])[1]) > len(_fraction_echelon(image)[1])
+        assert graph.extend_image(v) == grows, (rows, v)
+        image += [v] * grows
+    assert graph.kernel() == kernel

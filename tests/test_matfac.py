@@ -6,11 +6,12 @@ from dataclasses import replace
 import pytest
 
 from glci import suite
-from glci.grading import GroupElement, WeightSystem
+from glci.grading import GroupElement, WeightSystem, add, delta_l, gen_x, sub, zero
 from glci.matfac import (
     MFIndex,
     MultiPoly,
     _corner_minor,
+    _monomial_degree,
     _position_sign,
     expected_index_count,
     hypersurface_poly,
@@ -274,6 +275,42 @@ def test_mf_verify_rejects_tampered_shift_labels():
     bad = replace(pair, shifts=shifts)
     report = mf_verify(bad)
     assert report.identity_ok and not report.homogeneity_ok
+
+
+def _homogeneity_failures_by_difference(pair):
+    """The homogeneity failures worded from each expected degree formed as a
+    difference in L, the oracle for the integer-key check."""
+    ws = pair.ws
+    out = []
+    for name, rows, src, tgt in (("M", pair.m_rows, -1, 0), ("N", pair.n_rows, 0, 1)):
+        for i, row in enumerate(rows):
+            for j, entry in enumerate(row):
+                if entry.terms:
+                    want = sub(ws, pair.shifts[tgt][j], pair.shifts[src][i])
+                    got = _monomial_degree(ws, entry)
+                    if got != want:
+                        out.append(f"{name} entry ({i},{j}) has degree {got} != {want}")
+    return tuple(out)
+
+
+@pytest.mark.parametrize("d, weights, i, j", [(1, (2, 3, 3), 2, 3), (2, (3, 3, 4, 4), 3, 4)])
+def test_mf_verify_sees_a_label_moved_by_a_nonzero_element_of_degree_zero(d, weights, i, j):
+    # x_i - x_j with p_i = p_j is nonzero of degree 0: delta alone cannot
+    # tell the moved label from the true one, the torsion part of the key can
+    ws = WeightSystem(d, weights)
+    pair = mf_build(ws, MFIndex(tuple(p - 1 for p in weights)))
+    twist = sub(ws, gen_x(ws, i), gen_x(ws, j))
+    assert twist != zero(ws) and delta_l(ws, twist) == 0
+    assert not _homogeneity_failures_by_difference(pair)
+    for pos in (-1, 0):
+        shifts = dict(pair.shifts)
+        moved = list(shifts[pos])
+        moved[1] = add(ws, moved[1], twist)
+        shifts[pos] = tuple(moved)
+        bad = replace(pair, shifts=shifts)
+        report = mf_verify(bad)
+        assert report.identity_ok and not report.homogeneity_ok
+        assert report.failures == _homogeneity_failures_by_difference(bad) != ()
 
 
 def test_all_indices_cover_box():
