@@ -35,7 +35,10 @@ class Echelon:
 
         Against a row with pivot b, an entry a becomes 0 by
         w <- (b/g)*w - (a/g)*row with g = gcd(a, b), with no division.
+        Raises ValueError when v and the rows differ in length.
         """
+        if self.rows and len(v) != len(self.rows[0]):
+            raise ValueError(f"vector of length {len(v)} against rows of length {len(self.rows[0])}")
         if set(map(type, v)) <= {int}:
             w = list(v)
         else:

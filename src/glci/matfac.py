@@ -21,9 +21,6 @@ from . import linalg
 from .grading import (
     GroupElement,
     WeightSystem,
-    add,
-    delta_l,
-    gen_c,
     normal_form,
     normalize_weights,
     sub,
@@ -207,16 +204,36 @@ def _incidence(n: int):
     return odd, even, table(odd, even), table(even, odd)
 
 
+def _check_index(base: WeightSystem, ell: tuple[int, ...]) -> None:
+    if len(ell) != base.n or any(not 1 <= l <= p - 1 for l, p in zip(ell, base.weights)):
+        raise ValueError(f"exponent index {ell} out of range for {base.weights}")
+
+
+def _labels(
+    weights: tuple[int, ...], ell: tuple[int, ...], subsets, position: int
+) -> tuple[GroupElement, ...]:
+    """The shift labels at one homological position, in closed form: with
+    1 <= ell_i <= p_i - 1, -ell_i x_i = (p_i - ell_i) x_i - c, so the normal
+    form of ((|I| + a)/2) c - sum of ell_i x_i over I has torsion p_i - ell_i
+    on I, 0 elsewhere, and free part (a - |I|)/2."""
+    top = [p - l for p, l in zip(weights, ell)]
+    out = []
+    for subset in subsets:
+        torsion = [0] * len(weights)
+        for i in subset:
+            torsion[i - 1] = top[i - 1]
+        out.append(GroupElement(tuple(torsion), (position - len(subset)) // 2))
+    return tuple(out)
+
+
 def shift_label(
     ws: WeightSystem, ell: tuple[int, ...], subset: tuple[int, ...], position: int
 ) -> GroupElement:
     """Degree shift ((|I| + a)/2) * c - sum of ell_i * x_i over the subset."""
     if (len(subset) + position) % 2:
         raise ValueError("subset size and homological position must match parity")
-    raw = [0] * ws.n
-    for i in subset:
-        raw[i - 1] = -ell[i - 1]
-    return normal_form(ws, raw, (len(subset) + position) // 2)
+    _check_index(ws, tuple(ell))
+    return _labels(ws.weights, ell, (subset,), position)[0]
 
 
 def mf_enumerate(ws: WeightSystem) -> list[MFIndex]:
@@ -234,10 +251,7 @@ def mf_build(ws: WeightSystem, index: MFIndex) -> GradedMatrixPair:
     if base.n != base.d + 2:
         raise ValueError("matrix factorizations require n = d + 2")
     ell = tuple(index.ell)
-    if len(ell) != base.n or any(
-        not 1 <= l <= p - 1 for l, p in zip(ell, base.weights)
-    ):
-        raise ValueError(f"exponent index {ell} out of range for {base.weights}")
+    _check_index(base, ell)
     n = base.n
     odd, even, m_table, n_table = _incidence(n)
     slots: list[MultiPoly] = []
@@ -246,14 +260,11 @@ def mf_build(ws: WeightSystem, index: MFIndex) -> GradedMatrixPair:
         slots += (x, -x, z, -z)
     slots.append(MultiPoly.zero(n))  # slot 4n, shared by every zero entry
     m_rows, n_rows = (
-        tuple(tuple(slots[s] for s in row) for row in table) for table in (m_table, n_table)
+        tuple(tuple(map(slots.__getitem__, row)) for row in table) for table in (m_table, n_table)
     )
-    below = tuple(shift_label(base, ell, s, -1) for s in odd)
-    c = gen_c(base)
     shifts = {
-        -1: below,
-        0: tuple(shift_label(base, ell, s, 0) for s in even),
-        1: tuple(add(base, label, c) for label in below),  # (|I| + 1)/2 = (|I| - 1)/2 + 1
+        pos: _labels(base.weights, ell, subsets, pos)
+        for pos, subsets in ((-1, odd), (0, even), (1, odd))
     }
     return GradedMatrixPair(base, MFIndex(ell), odd, even, m_rows, n_rows, shifts)
 
@@ -292,70 +303,77 @@ def _nonzero(rows) -> list[list[tuple[int, MultiPoly]]]:
 def mf_verify(pair: GradedMatrixPair) -> MFReport:
     """Check M*N = N*M = f*Id symbolically and per-entry degree homogeneity.
 
-    Each row of a product is accumulated from the nonzero entries into one
-    dict keyed by (column, packed exponent).  An exponent tuple packs into
-    one int in base B = 2 * (largest exponent in M, N or f) + 1, so adding
-    packed exponents multiplies monomials without carrying between digits,
-    and the packing is exact for any pair (a negative exponent widens B by
-    twice its distance below zero).
+    An exponent tuple packs into one int in base B = 2 * (largest exponent
+    in M, N or f) + 1, so adding packed exponents multiplies monomials
+    without carrying between digits, and the packing is exact for any pair
+    (a negative exponent widens B by twice its distance below zero).  Each
+    row of a product minus f * Id is accumulated into one dict keyed by
+    j * W + packed exponent for column j.  With W > 4 * (largest |packed
+    exponent|) a product of two monomials packs to less than W/2 in
+    absolute value, so distinct (column, exponent) pairs never share a key.
+    Each distinct entry object of the pair is packed once, and each distinct
+    monomial's degree is found once.
     """
     ws = pair.ws
+    weights = ws.weights
     f = hypersurface_poly(ws)
     m_nonzero, n_nonzero = _nonzero(pair.m_rows), _nonzero(pair.n_rows)
-    monomials = set(f.terms)
-    for rows in (m_nonzero, n_nonzero):
-        monomials.update(e for row in rows for _, entry in row for e in entry.terms)
+    entries = {id(e): e for rows in (m_nonzero, n_nonzero) for row in rows for _, e in row}
+    monomials = set(f.terms).union(*(e.terms for e in entries.values()))
     digits = {k for e in monomials for k in e}
-    low = min(0, *digits)
-    base = 2 * (max(digits) - low) + 1
-    packed = {e: functools.reduce(lambda acc, k: acc * base + k, e, 0) for e in monomials}
-
-    def pack(rows):
-        return [
-            [(j, [(packed[e], c) for e, c in entry.terms.items()]) for j, entry in row]
-            for row in rows
-        ]
-
-    m_packed, n_packed = pack(m_nonzero), pack(n_nonzero)
+    base = 2 * (max(digits) - min(0, *digits)) + 1
+    places = [base**k for k in reversed(range(2 * ws.n))]
+    packed = {e: sum(map(operator.mul, e, places)) for e in monomials}
+    width = 4 * max(map(abs, packed.values())) + 1
+    terms = {k: [(packed[e], c) for e, c in entry.terms.items()] for k, entry in entries.items()}
     f_packed = [(packed[e], c) for e, c in f.terms.items()]
     failures = []
     identity_ok = True
-    for name, left, right in (("M*N", m_packed, n_packed), ("N*M", n_packed, m_packed)):
+    for name, left, right in (("M*N", m_nonzero, n_nonzero), ("N*M", n_nonzero, m_nonzero)):
+        keyed = [[(j * width + s, c) for j, e in row for s, c in terms[id(e)]] for row in right]
         for i, row in enumerate(left):
-            acc: dict[tuple[int, int], int] = {}
-            for k, left_terms in row:
-                for j, right_terms in right[k]:
-                    for e1, c1 in left_terms:
-                        for e2, c2 in right_terms:
-                            key = (j, e1 + e2)
-                            acc[key] = acc.get(key, 0) + c1 * c2
-            got = {key: c for key, c in acc.items() if c}
-            want = {(i, e): c for e, c in f_packed}
-            if got != want:
+            acc = {i * width + s: -c for s, c in f_packed}
+            get = acc.get
+            for k, s, c in [(k, s, c) for k, e in row for s, c in terms[id(e)]]:
+                for key, c2 in keyed[k]:
+                    key += s
+                    acc[key] = get(key, 0) + c * c2
+            if any(acc.values()):
                 identity_ok = False
-                keys = got.keys() | want.keys()
-                bad = {key[0] for key in keys if got.get(key) != want.get(key)}
+                bad = {(key + width // 2) // width for key, c in acc.items() if c}
                 failures.extend(f"{name} entry ({i},{j}) != expected" for j in sorted(bad))
     homogeneity_ok = True
-    # L embeds in Z x prod Z/p_i by x -> (delta_l(x), torsion), so degrees are
-    # compared by these integer keys, with no difference formed in L.
-    keys = {pos: [(delta_l(ws, x), x.torsion) for x in xs] for pos, xs in pair.shifts.items()}
-    degrees: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}  # monomial -> its key
+    # L embeds in Z x prod Z/p_i by x -> (delta_l(x), torsion mod p), and each
+    # degree folds into one int: delta_l(x) * 2R^n plus the reduced torsion as
+    # digits in radix R = 3 * max p.  For an entry s -> t of degree m the
+    # digits s_i + m_i - t_i of key(s) + key(m) - key(t) lie in (-p_i, 2p_i),
+    # so that sum is one of the 2^n sums of some p_i * R^i exactly when
+    # s + m = t.
+    big = math.lcm(*weights)
+    steps = [big // p for p in weights]
+    radix = 3 * max(weights)
+    powers = [radix**i for i in range(ws.n)]
+    scale = 2 * radix**ws.n
+
+    def degree_key(torsion, free):
+        torsion_digits = sum(map(operator.mul, map(operator.mod, torsion, weights), powers))
+        return (free * big + sum(map(operator.mul, torsion, steps))) * scale + torsion_digits
+
+    allowed = set(map(sum, itertools.product(*((0, p * r) for p, r in zip(weights, powers)))))
+    labels = {pos: [degree_key(x.torsion, x.free) for x in xs] for pos, xs in pair.shifts.items()}
+    single = {k: next(iter(e.terms)) for k, e in entries.items() if len(e.terms) == 1}
+    of_monomial = {e: degree_key(e[: ws.n], 0) for e in set(single.values())}
+    degrees = {k: of_monomial[e] for k, e in single.items()}
     for name, rows, src_pos, tgt_pos in (("M", m_nonzero, -1, 0), ("N", n_nonzero, 0, 1)):
+        sources, targets = labels[src_pos], labels[tgt_pos]
         for i, row in enumerate(rows):
-            src_l, src_t = keys[src_pos][i]
+            source = sources[i]
             for j, entry in row:
-                if not entry.is_single_monomial():
+                degree = degrees.get(id(entry))
+                if degree is None:
                     homogeneity_ok = False
                     failures.append(f"{name} entry ({i},{j}) is not a monomial")
-                    continue
-                (e,) = entry.terms
-                if e not in degrees:
-                    x = _monomial_degree(ws, entry)
-                    degrees[e] = delta_l(ws, x), x.torsion
-                tgt_l, tgt_t = keys[tgt_pos][j]
-                diff_t = tuple(map(operator.mod, map(operator.sub, tgt_t, src_t), ws.weights))
-                if degrees[e] != (tgt_l - src_l, diff_t):
+                elif source + degree - targets[j] not in allowed:
                     homogeneity_ok = False
                     failures.append(
                         f"{name} entry ({i},{j}) has degree {_monomial_degree(ws, entry)} != "
@@ -375,19 +393,21 @@ def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
     """Nonvanishing of det of the N-submatrix on subsets avoiding the last index.
 
     The entries are evaluated exactly at up to 5 deterministic pseudo-random
-    positive integer points, and `linalg.nonsingular` tests each evaluation.
-    One nonsingular evaluation proves the polynomial determinant nonzero; five
-    singular ones report a singular minor without proof.  For a pair from
-    `mf_build` the determinant is +-f'^(2^(d-1)) with f' the sum of the first
-    n - 1 terms of f, which is positive at these points.
+    positive integer points, each distinct entry object once per point, and
+    `linalg.nonsingular` tests each evaluation.  One nonsingular evaluation
+    proves the polynomial determinant nonzero; five singular ones report a
+    singular minor without proof.  For a pair from `mf_build` the determinant
+    is +-f'^(2^(d-1)) with f' the sum of the first n - 1 terms of f, which is
+    positive at these points.
     """
     minor = _corner_minor(pair)
-    nvars = pair.ws.n
+    ids = [list(map(id, row)) for row in minor]
+    entries = {id(entry): entry for row in minor for entry in row}
     for attempt in range(1, 6):
         rng = random.Random(10_007 * attempt + 17)
-        point = [rng.randint(1, 10**6) for _ in range(2 * nvars)]
-        values = [[entry.evaluate(point) for entry in row] for row in minor]
-        if linalg.nonsingular(values):
+        point = [rng.randint(1, 10**6) for _ in range(2 * pair.ws.n)]
+        value = {k: entry.evaluate(point) for k, entry in entries.items()}
+        if linalg.nonsingular([list(map(value.__getitem__, row)) for row in ids]):
             return True
     return False
 

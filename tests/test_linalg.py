@@ -233,6 +233,22 @@ def test_integer_echelon_against_fraction_echelon(rows, data):
     _assert_same_kernel(nullspace(_columns(rows, ncols)), _fraction_nullspace(rows, ncols))
 
 
+def test_reduce_rejects_a_vector_of_another_length():
+    # a short vector would be zipped short against the rows, a long one left
+    # partly unreduced; both are refused before any elimination
+    ech = Echelon([[1, 2, 0], [0, 1, 1]])
+    for v in ([1, 2], [1, 2, 0, 0], []):
+        with pytest.raises(ValueError, match="length"):
+            ech.reduce(v)
+        with pytest.raises(ValueError, match="length"):
+            ech.add(v)
+    assert len(ech.rows) == 2 and ech.reduce([0, 0, 1]) == [0, 0, 1]
+    graph = GraphEchelon([[1, 0], [0, 1], [1, 1]], 2)
+    with pytest.raises(ValueError, match="length"):
+        graph.extend_image([1, 0, 0])
+    assert Echelon().reduce([]) == [] and Echelon().reduce([3, 4]) == [3, 4]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_matrices(), st.data())
 def test_graph_echelon_grows_the_image_and_keeps_the_kernel(rows, data):

@@ -4,9 +4,21 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glci import suite
-from glci.grading import GroupElement, WeightSystem, add, delta_l, gen_x, sub, zero
+from glci.grading import (
+    GroupElement,
+    WeightSystem,
+    add,
+    delta_l,
+    gen_x,
+    normal_form,
+    normalize_weights,
+    sub,
+    zero,
+)
 from glci.matfac import (
     MFIndex,
     MultiPoly,
@@ -246,11 +258,56 @@ def test_shift_labels_match_printed_summands():
     zero_shift = shift_label(ws, ell, (), 0)
     assert pair.shifts[0][0] == zero_shift == GroupElement((0, 0, 0), 0)
     got = pair.shifts[0][1]
-    from glci.grading import normal_form
-
     assert got == normal_form(ws, (-ell[0], -ell[1], 0), 1)
     # ranks: 2^{d+1} per parity class
     assert pair.size == 2 ** (ws.d + 1)
+
+
+def _shift_label_by_normal_form(ws, ell, subset, position):
+    """((|I| + a)/2) * c - sum of ell_i * x_i over I reduced by `normal_form`:
+    the oracle for the closed-form labels."""
+    raw = [0] * ws.n
+    for i in subset:
+        raw[i - 1] = -ell[i - 1]
+    return normal_form(ws, raw, (len(subset) + position) // 2)
+
+
+@st.composite
+def _mf_systems(draw):
+    """An n = d + 2 system, sometimes with weight-1 hyperplanes that
+    `normalize_weights` drops, and an index in range for the kept weights."""
+    d = draw(st.integers(1, 4))
+    kept = draw(st.lists(st.integers(2, 7), min_size=d + 2, max_size=d + 2))
+    weights = list(kept)
+    for _ in range(draw(st.integers(0, 2))):
+        weights.insert(draw(st.integers(0, len(weights))), 1)
+    ell = tuple(draw(st.integers(1, p - 1)) for p in kept)
+    return WeightSystem(d, tuple(weights)), ell
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mf_systems())
+def test_closed_form_shift_labels_match_normal_form(system):
+    ws, ell = system
+    base = normalize_weights(ws)
+    pair = mf_build(ws, MFIndex(ell))
+    for position in (-1, 0, 1):
+        subsets = subsets_by_parity(base.n, position)
+        want = tuple(_shift_label_by_normal_form(base, ell, s, position) for s in subsets)
+        assert tuple(shift_label(base, ell, s, position) for s in subsets) == want
+        assert pair.shifts[position] == want
+
+
+def test_shift_label_rejects_an_index_out_of_range():
+    ws = WeightSystem(1, (2, 3, 5))
+    for ell in ((0, 1, 1), (1, 3, 1), (1, 1, 5), (1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            shift_label(ws, ell, (1, 2), 0)
+    with pytest.raises(ValueError, match="parity"):
+        shift_label(ws, (1, 1, 1), (1, 2), 1)
+    # indexed by the kept weights, so a weight-1 hyperplane leaves no index in range
+    with pytest.raises(ValueError, match="out of range"):
+        shift_label(WeightSystem(1, (2, 1, 3, 5)), (1, 1, 1), (1,), -1)
 
 
 def test_mf_verify_rejects_tampered_pair():
@@ -285,7 +342,9 @@ def _homogeneity_failures_by_difference(pair):
     for name, rows, src, tgt in (("M", pair.m_rows, -1, 0), ("N", pair.n_rows, 0, 1)):
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
-                if entry.terms:
+                if len(entry.terms) > 1:
+                    out.append(f"{name} entry ({i},{j}) is not a monomial")
+                elif entry.terms:
                     want = sub(ws, pair.shifts[tgt][j], pair.shifts[src][i])
                     got = _monomial_degree(ws, entry)
                     if got != want:
@@ -402,8 +461,10 @@ def test_mf_build_matches_set_comparison_oracle(ws):
 
 
 def _tampered(pair, rng):
-    """Pairs that break the identity or keep it, one per kind of edit."""
-    n = pair.ws.n
+    """Pairs that break the identity or keep it, one per kind of edit.  The
+    negative exponent sits in the leading digit of the packing, so its
+    products pack far below zero."""
+    n, top = pair.ws.n, max(pair.ws.weights)
     rows = [list(r) for r in pair.m_rows]
     nonzero = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if e.terms]
     zeros = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if not e.terms]
@@ -416,6 +477,7 @@ def _tampered(pair, rng):
         "rescaled": {(i, j): rows[i][j] * MultiPoly.monomial(n, 2, {})},
         "swapped": {(i, j): rows[k][m], (k, m): rows[i][j]},
         "same": {(i, j): rows[i][j] * MultiPoly.monomial(n, 1, {})},
+        "negative exponent": {(i, j): rows[i][j] * MultiPoly.monomial(n, 1, {0: -3 * top})},
     }
     for kind, edit in edits.items():
         bad = [list(r) for r in rows]
@@ -437,8 +499,9 @@ def test_mf_verify_agrees_with_oracle_product(ws):
             expected = _oracle_identity_failures(bad)
             report = mf_verify(bad)
             assert report.identity_ok == (not expected), (index, kind)
-            got = [line for line in report.failures if line.endswith("!= expected")]
-            assert got == expected, (index, kind)
+            homogeneity = _homogeneity_failures_by_difference(bad)
+            assert report.homogeneity_ok == (not homogeneity), (index, kind)
+            assert report.failures == (*expected, *homogeneity), (index, kind)
             assert (kind == "same") == (not expected)
 
 

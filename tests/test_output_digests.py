@@ -19,7 +19,9 @@ from glci.cli import main
 
 DIGESTS = Path(__file__).with_name("output_digests.txt")
 
-# The four `mf --verify` and `suite --only gldim` systems of the verify workload.
+# The `coxeter --check-matrix`, `mf --verify` and `suite --only gldim` systems
+# of the verify workload.
+COXETER_SYSTEMS = ("2 4,4,4,4", "2 5,5,5,5", "2 3,5,7,9", "3 3,3,3,3,3", "2 7,11,13")
 MF_SYSTEMS = ("3 3,3,4,4,5", "2 4,5,5,5", "3 2,3,3,3,4", "3 3,3,3,3,3")
 GLDIM_SYSTEMS = ("3 2,2,2,2,2", "3 2,3,3", "3 2,2,2,3", "3 2,2,2,2")
 
@@ -34,6 +36,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     *(("mf", "--verify", "--format", "json", *_system_args(s)) for s in MF_SYSTEMS),
     ("suite", "--only", "gldim"),
     *(("suite", "--only", "gldim", *_system_args(s)) for s in GLDIM_SYSTEMS),
+    *(("coxeter", "--check-matrix", *_system_args(s)) for s in COXETER_SYSTEMS),
+    *(("coxeter", "--check-matrix", "--format", "json", *_system_args(s)) for s in COXETER_SYSTEMS),
+    ("suite", "--only", "mf"),
 )
 
 
