@@ -13,7 +13,6 @@ from .grading import (
     leq,
     negate,
     normal_form,
-    normalize_weights,
     omega,
     piece_dim,
     smith_normal_form,

@@ -29,11 +29,9 @@ from .grading import (
     interval,
     interval_size,
     leq,
-    normalize_weights,
     omega,
     piece_dim,
     presentation,
-    presentation_weights,
     smul,
     sub,
     zero,
@@ -64,7 +62,6 @@ class Quiver:
     vertices: tuple[GroupElement, ...]
     arrows: tuple[Arrow, ...]
     relations: tuple[Relation, ...]
-    ws: Optional[WeightSystem] = field(default=None, compare=False)
 
 
 def is_acyclic(vertex_count: int, arrows: Iterable[Arrow]) -> bool:
@@ -123,22 +120,21 @@ def i_canonical_quiver(
     Relation coefficients stay symbolic unless the weight system carries
     numeric hyperplane rows.
     """
-    base, gens = presentation(ws)
+    gens, pres_weights = presentation(ws)
     verts = tuple(dict.fromkeys(elements))
     if len(verts) != len(elements):
         raise ValueError("interval contains repeated vertices")
     vindex = {v: i for i, v in enumerate(verts)}
-    if not check_convex(base, verts):
+    if not check_convex(ws, verts):
         raise ValueError("vertex set is not convex")
     n_pres = len(gens)
-    pres_weights = presentation_weights(ws)
 
     arrows = []
     arrow_index: dict[tuple[int, int], int] = {}
     for label in range(1, n_pres + 1):
         g = gens[label - 1]
         for vi, v in enumerate(verts):
-            t = add(base, v, g)
+            t = add(ws, v, g)
             ti = vindex.get(t)
             if ti is not None:
                 arrow_index[(label, vi)] = len(arrows)
@@ -164,48 +160,44 @@ def i_canonical_quiver(
                 relations.append(
                     Relation((Fraction(1), Fraction(-1)), (pij, pji))
                 )
-    for i in range(base.d + 2, n_pres + 1):
+    for i in range(ws.d + 2, n_pres + 1):
         p_i = pres_weights[i - 1]
-        row = base.lam[i - base.d - 2] if base.lam is not None else None
+        row = ws.lam[i - ws.d - 2] if ws.lam is not None else None
         for vi in range(len(verts)):
             main = path(vi, (i,) * p_i)
             if main is None:
                 continue
             coeffs: list[Coefficient] = [Fraction(1)]
             paths = [main]
-            for j in range(1, base.d + 2):
+            for j in range(1, ws.d + 2):
                 pj = path(vi, (j,) * pres_weights[j - 1])
                 if pj is None:
                     raise AssertionError("convexity guarantees comparison paths")
                 coeffs.append(-row[j - 1] if row is not None else _symbolic_coeff(i, j - 1))
                 paths.append(pj)
             relations.append(Relation(tuple(coeffs), tuple(paths)))
-    return Quiver(verts, tuple(arrows), tuple(relations), ws=base)
+    return Quiver(verts, tuple(arrows), tuple(relations))
 
 
-def _cm_top(base: WeightSystem) -> GroupElement:
-    return add(base, smul(base, base.d, gen_c(base)), smul(base, 2, omega(base)))
+def _cm_top(ws: WeightSystem) -> GroupElement:
+    return add(ws, smul(ws, ws.d, gen_c(ws)), smul(ws, 2, omega(ws)))
 
 
 def cm_interval(ws: WeightSystem) -> list[GroupElement]:
     """The interval [0, d*c + 2*omega] indexing the stable tilting summands."""
-    base = normalize_weights(ws)
-    return interval(base, zero(base), _cm_top(base))
+    return interval(ws, zero(ws), _cm_top(ws))
 
 
 def cm_interval_size(ws: WeightSystem) -> int:
-    base = normalize_weights(ws)
-    return interval_size(base, zero(base), _cm_top(base))
+    return interval_size(ws, zero(ws), _cm_top(ws))
 
 
 def canonical_interval(ws: WeightSystem) -> list[GroupElement]:
-    base = normalize_weights(ws)
-    return interval(base, zero(base), smul(base, base.d, gen_c(base)))
+    return interval(ws, zero(ws), smul(ws, ws.d, gen_c(ws)))
 
 
 def canonical_interval_size(ws: WeightSystem) -> int:
-    base = normalize_weights(ws)
-    return interval_size(base, zero(base), smul(base, base.d, gen_c(base)))
+    return interval_size(ws, zero(ws), smul(ws, ws.d, gen_c(ws)))
 
 
 def cartan_matrix(ws: WeightSystem, elements: Sequence[GroupElement]) -> list[list[int]]:
@@ -225,7 +217,7 @@ class StructureAlgebra:
 
     Basis elements are triples (source vertex, target vertex, exponent tuple)
     where the exponents encode a monomial of degree source - target in the
-    normalized polynomial presentation of R.  The table maps a pair of basis
+    padded polynomial presentation of R.  The table maps a pair of basis
     positions to a sparse combination of basis positions.
     """
 
@@ -339,16 +331,15 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
     """Build A^I with numeric hyperplane coefficients in general position:
     the rows of `ws.lam`, checked here, else `generic_lambda`, which checks
     its own rows."""
-    base, _ = presentation(ws)
-    if not check_convex(base, elements):
+    if not check_convex(ws, elements):
         raise ValueError("vertex set is not convex")
-    pres_weights = presentation_weights(ws)
-    need_rows = max(0, base.n - base.d - 1)
+    _, pres_weights = presentation(ws)
+    need_rows = max(0, ws.n - ws.d - 1)
     if need_rows:
-        if base.lam is None:
-            lam_rows = generic_lambda(base.d, base.weights).lam
-        elif general_position_ok(base):
-            lam_rows = base.lam
+        if ws.lam is None:
+            lam_rows = generic_lambda(ws.d, ws.weights).lam
+        elif general_position_ok(ws):
+            lam_rows = ws.lam
         else:
             raise ValueError("hyperplane coefficients are not in general position")
     else:
@@ -364,16 +355,16 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
     expected = 0
     for xi, x in enumerate(verts):
         for yi, y in enumerate(verts):
-            degree = sub(base, x, y)
-            expected += piece_dim(base, degree)
-            monos = _graded_monomials(base.d, pres_weights, degree)
+            degree = sub(ws, x, y)
+            expected += piece_dim(ws, degree)
+            monos = _graded_monomials(ws.d, pres_weights, degree)
             if monos:
                 by_pair[(xi, yi)] = list(
                     range(len(basis), len(basis) + len(monos))
                 )
                 basis.extend((xi, yi, m) for m in monos)
     alg = StructureAlgebra(
-        ws=base,
+        ws=ws,
         vertices=verts,
         pres_weights=pres_weights,
         lam_rows=lam_rows,
@@ -504,25 +495,24 @@ def cm_tensor_check(ws: WeightSystem) -> bool:
     """For n = d+2: the stable interval quiver is the product of equioriented
     type-A line quivers under the coordinate identification, with exactly the
     commutativity relations."""
-    base = normalize_weights(ws)
-    if base.n != base.d + 2:
+    if ws.n != ws.d + 2:
         raise ValueError("tensor decomposition check requires n = d + 2")
-    box = cm_interval(base)
-    quiver = i_canonical_quiver(base, box)
+    box = cm_interval(ws)
+    quiver = i_canonical_quiver(ws, box)
     coords = {}
     for vi, v in enumerate(quiver.vertices):
         if v.free != 0 or any(
-            a > p - 2 for a, p in zip(v.torsion, base.weights)
+            a > p - 2 for a, p in zip(v.torsion, ws.weights)
         ):
             return False
         coords[vi] = v.torsion
     if len(set(coords.values())) != len(box) or len(box) != math.prod(
-        p - 1 for p in base.weights
+        p - 1 for p in ws.weights
     ):
         return False
     expected_arrows = set()
-    for tup in itertools.product(*(range(p - 1) for p in base.weights)):
-        for i, p in enumerate(base.weights):
+    for tup in itertools.product(*(range(p - 1) for p in ws.weights)):
+        for i, p in enumerate(ws.weights):
             if tup[i] + 1 <= p - 2:
                 bumped = tuple(
                     a + 1 if k == i else a for k, a in enumerate(tup)
@@ -534,9 +524,9 @@ def cm_tensor_check(ws: WeightSystem) -> bool:
     if actual_arrows != expected_arrows:
         return False
     expected_relations = set()
-    for tup in itertools.product(*(range(p - 1) for p in base.weights)):
-        for i, j in itertools.combinations(range(len(base.weights)), 2):
-            if tup[i] + 1 <= base.weights[i] - 2 and tup[j] + 1 <= base.weights[j] - 2:
+    for tup in itertools.product(*(range(p - 1) for p in ws.weights)):
+        for i, j in itertools.combinations(range(len(ws.weights)), 2):
+            if tup[i] + 1 <= ws.weights[i] - 2 and tup[j] + 1 <= ws.weights[j] - 2:
                 expected_relations.add((tup, i + 1, j + 1))
     actual_relations = set()
     for rel in quiver.relations:

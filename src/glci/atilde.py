@@ -53,22 +53,22 @@ def _interval_representative(ws, members, x: GroupElement) -> GroupElement:
 
 
 def atilde_presentation(ws: WeightSystem) -> OrbitQuiverWithCut:
-    base, gens = presentation(ws)
-    if base.n > base.d + 1:
+    if ws.n > ws.d + 1:
         raise ValueError("orbit presentation requires n <= d + 1 after normalization")
-    verts = tuple(canonical_interval(base))
+    gens, _ = presentation(ws)
+    verts = tuple(canonical_interval(ws))
     members = set(verts)
     vindex = {v: i for i, v in enumerate(verts)}
     arrows = []
     for label, g in enumerate(gens, start=1):
         for vi, v in enumerate(verts):
-            t = add(base, v, g)
+            t = add(ws, v, g)
             if t in members:
                 arrows.append(CutArrow(vi, vindex[t], label, cut=False))
             else:
-                rep = _interval_representative(base, members, t)
+                rep = _interval_representative(ws, members, t)
                 arrows.append(CutArrow(vi, vindex[rep], label, cut=True))
-    return OrbitQuiverWithCut(base, verts, tuple(arrows))
+    return OrbitQuiverWithCut(ws, verts, tuple(arrows))
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def verify_cut(q: OrbitQuiverWithCut) -> CutReport:
 
 def noncut_matches_interval_quiver(q: OrbitQuiverWithCut) -> bool:
     """The arrows outside the cut are exactly the canonical interval quiver arrows."""
-    base = q.ws
-    quiver = i_canonical_quiver(base, canonical_interval(base))
+    quiver = i_canonical_quiver(q.ws, canonical_interval(q.ws))
     ref = {(a.source, a.target, a.label) for a in quiver.arrows}
     got = {(a.source, a.target, a.label) for a in q.arrows if not a.cut}
     # Vertex orders agree: both use the interval enumeration order.

@@ -34,7 +34,6 @@ from .grading import (
     gen_x,
     interval,
     leq,
-    normalize_weights,
     omega,
     smul,
     sub,
@@ -51,12 +50,11 @@ class DCMFiniteness(Enum):
 def cm_finite(ws: WeightSystem) -> bool:
     """Finite Cohen-Macaulay type: n <= d+1, or n = d+2 with weights
     (2,..,2,p), (2,..,2,3,3), (2,..,2,3,4) or (2,..,2,3,5) up to order."""
-    base = normalize_weights(ws)
-    if base.n <= base.d + 1:
+    if ws.n <= ws.d + 1:
         return True
-    if base.n != base.d + 2:
+    if ws.n != ws.d + 2:
         return False
-    t = tuple(sorted(base.weights))
+    t = tuple(sorted(ws.weights))
     if all(p == 2 for p in t[:-1]):
         return True
     return all(p == 2 for p in t[:-2]) and t[-2:] in {(3, 3), (3, 4), (3, 5)}
@@ -64,9 +62,8 @@ def cm_finite(ws: WeightSystem) -> bool:
 
 def d_cm_finite_sufficient(ws: WeightSystem) -> DCMFiniteness:
     """Sufficient condition only; the complement is open, so never answer 'no'."""
-    base = normalize_weights(ws)
-    t = tuple(sorted(base.weights))
-    if base.n == base.d + 2:
+    t = tuple(sorted(ws.weights))
+    if ws.n == ws.d + 2:
         if len(t) >= 3 and (
             t[:2] == (2, 2) or t[:3] in {(2, 3, 3), (2, 3, 4), (2, 3, 5)}
         ):
@@ -81,8 +78,7 @@ def vb_finite(ws: WeightSystem) -> bool:
 
 
 def gldim_canonical(ws: WeightSystem) -> int:
-    base = normalize_weights(ws)
-    return base.d if base.n <= base.d + 1 else 2 * base.d
+    return ws.d if ws.n <= ws.d + 1 else 2 * ws.d
 
 
 @dataclass(frozen=True)
@@ -100,13 +96,12 @@ class FracCY:
 
 
 def frac_cy(ws: WeightSystem) -> FracCY:
-    base = normalize_weights(ws)
-    if base.n <= base.d + 1:
+    if ws.n <= ws.d + 1:
         return FracCY("zero")
-    p = math.lcm(*base.weights)
-    if base.n == base.d + 2 or trichotomy(base) == Trichotomy.CALABI_YAU:
+    p = math.lcm(*ws.weights)
+    if ws.n == ws.d + 2 or trichotomy(ws) == Trichotomy.CALABI_YAU:
         # m = p * (d + 2 * delta(omega)), which is d * p when Calabi-Yau
-        m = base.d * p + 2 * delta_omega_l(base)
+        m = ws.d * p + 2 * delta_omega_l(ws)
         return FracCY("pair", m, p, Fraction(m, p))
     return FracCY("none")
 
@@ -169,14 +164,13 @@ def enumerate_weight_systems(d: int, n: int, cls: Trichotomy) -> WeightEnumerati
 def orlov_rank_delta(ws: WeightSystem) -> int:
     """rank K0 of the sheaf side minus rank K0 of the stable side; must equal
     the signed order of the omega coset group (zero in the Calabi-Yau case)."""
-    base = normalize_weights(ws)
-    value = canonical_interval_size(base) - cm_interval_size(base)
-    tri = trichotomy(base)
+    value = canonical_interval_size(ws) - cm_interval_size(ws)
+    tri = trichotomy(ws)
     if tri == Trichotomy.CALABI_YAU:
         if value != 0:
             raise AssertionError(f"rank difference {value} nonzero in Calabi-Yau case")
         return value
-    count = coset_data_mod_omega(base).count
+    count = coset_data_mod_omega(ws).count
     expected = count if tri == Trichotomy.FANO else -count
     if value != expected:
         raise AssertionError(f"rank difference {value} != expected {expected}")
@@ -239,8 +233,7 @@ def main2_slice(ws: WeightSystem) -> SliceData:
     L bounds the range beyond which the degree map forces vanishing.  Both L
     and the vanishing are read off the interval endpoints.
     """
-    base = normalize_weights(ws)
-    sorted_ws = WeightSystem(base.d, tuple(sorted(base.weights)))
+    sorted_ws = WeightSystem(ws.d, tuple(sorted(ws.weights)))
     if sorted_ws.n != sorted_ws.d + 2 or sorted_ws.weights[:2] != (2, 2):
         raise ValueError("slice construction needs n = d + 2 with two weights 2")
     d = sorted_ws.d
@@ -289,13 +282,12 @@ def knoerrer_partner(ws: WeightSystem) -> WeightSystem:
     the commuting product of the type-A lines over the weights >= 3, which
     the two systems share, so the quivers agree.
     """
-    base = normalize_weights(ws)
-    if base.n != base.d + 2:
+    if ws.n != ws.d + 2:
         raise ValueError("dimension-shift pairing requires n = d + 2")
-    partner = WeightSystem(base.d + 1, (2,) + base.weights)
-    if cm_interval_size(base) != cm_interval_size(partner):
+    partner = WeightSystem(ws.d + 1, (2,) + ws.weights)
+    if cm_interval_size(ws) != cm_interval_size(partner):
         raise AssertionError("stable interval sizes disagree with the pairing")
-    if not (cm_tensor_check(base) and cm_tensor_check(partner)):
+    if not (cm_tensor_check(ws) and cm_tensor_check(partner)):
         raise AssertionError("stable interval quivers disagree with the pairing")
     return partner
 
@@ -319,21 +311,20 @@ class ClassificationReport:
 
 
 def classification_report(ws: WeightSystem) -> ClassificationReport:
-    base = normalize_weights(ws)
-    cosets = coset_data_mod_omega(base)
+    cosets = coset_data_mod_omega(ws)
     return ClassificationReport(
-        ws=base,
-        trichotomy=trichotomy(base),
-        is_regular=base.n <= base.d + 1,
-        is_hypersurface=base.n <= base.d + 2,
-        cm_finite=cm_finite(base),
-        d_cm_finite=d_cm_finite_sufficient(base),
-        vb_finite=vb_finite(base),
-        gldim_canonical=gldim_canonical(base),
-        frac_cy=frac_cy(base),
+        ws=ws,
+        trichotomy=trichotomy(ws),
+        is_regular=ws.n <= ws.d + 1,
+        is_hypersurface=ws.n <= ws.d + 2,
+        cm_finite=cm_finite(ws),
+        d_cm_finite=d_cm_finite_sufficient(ws),
+        vb_finite=vb_finite(ws),
+        gldim_canonical=gldim_canonical(ws),
+        frac_cy=frac_cy(ws),
         coset_count=cosets.count,
         coset_invariant_factors=cosets.invariant_factors,
-        k0_rank=k0_rank(base),
-        cm_rank=cm_interval_size(base),
-        orlov_delta=orlov_rank_delta(base),
+        k0_rank=k0_rank(ws),
+        cm_rank=cm_interval_size(ws),
+        orlov_delta=orlov_rank_delta(ws),
     )

@@ -20,7 +20,6 @@ from .grading import (
     WeightSystem,
     interval,
     normal_form,
-    normalize_weights,
 )
 
 
@@ -138,11 +137,10 @@ def _frac_cy_payload(data: classify.FracCY):
 
 def cmd_quiver(args) -> int:
     ws = _ws_from_args(args)
-    base = normalize_weights(ws)
     if args.interval == "canonical":
-        elements = algebra.canonical_interval(base)
+        elements = algebra.canonical_interval(ws)
     elif args.interval == "cm":
-        elements = algebra.cm_interval(base)
+        elements = algebra.cm_interval(ws)
     else:
         try:
             lo_text, hi_text = args.interval.split("..")
@@ -150,8 +148,8 @@ def cmd_quiver(args) -> int:
             raise InputError(
                 "interval must be 'canonical', 'cm' or 'LO..HI' in normal-form coordinates"
             ) from exc
-        elements = interval(base, parse_element(base, lo_text), parse_element(base, hi_text))
-    q = algebra.i_canonical_quiver(base, elements)
+        elements = interval(ws, parse_element(ws, lo_text), parse_element(ws, hi_text))
+    q = algebra.i_canonical_quiver(ws, elements)
     if args.format == "json":
         print(json.dumps(quiver_to_json(q), indent=2))
     elif args.format == "dot":
@@ -198,13 +196,14 @@ def _matrix_route_agrees(ws: WeightSystem, chi) -> bool:
 
 def cmd_mf(args) -> int:
     ws = _ws_from_args(args)
-    indices = matfac.mf_enumerate(ws)
     if args.ell:
         try:
             ell = tuple(int(v) for v in args.ell.split(","))
         except ValueError as exc:
             raise InputError(f"cannot parse --ell {args.ell!r}: {exc}") from exc
         indices = [matfac.MFIndex(ell)]
+    else:
+        indices = matfac.mf_enumerate(ws)
     failures = 0
     payload = []
     for index in indices:

@@ -15,7 +15,7 @@ import math
 import operator
 from typing import Sequence
 
-from .grading import WeightSystem, normalize_weights
+from .grading import WeightSystem
 
 
 class IntPolynomial:
@@ -199,20 +199,17 @@ def _phi_sorted(key: tuple[int, ...]) -> IntPolynomial:
 
 def _weight_subsets(ws: WeightSystem):
     """Subsets I of the weight indices with |I| <= d, ordered by (size, indices)."""
-    base = normalize_weights(ws)
-    idx = range(base.n)
-    for size in range(min(base.d, base.n) + 1):
-        for subset in itertools.combinations(idx, size):
-            yield base, subset
+    for size in range(min(ws.d, ws.n) + 1):
+        yield from itertools.combinations(range(ws.n), size)
 
 
 def _phi_multiplicities(ws: WeightSystem) -> dict[tuple[int, ...], int]:
     """Sorted weight tuple of each phi factor -> its combined exponent, in
     the order the subsets first reach it."""
     exps: dict[tuple[int, ...], int] = {}
-    for base, subset in _weight_subsets(ws):
-        key = tuple(sorted(base.weights[i] for i in subset))
-        exps[key] = exps.get(key, 0) + base.d + 1 - len(subset)
+    for subset in _weight_subsets(ws):
+        key = tuple(sorted(ws.weights[i] for i in subset))
+        exps[key] = exps.get(key, 0) + ws.d + 1 - len(subset)
     return exps
 
 
@@ -239,10 +236,8 @@ def coxeter_factors(ws: WeightSystem) -> list[tuple[IntPolynomial, int]]:
 def k0_rank(ws: WeightSystem) -> int:
     """Rank of the Grothendieck group: sum over |I| <= d of (d+1-|I|) prod (p_i - 1)."""
     total = 0
-    for base, subset in _weight_subsets(ws):
-        total += (base.d + 1 - len(subset)) * math.prod(
-            base.weights[i] - 1 for i in subset
-        )
+    for subset in _weight_subsets(ws):
+        total += (ws.d + 1 - len(subset)) * math.prod(ws.weights[i] - 1 for i in subset)
     return total
 
 
@@ -275,9 +270,9 @@ def omega_action_block(weights: Sequence[int]) -> list[list[int]]:
 def omega_action_blocks(ws: WeightSystem) -> list[tuple[tuple[int, ...], int, list[list[int]]]]:
     """(subset, level, block) triples in deterministic order; equal subsets share blocks."""
     out = []
-    for base, subset in _weight_subsets(ws):
-        block = omega_action_block(tuple(base.weights[i] for i in subset))
-        for level in range(base.d + 1 - len(subset)):
+    for subset in _weight_subsets(ws):
+        block = omega_action_block(tuple(ws.weights[i] for i in subset))
+        for level in range(ws.d + 1 - len(subset)):
             out.append((subset, level, block))
     return out
 

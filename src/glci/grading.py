@@ -30,10 +30,12 @@ class Trichotomy(Enum):
 class WeightSystem:
     """Ambient dimension d, weights p_1..p_n and optional hyperplane data.
 
+    Weight-1 hyperplanes are dropped when the system is built: X_i = l_i(T)
+    eliminates X_i and leaves R and L unchanged, so `weights` never holds 1.
     `lam` is either None (coefficients stay symbolic) or a tuple of rows,
     one row of d+1 exact rationals for each hyperplane of index i >= d+2
-    in the normalized coordinate presentation (the first min(n, d+1)
-    hyperplanes are coordinate hyperplanes and carry no data).
+    (the first min(n, d+1) hyperplanes are coordinate hyperplanes and carry
+    no data).
     """
 
     d: int
@@ -59,6 +61,7 @@ class WeightSystem:
                 if len(row) != self.d + 1:
                     raise ValueError("each hyperplane row needs d+1 coefficients")
             object.__setattr__(self, "lam", rows)
+        object.__setattr__(self, "weights", tuple(p for p in self.weights if p > 1))
 
     @property
     def n(self) -> int:
@@ -100,7 +103,7 @@ def zero(ws: WeightSystem) -> GroupElement:
 
 
 def gen_x(ws: WeightSystem, i: int) -> GroupElement:
-    """The generator x_i (1-based); equals c when p_i = 1."""
+    """The generator x_i (1-based)."""
     if not 1 <= i <= ws.n:
         raise ValueError(f"generator index {i} out of range 1..{ws.n}")
     raw = [0] * ws.n
@@ -294,33 +297,13 @@ def hom_ext_dim(ws: WeightSystem, x: GroupElement, y: GroupElement, i: int) -> i
     return 0
 
 
-def normalize_weights(ws: WeightSystem) -> WeightSystem:
-    """Drop all weight-1 hyperplanes; idempotent."""
-    if all(p >= 2 for p in ws.weights):
-        return ws
-    kept = tuple(p for p in ws.weights if p >= 2)
-    # Numeric hyperplane data is only accepted with all weights >= 2, so no
-    # rows can need dropping here.
-    return WeightSystem(ws.d, kept, ws.lam)
-
-
-def presentation(ws: WeightSystem) -> tuple[WeightSystem, list[GroupElement]]:
-    """Normalize and, when n < d+1, pad with weight-1 hyperplanes up to n = d+1.
-
-    Returns the normalized weight system (whose group L is unchanged) together
-    with the list of generator elements of the presentation: x_i for the real
-    hyperplanes followed by c for each padded one.
-    """
-    base = normalize_weights(ws)
-    n_pres = max(base.n, base.d + 1)
-    gens = [gen_x(base, i) for i in range(1, base.n + 1)]
-    gens += [gen_c(base)] * (n_pres - base.n)
-    return base, gens
-
-
-def presentation_weights(ws: WeightSystem) -> tuple[int, ...]:
-    base = normalize_weights(ws)
-    return base.weights + (1,) * max(0, base.d + 1 - base.n)
+def presentation(ws: WeightSystem) -> tuple[list[GroupElement], tuple[int, ...]]:
+    """The generators and weights of the presentation, padded with weight-1
+    hyperplanes up to n = d+1: x_i for the real hyperplanes followed by c
+    for each padded one."""
+    pad = max(0, ws.d + 1 - ws.n)
+    gens = [gen_x(ws, i) for i in range(1, ws.n + 1)] + [gen_c(ws)] * pad
+    return gens, ws.weights + (1,) * pad
 
 
 def elements_with_free_in(ws: WeightSystem, lo: int, hi: int) -> Iterable[GroupElement]:

@@ -114,11 +114,6 @@ class GraphEchelon(Echelon):
         return [row[self.height :] for row, p in zip(self.rows, self.pivots) if p >= self.height]
 
 
-def nullspace(columns: Sequence[Sequence]) -> list[list[int]]:
-    """Integer kernel basis of the linear map with image columns `columns`."""
-    return GraphEchelon(columns, len(columns[0]) if columns else 0).kernel()
-
-
 def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Invariant factors (nonnegative, each dividing the next) of an integer matrix."""
     a = [[int(v) for v in row] for row in matrix]

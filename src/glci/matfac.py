@@ -22,7 +22,6 @@ from .grading import (
     GroupElement,
     WeightSystem,
     normal_form,
-    normalize_weights,
     sub,
 )
 
@@ -204,9 +203,9 @@ def _incidence(n: int):
     return odd, even, table(odd, even), table(even, odd)
 
 
-def _check_index(base: WeightSystem, ell: tuple[int, ...]) -> None:
-    if len(ell) != base.n or any(not 1 <= l <= p - 1 for l, p in zip(ell, base.weights)):
-        raise ValueError(f"exponent index {ell} out of range for {base.weights}")
+def _check_index(ws: WeightSystem, ell: tuple[int, ...]) -> None:
+    if len(ell) != ws.n or any(not 1 <= l <= p - 1 for l, p in zip(ell, ws.weights)):
+        raise ValueError(f"exponent index {ell} out of range for {ws.weights}")
 
 
 def _labels(
@@ -226,36 +225,24 @@ def _labels(
     return tuple(out)
 
 
-def shift_label(
-    ws: WeightSystem, ell: tuple[int, ...], subset: tuple[int, ...], position: int
-) -> GroupElement:
-    """Degree shift ((|I| + a)/2) * c - sum of ell_i * x_i over the subset."""
-    if (len(subset) + position) % 2:
-        raise ValueError("subset size and homological position must match parity")
-    _check_index(ws, tuple(ell))
-    return _labels(ws.weights, ell, (subset,), position)[0]
-
-
 def mf_enumerate(ws: WeightSystem) -> list[MFIndex]:
-    base = normalize_weights(ws)
-    if base.n != base.d + 2:
+    if ws.n != ws.d + 2:
         raise ValueError("matrix factorizations require n = d + 2")
     return [
         MFIndex(t)
-        for t in itertools.product(*(range(1, p) for p in base.weights))
+        for t in itertools.product(*(range(1, p) for p in ws.weights))
     ]
 
 
 def mf_build(ws: WeightSystem, index: MFIndex) -> GradedMatrixPair:
-    base = normalize_weights(ws)
-    if base.n != base.d + 2:
+    if ws.n != ws.d + 2:
         raise ValueError("matrix factorizations require n = d + 2")
     ell = tuple(index.ell)
-    _check_index(base, ell)
-    n = base.n
+    _check_index(ws, ell)
+    n = ws.n
     odd, even, m_table, n_table = _incidence(n)
     slots: list[MultiPoly] = []
-    for i, (l, p) in enumerate(zip(ell, base.weights), start=1):
+    for i, (l, p) in enumerate(zip(ell, ws.weights), start=1):
         x, z = MultiPoly.x_power(n, i, l), MultiPoly.lam_x_power(n, i, p - l)
         slots += (x, -x, z, -z)
     slots.append(MultiPoly.zero(n))  # slot 4n, shared by every zero entry
@@ -263,17 +250,16 @@ def mf_build(ws: WeightSystem, index: MFIndex) -> GradedMatrixPair:
         tuple(tuple(map(slots.__getitem__, row)) for row in table) for table in (m_table, n_table)
     )
     shifts = {
-        pos: _labels(base.weights, ell, subsets, pos)
+        pos: _labels(ws.weights, ell, subsets, pos)
         for pos, subsets in ((-1, odd), (0, even), (1, odd))
     }
-    return GradedMatrixPair(base, MFIndex(ell), odd, even, m_rows, n_rows, shifts)
+    return GradedMatrixPair(ws, MFIndex(ell), odd, even, m_rows, n_rows, shifts)
 
 
 def hypersurface_poly(ws: WeightSystem) -> MultiPoly:
-    base = normalize_weights(ws)
-    total = MultiPoly.zero(base.n)
-    for i, p in enumerate(base.weights, start=1):
-        total = total + MultiPoly.lam_x_power(base.n, i, p)
+    total = MultiPoly.zero(ws.n)
+    for i, p in enumerate(ws.weights, start=1):
+        total = total + MultiPoly.lam_x_power(ws.n, i, p)
     return total
 
 
@@ -413,5 +399,4 @@ def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
 
 
 def expected_index_count(ws: WeightSystem) -> int:
-    base = normalize_weights(ws)
-    return math.prod(p - 1 for p in base.weights)
+    return math.prod(p - 1 for p in ws.weights)

@@ -174,11 +174,10 @@ def battery_rank_identities(grid: Optional[Sequence[WeightSystem]] = None) -> li
             chi = coxeter.coxeter_polynomial(ws)
             ok = chi.degree == rank
             detail += f", deg chi {chi.degree}"
-        base = grading.normalize_weights(ws)
-        if ok and base.n == base.d + 2:
-            cm = algebra.cm_interval(base)
-            expected = math.prod(p - 1 for p in base.weights)
-            cm_size = algebra.cm_interval_size(base)
+        if ok and ws.n == ws.d + 2:
+            cm = algebra.cm_interval(ws)
+            expected = math.prod(p - 1 for p in ws.weights)
+            cm_size = algebra.cm_interval_size(ws)
             ok = len(cm) == expected == cm_size
             detail += f", |cm| {len(cm)} vs {expected} vs closed form {cm_size}"
         results.append(CheckResult("rank_identities", str(ws), ok, detail if not ok else ""))
@@ -189,15 +188,14 @@ def battery_coset_structure(grid: Optional[Sequence[WeightSystem]] = None) -> li
     """Fano: [0, d*c] surjects onto the omega cosets; n <= d+1: bijectively."""
     results = []
     for ws in grid if grid is not None else default_grid():
-        base = grading.normalize_weights(ws)
-        if grading.trichotomy(base) != Trichotomy.FANO:
+        if grading.trichotomy(ws) != Trichotomy.FANO:
             continue
-        data = grading.coset_data_mod_omega(base)
-        box = algebra.canonical_interval(base)
-        reps = set(grading.coset_keys(base, box))
+        data = grading.coset_data_mod_omega(ws)
+        box = algebra.canonical_interval(ws)
+        reps = set(grading.coset_keys(ws, box))
         ok = len(reps) == data.count
         detail = f"{len(reps)} cosets hit of {data.count}"
-        if ok and base.n <= base.d + 1:
+        if ok and ws.n <= ws.d + 1:
             ok = len(box) == data.count
             detail += f"; bijectivity |box| {len(box)}"
         results.append(CheckResult("coset_structure", str(ws), ok, detail if not ok else ""))
@@ -261,13 +259,12 @@ def battery_coxeter_cross_route(
         ok = True
         detail = ""
         blocks = coxeter.omega_action_blocks(ws)
-        base = grading.normalize_weights(ws)
         for subset, level, block in blocks:
             if level:
                 continue  # blocks repeat across levels by construction
             char = coxeter.char_poly(block)
             expected = coxeter.phi(
-                tuple(base.weights[i] for i in subset)
+                tuple(ws.weights[i] for i in subset)
             ).monic_normalized()
             if char != expected:
                 ok, detail = False, f"block {subset} char poly mismatch"
@@ -335,22 +332,21 @@ def battery_quiver_structure(
     for ws in grid:
         ok = True
         detail = ""
-        base = grading.normalize_weights(ws)
-        box = algebra.canonical_interval(base)
-        quiver = algebra.i_canonical_quiver(base, box)
+        box = algebra.canonical_interval(ws)
+        quiver = algebra.i_canonical_quiver(ws, box)
         if not algebra.is_acyclic(len(quiver.vertices), quiver.arrows):
             ok, detail = False, "interval quiver has a cycle"
         if ok and any(min(len(p) for p in rel.paths) < 2 for rel in quiver.relations):
             ok, detail = False, "relation path of length < 2"
         if ok:
-            neg_box = [grading.negate(base, x) for x in box]
-            cm = algebra.cartan_matrix(base, box)
-            cm_neg = algebra.cartan_matrix(base, neg_box)
+            neg_box = [grading.negate(ws, x) for x in box]
+            cm = algebra.cartan_matrix(ws, box)
+            cm_neg = algebra.cartan_matrix(ws, neg_box)
             if cm_neg != [list(col) for col in zip(*cm)]:
                 ok, detail = False, "Cartan matrix not transposed under negation"
-        if ok and base.n == base.d + 2:
+        if ok and ws.n == ws.d + 2:
             try:
-                classify.knoerrer_partner(base)
+                classify.knoerrer_partner(ws)
             except AssertionError as exc:
                 ok, detail = False, f"dimension-shift pairing: {exc}"
         results.append(CheckResult("quiver_structure", str(ws), ok, detail))
@@ -389,7 +385,7 @@ def battery_matrix_factorizations(
         )
     results = []
     for ws in grid:
-        if grading.normalize_weights(ws).n != ws.d + 2:
+        if ws.n != ws.d + 2:
             continue
         indices = matfac.mf_enumerate(ws)
         ok = len(indices) == matfac.expected_index_count(ws)
@@ -428,12 +424,11 @@ def battery_atilde(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckR
         grid = _fixtures_then_grid(ATILDE_FIXTURES, lambda ws: coxeter.k0_rank(ws) <= 20)
     results = []
     for ws in grid:
-        base = grading.normalize_weights(ws)
-        if base.n > base.d + 1:
+        if ws.n > ws.d + 1:
             continue
         q = atilde.atilde_presentation(ws)
         report = atilde.verify_cut(q)
-        count = grading.coset_data_mod_omega(base).count
+        count = grading.coset_data_mod_omega(ws).count
         ok = (
             report.ok
             and atilde.noncut_matches_interval_quiver(q)
@@ -504,15 +499,14 @@ def battery_slices(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckR
     By default the fixtures, then grid systems with at most 150 omega cosets."""
 
     def few_cosets(ws: WeightSystem) -> bool:
-        count = grading.coset_data_mod_omega(grading.normalize_weights(ws)).count
+        count = grading.coset_data_mod_omega(ws).count
         return count is not None and count <= 150
 
     if grid is None:
         grid = _fixtures_then_grid(SLICE_FIXTURES, few_cosets)
     results = []
     for ws in grid:
-        base = grading.normalize_weights(ws)
-        if base.n != base.d + 2 or sorted(base.weights)[:2] != [2, 2]:
+        if ws.n != ws.d + 2 or sorted(ws.weights)[:2] != [2, 2]:
             continue
         data = classify.main2_slice(ws)
         ok = data.report.ok

@@ -6,7 +6,7 @@ from glci.atilde import (
     verify_cut,
 )
 from glci.coxeter import k0_rank
-from glci.grading import WeightSystem, coset_data_mod_omega, normalize_weights
+from glci.grading import WeightSystem, coset_data_mod_omega
 
 
 def test_kronecker_with_cut():
@@ -54,7 +54,7 @@ def test_vertex_count_equals_coset_count():
     for d, weights in ((1, (2, 3)), (2, (2, 3, 4)), (3, (2, 2))):
         ws = WeightSystem(d, weights)
         q = atilde_presentation(ws)
-        data = coset_data_mod_omega(normalize_weights(ws))
+        data = coset_data_mod_omega(ws)
         assert len(q.vertices) == data.count
 
 

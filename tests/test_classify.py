@@ -25,7 +25,6 @@ from glci.grading import (
     WeightSystem,
     coset_data_mod_omega,
     coset_key,
-    normalize_weights,
 )
 from glci.suite import default_grid
 from test_grading import delta_by_fractions, delta_omega_by_fractions, trichotomy_by_fractions
@@ -314,20 +313,19 @@ def test_degree_derived_outputs_match_the_fraction_routes():
 
 def _check_degree_derived_outputs(ws):
     """Asserts every degree-derived output of ws; True when it has a slice."""
-    base = normalize_weights(ws)
-    tri = trichotomy_by_fractions(base)
-    count = coset_count_by_fractions(base)
-    cy = frac_cy(base)
-    assert (cy.kind, cy.m, cy.l, cy.reduced) == frac_cy_by_fractions(base), ws
-    assert coset_data_mod_omega(base).count == count, ws
+    tri = trichotomy_by_fractions(ws)
+    count = coset_count_by_fractions(ws)
+    cy = frac_cy(ws)
+    assert (cy.kind, cy.m, cy.l, cy.reduced) == frac_cy_by_fractions(ws), ws
+    assert coset_data_mod_omega(ws).count == count, ws
     report = classification_report(ws)
     assert report.trichotomy == tri, ws
-    assert report.vb_finite == (base.d == 1 and tri == Trichotomy.FANO), ws
+    assert report.vb_finite == (ws.d == 1 and tri == Trichotomy.FANO), ws
     assert report.frac_cy == cy and report.coset_count == count, ws
     sign = {Trichotomy.FANO: 1, Trichotomy.CALABI_YAU: 0, Trichotomy.ANTI_FANO: -1}[tri]
     assert report.orlov_delta == sign * (count or 0), ws
-    if base.n == base.d + 2 and sorted(base.weights)[:2] == [2, 2]:
-        data = main2_slice(base)
+    if ws.n == ws.d + 2 and sorted(ws.weights)[:2] == [2, 2]:
+        data = main2_slice(ws)
         gap = max(delta_by_fractions(data.ws, hi) for _, hi in data.pieces) - min(
             delta_by_fractions(data.ws, lo) for lo, _ in data.pieces
         )

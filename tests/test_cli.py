@@ -12,7 +12,7 @@ from glci.cli import (
     quiver_to_dot,
     quiver_to_json,
 )
-from glci.grading import GroupElement, WeightSystem, normalize_weights
+from glci.grading import GroupElement, WeightSystem
 
 
 def _coeff_parse(text: str):
@@ -143,7 +143,7 @@ def test_quiver_json_round_trip(capsys):
         capsys, "quiver", "--dim", "1", "--weights", "2,3,5", "--format", "json"
     )
     assert code == 0
-    ws = normalize_weights(WeightSystem(1, (2, 3, 5)))
+    ws = WeightSystem(1, (2, 3, 5))
     reference = i_canonical_quiver(ws, canonical_interval(ws))
     parsed = quiver_from_json(json.loads(out))
     assert parsed == reference
@@ -174,7 +174,7 @@ def test_quiver_custom_interval(capsys):
 
 
 def test_quiver_bad_element_names_the_reason(capsys):
-    # weight 1 is normalized away, so (1;1,2,3) takes two torsion coordinates
+    # weight 1 is dropped, so (1;1,2,3) takes two torsion coordinates
     code, _, err = run_cli(
         capsys, "quiver", "-d", "1", "-w", "1,2,3", "--interval", "0,0,0;0..0,0,0;1"
     )
@@ -190,6 +190,26 @@ def test_mf_bad_ell_names_the_flag_and_text(capsys):
     assert err == (
         "error: cannot parse --ell '1,x,2': invalid literal for int() with base 10: 'x'\n"
     )
+
+
+def test_mf_ell_builds_only_the_pair_asked_for(capsys, monkeypatch):
+    # all of (3;30,30,30,30,30) would be 29^5 indices
+    from glci import matfac
+
+    def refuse(ws):
+        raise AssertionError("mf_enumerate called")
+
+    monkeypatch.setattr(matfac, "mf_enumerate", refuse)
+    argv = ("mf", "--verify", "--ell", "1,1,1,1,1", "-d", "3", "-w", "30,30,30,30,30")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == [
+        "ell=(1, 1, 1, 1, 1) size=16 identity=True homogeneous=True minor_nonsingular=True",
+        "1 factorizations, all identities verified",
+    ]
+    code, out, err = run_cli(capsys, "mf", "-d", "2", "-w", "2,3", "--ell", "1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: matrix factorizations require n = d + 2\n"
 
 
 def test_quiver_cm_interval_empty_is_ok(capsys):
@@ -266,6 +286,13 @@ def test_suite_narrowed_to_one_system(capsys):
     assert code == 0
     assert "6 factorizations verified" in out
     assert "1/1 checks passed" in out
+
+
+def test_suite_on_weight_one_hyperplanes_checks_the_kept_system(capsys):
+    # the labels name the system that was checked, (d=1; 2,3)
+    code, out, _ = run_cli(capsys, "suite", "-d", "1", "-w", "1,2,3")
+    assert (code, out) == run_cli(capsys, "suite", "-d", "1", "-w", "2,3")[:2]
+    assert code == 0 and "(d=1; 2,3)" in out
 
 
 def test_suite_only_matching_no_battery_is_bad_input(capsys):

@@ -34,7 +34,6 @@ from glci.grading import (
     interval,
     interval_size,
     normal_form,
-    normalize_weights,
     omega,
     piece_dim,
     smul,
@@ -179,7 +178,7 @@ def test_interval_size_on_large_system_without_enumeration():
     assert canonical_interval_size(ws) == k0_rank(ws) == 8_703
     assert cm_interval_size(ws) == 44_558_703
     # one weight-2 coordinate: the stable interval is the cube prod(p_i - 1)
-    ws = normalize_weights(WeightSystem(2, (2, 5, 7, 9)))
+    ws = WeightSystem(2, (2, 5, 7, 9))
     assert cm_interval_size(ws) == 1 * 4 * 6 * 8
 
 

@@ -15,7 +15,7 @@ from glci.coxeter import (
     omega_action_matrix,
     phi,
 )
-from glci.grading import WeightSystem, normalize_weights
+from glci.grading import WeightSystem
 from glci.suite import default_grid
 
 
@@ -128,11 +128,10 @@ def test_coxeter_polynomial_small_cases():
 def coxeter_polynomial_by_phi(ws):
     """The product formula multiplied out phi by phi, as `coxeter_polynomial`
     did before it summed the exponents of all factors per lcm; the oracle."""
-    base = normalize_weights(ws)
     result = IntPolynomial([1])
-    for size in range(min(base.d, base.n) + 1):
-        for subset in itertools.combinations(base.weights, size):
-            result = result * phi(subset) ** (base.d + 1 - size)
+    for size in range(min(ws.d, ws.n) + 1):
+        for subset in itertools.combinations(ws.weights, size):
+            result = result * phi(subset) ** (ws.d + 1 - size)
     return result
 
 

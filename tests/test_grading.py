@@ -1,8 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from glci.algebra import canonical_interval_size
+from glci.coxeter import coxeter_polynomial, k0_rank
 from glci.grading import (
     GroupElement,
     Trichotomy,
@@ -26,7 +29,6 @@ from glci.grading import (
     leq,
     negate,
     normal_form,
-    normalize_weights,
     omega,
     piece_dim,
     presentation,
@@ -166,21 +168,54 @@ def test_hom_ext_duality_symmetry():
             assert lhs == rhs
 
 
-def test_normalize_weights():
-    assert normalize_weights(WeightSystem(2, (1, 2, 3))).weights == (2, 3)
-    assert normalize_weights(WeightSystem(2, (2, 3))).weights == (2, 3)
-    assert normalize_weights(WeightSystem(1, (1, 1))).weights == ()
-    base = normalize_weights(WeightSystem(2, (1, 2, 3)))
-    assert normalize_weights(base) == base
+def test_weight_one_hyperplanes_are_dropped_when_built():
+    # X_i = l_i(T) eliminates X_i, so the system with 1s inserted is the same
+    # system; the raw-tuple sums below count each weight 1 as contributing 0
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        d = draw(st.integers(1, 3))
+        kept = draw(st.lists(st.integers(2, 7), max_size=4))
+        raw = list(kept)
+        for _ in range(draw(st.integers(1, 3))):
+            raw.insert(draw(st.integers(0, len(raw))), 1)
+        return d, tuple(kept), tuple(raw)
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((1, (), (1, 1)))
+    def check(case):
+        d, kept, raw = case
+        ws, plain = WeightSystem(d, raw), WeightSystem(d, kept)
+        assert ws == plain and hash(ws) == hash(plain)
+        assert ws.weights == kept and 1 not in ws.weights
+        assert k0_rank(ws) == k0_rank(plain) == sum(
+            (d + 1 - size) * math.prod(p - 1 for p in subset)
+            for size in range(min(d, len(raw)) + 1)
+            for subset in itertools.combinations(raw, size)
+        )
+        assert coxeter_polynomial(ws) == coxeter_polynomial(plain)
+        assert coset_data_mod_omega(ws) == coset_data_mod_omega(plain)
+        assert trichotomy(ws) == trichotomy(plain)
+        assert delta_omega(ws) == len(raw) - d - 1 - sum(Fraction(1, p) for p in raw)
+        assert canonical_interval_size(ws) == canonical_interval_size(plain)
+
+    check()
+    with pytest.raises(ValueError):
+        WeightSystem(1, (1, 0))
 
 
 def test_presentation_pads_to_d_plus_1():
-    base, gens = presentation(WeightSystem(2, (2, 3)))
-    assert len(gens) == 3
-    assert gens[0] == gen_x(base, 1)
-    assert gens[2] == gen_c(base)
-    base2, gens2 = presentation(WeightSystem(1, (2, 3, 5)))
-    assert len(gens2) == 3
+    ws = WeightSystem(2, (2, 3))
+    gens, weights = presentation(ws)
+    assert len(gens) == 3 and weights == (2, 3, 1)
+    assert gens[0] == gen_x(ws, 1)
+    assert gens[2] == gen_c(ws)
+    gens2, weights2 = presentation(WeightSystem(1, (2, 3, 5)))
+    assert len(gens2) == 3 and weights2 == (2, 3, 5)
+    assert presentation(WeightSystem(2, (1, 2, 1)))[1] == (2, 1, 1)
 
 
 def test_order_omega_three_way_equivalence():
@@ -240,9 +275,10 @@ def test_add_sub_match_the_normal_form_route():
         assert sub(ws, x, y) == normal_form(ws, raw_diff, x.free - y.free)
 
     check()
+    # coordinates name the kept weights only: (1;1,2,3) takes two
     ws = WeightSystem(1, (1, 2, 3))
     with pytest.raises(ValueError):
-        add(ws, zero(ws), GroupElement((0, 0), 0))
+        add(ws, zero(ws), GroupElement((0, 0, 0), 0))
 
 
 def _group_property(check):
@@ -343,7 +379,7 @@ def _degree_property(check):
     @hypothesis.example((WeightSystem(1, (2, 3, 6)), GroupElement((1, 2, 5), -1)))
     @hypothesis.example((WeightSystem(2, (2,) * 6), GroupElement((1,) * 6, -3)))
     @hypothesis.example((WeightSystem(3, ()), GroupElement((), -5)))
-    @hypothesis.example((WeightSystem(2, (1, 1)), GroupElement((0, 0), 4)))
+    @hypothesis.example((WeightSystem(2, (1, 1)), GroupElement((), 4)))
     @hypothesis.example((WeightSystem(1, (2, 3, 7, 43)), GroupElement((1, 0, 6, 42), -4)))
     def run(case):
         check(*case)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glci.linalg import Echelon, GraphEchelon, nonsingular, nullspace
+from glci.linalg import Echelon, GraphEchelon, nonsingular
 
 
 def naive_det(matrix):
@@ -100,8 +100,12 @@ def _random_rows(rng, nrows, ncols, fractions):
 
 
 def _columns(rows, ncols):
-    """The image columns A e_j of the matrix `rows`, the input of `nullspace`."""
+    """The image columns A e_j of the matrix `rows`, the input of `GraphEchelon`."""
     return [[row[j] for row in rows] for j in range(ncols)]
+
+
+def _kernel(rows, ncols):
+    return GraphEchelon(_columns(rows, ncols), len(rows)).kernel()
 
 
 def _assert_ints(values):
@@ -159,7 +163,7 @@ def test_echelon_and_nullspace_against_sympy():
             in_span = not any(ech.reduce(v))
             assert in_span == (to_sympy(rows + [v]).rank() == reference.rank()), (rows, v)
         expected = [from_sympy(vec) for vec in reference.nullspace()]
-        _assert_same_kernel(nullspace(_columns(rows, ncols)), expected)
+        _assert_same_kernel(_kernel(rows, ncols), expected)
 
 
 def test_kernel_vectors_are_annihilated():
@@ -167,7 +171,7 @@ def test_kernel_vectors_are_annihilated():
     for trial in range(200):
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
         rows = _random_rows(rng, nrows, ncols, fractions=trial % 3 == 0)
-        kernel = nullspace(_columns(rows, ncols))
+        kernel = _kernel(rows, ncols)
         assert len(kernel) == ncols - len(Echelon(rows).rows)
         assert len(Echelon(kernel).rows) == len(kernel), (rows, kernel)
         for vec in kernel:
@@ -178,7 +182,7 @@ def test_kernel_vectors_are_annihilated():
 def test_int_input_gives_exact_values():
     assert nonsingular([[2, 1], [1, 1]]) and nonsingular([[3, 1], [1, 2]])
     assert not nonsingular([[1, 2], [2, 4]])
-    kernel = nullspace([[2], [1], [0]])
+    kernel = GraphEchelon([[2], [1], [0]], 1).kernel()
     assert kernel == [[1, -2, 0], [0, 0, 1]]
     _assert_ints([x for vec in kernel for x in vec])
     ech = Echelon([[2, 1], [1, 1]])
@@ -230,7 +234,7 @@ def test_integer_echelon_against_fraction_echelon(rows, data):
     k = min(len(rows), ncols)
     square = [row[:k] for row in rows[:k]]
     assert nonsingular(square) == (_fraction_det(square) != 0)
-    _assert_same_kernel(nullspace(_columns(rows, ncols)), _fraction_nullspace(rows, ncols))
+    _assert_same_kernel(_kernel(rows, ncols), _fraction_nullspace(rows, ncols))
 
 
 def test_reduce_rejects_a_vector_of_another_length():

@@ -15,7 +15,6 @@ from glci.grading import (
     delta_l,
     gen_x,
     normal_form,
-    normalize_weights,
     sub,
     zero,
 )
@@ -31,7 +30,6 @@ from glci.matfac import (
     mf_enumerate,
     mf_minor_nonsingular,
     mf_verify,
-    shift_label,
     subsets_by_parity,
 )
 
@@ -255,7 +253,7 @@ def test_shift_labels_match_printed_summands():
     ws = WeightSystem(1, (2, 3, 5))
     ell = (1, 2, 4)
     pair = mf_build(ws, MFIndex(ell))
-    zero_shift = shift_label(ws, ell, (), 0)
+    zero_shift = _shift_label_by_normal_form(ws, ell, (), 0)
     assert pair.shifts[0][0] == zero_shift == GroupElement((0, 0, 0), 0)
     got = pair.shifts[0][1]
     assert got == normal_form(ws, (-ell[0], -ell[1], 0), 1)
@@ -274,8 +272,8 @@ def _shift_label_by_normal_form(ws, ell, subset, position):
 
 @st.composite
 def _mf_systems(draw):
-    """An n = d + 2 system, sometimes with weight-1 hyperplanes that
-    `normalize_weights` drops, and an index in range for the kept weights."""
+    """An n = d + 2 system, sometimes built with weight-1 hyperplanes, which
+    it drops, and an index in range for the kept weights."""
     d = draw(st.integers(1, 4))
     kept = draw(st.lists(st.integers(2, 7), min_size=d + 2, max_size=d + 2))
     weights = list(kept)
@@ -289,25 +287,23 @@ def _mf_systems(draw):
 @given(_mf_systems())
 def test_closed_form_shift_labels_match_normal_form(system):
     ws, ell = system
-    base = normalize_weights(ws)
     pair = mf_build(ws, MFIndex(ell))
     for position in (-1, 0, 1):
-        subsets = subsets_by_parity(base.n, position)
-        want = tuple(_shift_label_by_normal_form(base, ell, s, position) for s in subsets)
-        assert tuple(shift_label(base, ell, s, position) for s in subsets) == want
+        subsets = subsets_by_parity(ws.n, position)
+        want = tuple(_shift_label_by_normal_form(ws, ell, s, position) for s in subsets)
         assert pair.shifts[position] == want
 
 
-def test_shift_label_rejects_an_index_out_of_range():
+def test_mf_build_rejects_an_index_out_of_range():
     ws = WeightSystem(1, (2, 3, 5))
     for ell in ((0, 1, 1), (1, 3, 1), (1, 1, 5), (1, 1), (1, 1, 1, 1)):
         with pytest.raises(ValueError, match="out of range"):
-            shift_label(ws, ell, (1, 2), 0)
-    with pytest.raises(ValueError, match="parity"):
-        shift_label(ws, (1, 1, 1), (1, 2), 1)
-    # indexed by the kept weights, so a weight-1 hyperplane leaves no index in range
+            mf_build(ws, MFIndex(ell))
+    # indexed by the kept weights: (1;2,1,3,5) takes three exponents
+    raw = WeightSystem(1, (2, 1, 3, 5))
+    assert mf_build(raw, MFIndex((1, 1, 1))) == mf_build(ws, MFIndex((1, 1, 1)))
     with pytest.raises(ValueError, match="out of range"):
-        shift_label(WeightSystem(1, (2, 1, 3, 5)), (1, 1, 1), (1,), -1)
+        mf_build(raw, MFIndex((1, 1, 1, 1)))
 
 
 def test_mf_verify_rejects_tampered_pair():

@@ -39,6 +39,13 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     *(("coxeter", "--check-matrix", *_system_args(s)) for s in COXETER_SYSTEMS),
     *(("coxeter", "--check-matrix", "--format", "json", *_system_args(s)) for s in COXETER_SYSTEMS),
     ("suite", "--only", "mf"),
+    ("suite",),
+    # Inputs with weight-1 hyperplanes, which leave R and L unchanged.
+    ("info", "-d", "1", "-w", "1,2,3,5"),
+    ("coxeter", "--check-matrix", "-d", "2", "-w", "1,2,3"),
+    ("quiver", "-d", "1", "-w", "1,2,3", "--format", "json"),
+    ("mf", "--verify", "-d", "1", "-w", "2,1,3,5"),
+    ("atilde", "-d", "2", "-w", "1,3"),
 )
 
 
