@@ -484,11 +484,12 @@ def minimal_resolution_profile(alg: StructureAlgebra, vertex: int) -> list[list[
 
 
 def global_dimension(alg: StructureAlgebra) -> int:
-    """Max projective-resolution length over simples, by radical-kernel linear algebra."""
-    return max(
-        len(minimal_resolution_profile(alg, v)) - 1
-        for v in range(len(alg.vertices))
-    )
+    """Max projective dimension of the simples at the minimal vertices.  For
+    A^I with I convex, the minimal resolution of S_v is that of S_w, w <= v,
+    translated by v - w (e_x A e_y = R_{x-y}) and restricted to I, so it is no
+    longer (README, Conventions); other algebras need every vertex."""
+    minimal = set(range(len(alg.vertices))).difference(x for x, y in alg.by_pair if x != y)
+    return max(len(minimal_resolution_profile(alg, w)) - 1 for w in minimal)
 
 
 def cm_tensor_check(ws: WeightSystem) -> bool:

@@ -298,7 +298,8 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
     exponent|) a product of two monomials packs to less than W/2 in
     absolute value, so distinct (column, exponent) pairs never share a key.
     Each distinct entry object of the pair is packed once, and each distinct
-    monomial's degree is found once.
+    monomial's degree is found once.  N*M is computed only when M*N fails:
+    square M, N over the domain Z[X^{+-1}, lambda] with M*N = f*Id != 0 have N = f*M^{-1}.
     """
     ws = pair.ws
     weights = ws.weights
@@ -315,6 +316,7 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
     f_packed = [(packed[e], c) for e, c in f.terms.items()]
     failures = []
     identity_ok = True
+    square = {len(pair.m_rows)} == {len(pair.n_rows)} | {len(r) for r in pair.m_rows + pair.n_rows}
     for name, left, right in (("M*N", m_nonzero, n_nonzero), ("N*M", n_nonzero, m_nonzero)):
         keyed = [[(j * width + s, c) for j, e in row for s, c in terms[id(e)]] for row in right]
         for i, row in enumerate(left):
@@ -328,6 +330,8 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
                 identity_ok = False
                 bad = {(key + width // 2) // width for key, c in acc.items() if c}
                 failures.extend(f"{name} entry ({i},{j}) != expected" for j in sorted(bad))
+        if identity_ok and square:
+            break
     homogeneity_ok = True
     # L embeds in Z x prod Z/p_i by x -> (delta_l(x), torsion mod p), and each
     # degree folds into one int: delta_l(x) * 2R^n plus the reduced torsion as

@@ -27,10 +27,12 @@ from glci.linalg import Echelon, GraphEchelon
 from glci.grading import (
     GroupElement,
     WeightSystem,
+    add,
     gen_c,
     gen_x,
     generic_lambda,
     interval,
+    leq,
     negate,
     piece_dim,
     smul,
@@ -196,6 +198,83 @@ def test_structure_constants_checks_its_basis_against_the_cartan_count(monkeypat
     ws = WeightSystem(1, (2, 3, 5))
     with pytest.raises(AssertionError, match="Cartan count"):
         structure_constants(ws, canonical_interval(ws))
+
+
+def _global_dimension_by_every_vertex(alg):
+    """The former body of `global_dimension`: the longest minimal resolution
+    over every simple, the oracle for resolving at the minimal vertices."""
+    return max(len(minimal_resolution_profile(alg, v)) - 1 for v in range(len(alg.vertices)))
+
+
+def _translated_profile(alg, profile, w, v):
+    """The profile of S_v read off that of S_w, for w <= v: each summand y
+    moves to y - w + v and drops out where that leaves the vertex set."""
+    ws, index = alg.ws, {x: k for k, x in enumerate(alg.vertices)}
+    shift = sub(ws, alg.vertices[v], alg.vertices[w])
+    moved = [
+        sorted(index[z] for y in degree if (z := add(ws, alg.vertices[y], shift)) in index)
+        for degree in profile
+    ]
+    return [degree for degree in moved if degree]
+
+
+def test_global_dimension_at_the_minimal_vertices_matches_every_vertex():
+    # convex I: intervals [lo, hi] inside [0, dc], unions of intervals with a
+    # common top (one minimal vertex per bottom), the stable interval and the
+    # chain [0, 2 x_3]; the profile of S_v is read off that of S_w at every
+    # minimal w <= v
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def convex_sets(draw):
+        weights = draw(st.lists(st.integers(2, 4), max_size=4))
+        ws = WeightSystem(draw(st.integers(1, 3)), tuple(weights))
+        kind = draw(st.sampled_from(("interval", "union", "stable", "chain")))
+        if kind == "stable":
+            elements = cm_interval(ws)
+        elif kind == "chain":
+            hypothesis.assume(ws.n >= 3)
+            elements = interval(ws, zero(ws), smul(ws, 2, gen_x(ws, 3)))
+        else:
+            # the x_i are pairwise incomparable, so the union of the [x_i, hi]
+            # has one minimal vertex for each i
+            hypothesis.assume(kind == "interval" or ws.n >= 2)
+            raised = ()
+            if kind == "union":
+                raised = draw(st.sets(st.integers(1, ws.n), min_size=2, max_size=3))
+            lo = zero(ws) if raised else draw(st.sampled_from(canonical_interval(ws)))
+            bottoms = [gen_x(ws, i) for i in raised] or [lo]
+            hi = lo
+            for i in [*raised, *draw(st.lists(st.integers(0, ws.n), min_size=1, max_size=3))]:
+                hi = add(ws, hi, gen_x(ws, i) if i else gen_c(ws))
+            hypothesis.assume(leq(ws, hi, smul(ws, ws.d, gen_c(ws))))
+            elements = list(dict.fromkeys(x for b in bottoms for x in interval(ws, b, hi)))
+        hypothesis.assume(0 < len(elements) <= 30)
+        return ws, elements
+
+    line, plane = WeightSystem(1, (2, 3, 5)), WeightSystem(2, (2, 3))
+    # [x_1, c] and [x_2, c]: two minimal vertices
+    corner = interval(plane, gen_x(plane, 1), gen_c(plane))
+    corner += [x for x in interval(plane, gen_x(plane, 2), gen_c(plane)) if x not in corner]
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(convex_sets())
+    @hypothesis.example((line, interval(line, zero(line), smul(line, 2, gen_x(line, 3)))))
+    @hypothesis.example((line, cm_interval(line)))
+    @hypothesis.example((plane, corner))
+    def run(case):
+        ws, elements = case
+        alg = structure_constants(ws, elements)
+        profiles = [minimal_resolution_profile(alg, v) for v in range(len(alg.vertices))]
+        assert global_dimension(alg) == _global_dimension_by_every_vertex(alg)
+        below = {x for x, y in alg.by_pair if x != y}
+        for v, profile in enumerate(profiles):
+            for w in range(len(alg.vertices)):
+                if w not in below and (v == w or (v, w) in alg.by_pair):
+                    assert _translated_profile(alg, profiles[w], w, v) == profile, (ws, v, w)
+
+    run()
 
 
 def test_global_dimension_examples():
@@ -504,7 +583,10 @@ def test_resolution_of_the_square_with_a_diagonal():
         assert profile == _three_pass_profile(alg, v, arrows)
         assert profile == _three_pass_profile(alg, v, radical)
     assert minimal_resolution_profile(alg, 0) == [[0], [1, 2, 3], [3]]
+    # not an A^I, so resolving at the minimal vertex alone rests on no proof
+    # here: the per-vertex oracle must agree
     assert global_dimension(alg) == 2
+    assert _global_dimension_by_every_vertex(alg) == 2
 
 
 def test_arrows_generate_every_radical_monomial():

@@ -457,29 +457,32 @@ def test_mf_build_matches_set_comparison_oracle(ws):
 
 
 def _tampered(pair, rng):
-    """Pairs that break the identity or keep it, one per kind of edit.  The
-    negative exponent sits in the leading digit of the packing, so its
-    products pack far below zero."""
+    """Pairs that break the identity or keep it, one per kind of edit of M
+    and then of N.  An edit of square factors that breaks N*M breaks M*N
+    too, so `mf_verify` reaches N*M only after a failed M*N.  The negative
+    exponent sits in the leading digit of the packing, so its products pack
+    far below zero."""
     n, top = pair.ws.n, max(pair.ws.weights)
-    rows = [list(r) for r in pair.m_rows]
-    nonzero = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if e.terms]
-    zeros = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if not e.terms]
-    (i, j), (k, m) = rng.choice(nonzero), rng.choice(zeros)
-    edits = {
-        "negated": {(i, j): -rows[i][j]},
-        "dropped": {(i, j): MultiPoly.zero(n)},
-        "spurious": {(k, m): X(n, 1, 1)},
-        "extra term": {(i, j): rows[i][j] + LX(n, 2, 1)},
-        "rescaled": {(i, j): rows[i][j] * MultiPoly.monomial(n, 2, {})},
-        "swapped": {(i, j): rows[k][m], (k, m): rows[i][j]},
-        "same": {(i, j): rows[i][j] * MultiPoly.monomial(n, 1, {})},
-        "negative exponent": {(i, j): rows[i][j] * MultiPoly.monomial(n, 1, {0: -3 * top})},
-    }
-    for kind, edit in edits.items():
-        bad = [list(r) for r in rows]
-        for (a, b), entry in edit.items():
-            bad[a][b] = entry
-        yield kind, replace(pair, m_rows=tuple(tuple(r) for r in bad))
+    for side in ("m_rows", "n_rows"):
+        rows = [list(r) for r in getattr(pair, side)]
+        nonzero = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if e.terms]
+        zeros = [(i, j) for i, r in enumerate(rows) for j, e in enumerate(r) if not e.terms]
+        (i, j), (k, m) = rng.choice(nonzero), rng.choice(zeros)
+        edits = {
+            "negated": {(i, j): -rows[i][j]},
+            "dropped": {(i, j): MultiPoly.zero(n)},
+            "spurious": {(k, m): X(n, 1, 1)},
+            "extra term": {(i, j): rows[i][j] + LX(n, 2, 1)},
+            "rescaled": {(i, j): rows[i][j] * MultiPoly.monomial(n, 2, {})},
+            "swapped": {(i, j): rows[k][m], (k, m): rows[i][j]},
+            "same": {(i, j): rows[i][j] * MultiPoly.monomial(n, 1, {})},
+            "negative exponent": {(i, j): rows[i][j] * MultiPoly.monomial(n, 1, {0: -3 * top})},
+        }
+        for kind, edit in edits.items():
+            bad = [list(r) for r in rows]
+            for (a, b), entry in edit.items():
+                bad[a][b] = entry
+            yield f"{side[0].upper()} {kind}", replace(pair, **{side: tuple(tuple(r) for r in bad)})
 
 
 @pytest.mark.parametrize("ws", suite.MF_FIXTURES + VERIFY_SYSTEMS, ids=str)
@@ -498,7 +501,19 @@ def test_mf_verify_agrees_with_oracle_product(ws):
             homogeneity = _homogeneity_failures_by_difference(bad)
             assert report.homogeneity_ok == (not homogeneity), (index, kind)
             assert report.failures == (*expected, *homogeneity), (index, kind)
-            assert (kind == "same") == (not expected)
+            assert kind.endswith(" same") == (not expected)
+
+
+def test_mf_verify_computes_n_times_m_for_non_square_factors():
+    # M = (1 0) and N = (f 0)^T give M*N = f, but N*M = diag(f, 0): the
+    # identity M*N = f*Id forces N*M = f*Id only for square factors
+    ws = WeightSystem(1, (2, 3, 5))
+    pair = mf_build(ws, MFIndex((1, 1, 1)))
+    one, zero_poly = MultiPoly.monomial(ws.n, 1, {}), MultiPoly.zero(ws.n)
+    bad = replace(pair, m_rows=((one, zero_poly),), n_rows=((hypersurface_poly(ws),), (zero_poly,)))
+    report = mf_verify(bad)
+    assert not report.identity_ok
+    assert [f for f in report.failures if "*" in f] == ["N*M entry (1,1) != expected"]
 
 
 @pytest.mark.parametrize("ws", [WeightSystem(1, (2, 3, 5)), WeightSystem(3, (3, 3, 4, 4, 5))], ids=str)
