@@ -200,11 +200,16 @@ def canonical_interval_size(ws: WeightSystem) -> int:
     return interval_size(ws, zero(ws), smul(ws, ws.d, gen_c(ws)))
 
 
+def _free_of_difference(x: GroupElement, y: GroupElement) -> int:
+    """The free part of x - y: each torsion coordinate x_i < y_i borrows a c."""
+    return x.free - y.free - sum(map(operator.lt, x.torsion, y.torsion))
+
+
 def cartan_matrix(ws: WeightSystem, elements: Sequence[GroupElement]) -> list[list[int]]:
-    """dim R_{x - y}; x - y has free part x.free - y.free - #{i : x_i < y_i}."""
+    """dim R_{x - y}, read off the free part of x - y."""
 
     def dim(x: GroupElement, y: GroupElement) -> int:
-        f = x.free - y.free - sum(map(operator.lt, x.torsion, y.torsion))
+        f = _free_of_difference(x, y)
         return math.comb(f + ws.d, ws.d) if f >= 0 else 0
 
     return [[dim(x, y) for y in elements] for x in elements]
@@ -355,6 +360,8 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
     expected = 0
     for xi, x in enumerate(verts):
         for yi, y in enumerate(verts):
+            if _free_of_difference(x, y) < 0:
+                continue  # R_{x - y} = 0: no basis element, no Cartan count
             degree = sub(ws, x, y)
             expected += piece_dim(ws, degree)
             monos = _graded_monomials(ws.d, pres_weights, degree)

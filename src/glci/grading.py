@@ -313,11 +313,6 @@ def elements_with_free_in(ws: WeightSystem, lo: int, hi: int) -> Iterable[GroupE
             yield GroupElement(tors, a)
 
 
-def coset_key(ws: WeightSystem, x: GroupElement) -> GroupElement:
-    """Canonical representative of x modulo the omega subgroup; see `coset_keys`."""
-    return coset_keys(ws, [x])[0]
-
-
 def coset_keys(ws: WeightSystem, xs: Iterable[GroupElement]) -> list[GroupElement]:
     """Canonical representatives of the elements xs modulo the omega subgroup.
 

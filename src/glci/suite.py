@@ -9,6 +9,11 @@ and the CLI `suite` subcommand and the acceptance tests both run them:
 - the global batteries (`phi`, `cm_finite`, `enumeration`) check fixed
   enumerations, not systems, and return [] for any given list.
 
+The per-system batteries are written as one check of one system,
+`check(ws) -> (ok, detail)`, and `per_system` declares each one's label,
+default systems and precondition: it holds the one loop over the systems
+that builds the `CheckResult`s.
+
 The default grid takes every nondecreasing weight tuple with entries in
 [2, 6], length at most 6 and product at most 240, for ambient dimensions
 1..3.  The matrix cross-check battery caps the Grothendieck rank at 80 so
@@ -19,6 +24,7 @@ systems small enough for them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -57,31 +63,48 @@ def default_grid() -> list[WeightSystem]:
     return grid
 
 
-MATRIX_FIXTURES: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (1, (2, 3, 5)),
-    (1, (2, 3, 6)),
-    (1, (2, 3, 7)),
-    (1, (2, 3, 7, 43)),
-    (1, (3, 3, 3)),
-    (2, (2, 3)),
-    (2, (2, 2, 3, 4)),
-    (2, (2, 3, 7)),
-    (3, (2, 2)),
-    (3, (2, 2, 2, 2, 2)),
+MATRIX_FIXTURES: tuple[WeightSystem, ...] = (
+    WeightSystem(1, (2, 3, 5)),
+    WeightSystem(1, (2, 3, 6)),
+    WeightSystem(1, (2, 3, 7)),
+    WeightSystem(1, (2, 3, 7, 43)),
+    WeightSystem(1, (3, 3, 3)),
+    WeightSystem(2, (2, 3)),
+    WeightSystem(2, (2, 2, 3, 4)),
+    WeightSystem(2, (2, 3, 7)),
+    WeightSystem(3, (2, 2)),
+    WeightSystem(3, (2, 2, 2, 2, 2)),
 )
 
 
 def matrix_grid() -> list[WeightSystem]:
-    seen = set()
-    grid = []
-    for ws in default_grid():
-        if coxeter.k0_rank(ws) <= 80:
-            seen.add((ws.d, ws.weights))
-            grid.append(ws)
-    for d, tup in MATRIX_FIXTURES:
-        if (d, tup) not in seen:
-            grid.append(WeightSystem(d, tup))
-    return grid
+    """The default-grid systems of Grothendieck rank <= 80, then the
+    fixtures not among them."""
+    grid = [ws for ws in default_grid() if coxeter.k0_rank(ws) <= 80]
+    return grid + [ws for ws in MATRIX_FIXTURES if ws not in grid]
+
+
+def per_system(
+    battery_label: str,
+    systems: Callable[[], Sequence[WeightSystem]],
+    applies: Callable[[WeightSystem], bool] = lambda ws: True,
+):
+    """Make a battery `run(grid=None) -> list[CheckResult]` of a check
+    `check(ws) -> (ok, detail)`: `run` checks `systems()`, or the given
+    list, in order, skipping the systems `applies` does not admit."""
+
+    def decorate(check: Callable[[WeightSystem], tuple[bool, str]]):
+        @functools.wraps(check)
+        def run(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+            return [
+                CheckResult(battery_label, str(ws), *check(ws))
+                for ws in (systems() if grid is None else grid)
+                if applies(ws)
+            ]
+
+        return run
+
+    return decorate
 
 
 # ---------------------------------------------------------------- batteries
@@ -93,7 +116,8 @@ def _count_top(ws: WeightSystem, torsion: Sequence[int]) -> int:
     return ws.d - sum(1 for a in torsion if a)
 
 
-def battery_group_laws(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+@per_system("group_laws", default_grid)
+def battery_group_laws(ws: WeightSystem) -> tuple[bool, str]:
     """Group laws plus the three-way order characterization of the interval
     x in [0, d*c] <=> x.free >= 0 and x.free + #{a_i != 0} <= d
     <=> x >= 0 and x + omega is not >= 0.
@@ -104,102 +128,86 @@ def battery_group_laws(grid: Optional[Sequence[WeightSystem]] = None) -> list[Ch
     all three forms require a >= 0, so equal tops make the forms agree at
     every free value.  The forms are then also tested element by element on
     the seeded pool of elements with free part in [-2d, 2d]."""
-    results = []
-    for ws in grid if grid is not None else default_grid():
-        rng = random.Random(1234 + ws.d * 1000 + hash(ws.weights) % 1000)
-        tors = list(itertools.product(*(range(p) for p in ws.weights)))
-        span = 4 * ws.d + 1  # free values -2d..2d per torsion tuple
-        size = len(tors) * span
-        picks = range(size) if size <= 200 else rng.sample(range(size), 200)
-        pool = [GroupElement(tors[k // span], -2 * ws.d + k % span) for k in picks]
-        ok = True
-        detail = ""
-        for _ in range(40):
-            x, y, z = (rng.choice(pool) for _ in range(3))
-            if grading.add(ws, x, y) != grading.add(ws, y, x):
-                ok, detail = False, f"commutativity fails at {x}, {y}"
-                break
-            lhs = grading.add(ws, grading.add(ws, x, y), z)
-            rhs = grading.add(ws, x, grading.add(ws, y, z))
-            if lhs != rhs:
-                ok, detail = False, f"associativity fails at {x}, {y}, {z}"
-                break
-            if grading.add(ws, x, grading.negate(ws, x)) != grading.zero(ws):
-                ok, detail = False, f"negate fails at {x}"
-                break
-            bumps = [rng.randint(-3, 3) for _ in ws.weights]
-            denorm = [a + p * k for a, p, k in zip(x.torsion, ws.weights, bumps)]
-            if grading.normal_form(ws, denorm, x.free - sum(bumps)) != x:
-                ok, detail = False, f"normal form not left inverse at {x}"
-                break
-        w = grading.omega(ws)
-        dc = grading.smul(ws, ws.d, grading.gen_c(ws))
-        if ok:
-            for t in tors:
-                x0 = GroupElement(t, 0)
-                tops = (
-                    grading.sub(ws, dc, x0).free,
-                    _count_top(ws, t),
-                    -grading.add(ws, x0, w).free - 1,
-                )
-                if len(set(tops)) != 1:
-                    ok, detail = False, f"order characterization fails at {x0}: tops {tops}"
-                    break
-        if ok:
-            for x in pool:
-                in_box = grading.is_nonneg(x) and grading.leq(ws, x, dc)
-                count_form = x.free >= 0 and x.free <= _count_top(ws, x.torsion)
-                dual_form = grading.is_nonneg(x) and not grading.is_nonneg(
-                    grading.add(ws, x, w)
-                )
-                if not (in_box == count_form == dual_form):
-                    ok, detail = False, f"order characterization fails at {x}"
-                    break
-        results.append(CheckResult("group_laws", str(ws), ok, detail))
-    return results
+    rng = random.Random(1234 + ws.d * 1000 + hash(ws.weights) % 1000)
+    tors = list(itertools.product(*(range(p) for p in ws.weights)))
+    span = 4 * ws.d + 1  # free values -2d..2d per torsion tuple
+    size = len(tors) * span
+    picks = range(size) if size <= 200 else rng.sample(range(size), 200)
+    pool = [GroupElement(tors[k // span], -2 * ws.d + k % span) for k in picks]
+    for _ in range(40):
+        x, y, z = (rng.choice(pool) for _ in range(3))
+        if grading.add(ws, x, y) != grading.add(ws, y, x):
+            return False, f"commutativity fails at {x}, {y}"
+        lhs = grading.add(ws, grading.add(ws, x, y), z)
+        rhs = grading.add(ws, x, grading.add(ws, y, z))
+        if lhs != rhs:
+            return False, f"associativity fails at {x}, {y}, {z}"
+        if grading.add(ws, x, grading.negate(ws, x)) != grading.zero(ws):
+            return False, f"negate fails at {x}"
+        bumps = [rng.randint(-3, 3) for _ in ws.weights]
+        denorm = [a + p * k for a, p, k in zip(x.torsion, ws.weights, bumps)]
+        if grading.normal_form(ws, denorm, x.free - sum(bumps)) != x:
+            return False, f"normal form not left inverse at {x}"
+    w = grading.omega(ws)
+    dc = grading.smul(ws, ws.d, grading.gen_c(ws))
+    for t in tors:
+        x0 = GroupElement(t, 0)
+        tops = (
+            grading.sub(ws, dc, x0).free,
+            _count_top(ws, t),
+            -grading.add(ws, x0, w).free - 1,
+        )
+        if len(set(tops)) != 1:
+            return False, f"order characterization fails at {x0}: tops {tops}"
+    for x in pool:
+        in_box = grading.is_nonneg(x) and grading.leq(ws, x, dc)
+        count_form = x.free >= 0 and x.free <= _count_top(ws, x.torsion)
+        dual_form = grading.is_nonneg(x) and not grading.is_nonneg(grading.add(ws, x, w))
+        if not (in_box == count_form == dual_form):
+            return False, f"order characterization fails at {x}"
+    return True, ""
 
 
-def battery_rank_identities(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+@per_system("rank_identities", default_grid)
+def battery_rank_identities(ws: WeightSystem) -> tuple[bool, str]:
     """|[0, d*c]| = closed-form interval size = Grothendieck rank = degree of
     the Coxeter polynomial; for n = d+2 the stable interval has size
     prod(p_i - 1), both enumerated and in closed form."""
-    results = []
-    for ws in grid if grid is not None else default_grid():
-        box = algebra.canonical_interval(ws)
-        rank = coxeter.k0_rank(ws)
-        size = algebra.canonical_interval_size(ws)
-        ok = len(box) == rank == size
-        detail = f"|interval| {len(box)} vs rank {rank} vs closed form {size}"
-        if ok:
-            chi = coxeter.coxeter_polynomial(ws)
-            ok = chi.degree == rank
-            detail += f", deg chi {chi.degree}"
-        if ok and ws.n == ws.d + 2:
-            cm = algebra.cm_interval(ws)
-            expected = math.prod(p - 1 for p in ws.weights)
-            cm_size = algebra.cm_interval_size(ws)
-            ok = len(cm) == expected == cm_size
-            detail += f", |cm| {len(cm)} vs {expected} vs closed form {cm_size}"
-        results.append(CheckResult("rank_identities", str(ws), ok, detail if not ok else ""))
-    return results
+    box = algebra.canonical_interval(ws)
+    rank = coxeter.k0_rank(ws)
+    size = algebra.canonical_interval_size(ws)
+    detail = f"|interval| {len(box)} vs rank {rank} vs closed form {size}"
+    if not len(box) == rank == size:
+        return False, detail
+    chi = coxeter.coxeter_polynomial(ws)
+    detail += f", deg chi {chi.degree}"
+    if chi.degree != rank:
+        return False, detail
+    if ws.n == ws.d + 2:
+        cm = algebra.cm_interval(ws)
+        expected = math.prod(p - 1 for p in ws.weights)
+        cm_size = algebra.cm_interval_size(ws)
+        if not len(cm) == expected == cm_size:
+            return False, detail + f", |cm| {len(cm)} vs {expected} vs closed form {cm_size}"
+    return True, ""
 
 
-def battery_coset_structure(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+@per_system(
+    "coset_structure",
+    default_grid,
+    applies=lambda ws: grading.trichotomy(ws) == Trichotomy.FANO,
+)
+def battery_coset_structure(ws: WeightSystem) -> tuple[bool, str]:
     """Fano: [0, d*c] surjects onto the omega cosets; n <= d+1: bijectively."""
-    results = []
-    for ws in grid if grid is not None else default_grid():
-        if grading.trichotomy(ws) != Trichotomy.FANO:
-            continue
-        data = grading.coset_data_mod_omega(ws)
-        box = algebra.canonical_interval(ws)
-        reps = set(grading.coset_keys(ws, box))
-        ok = len(reps) == data.count
-        detail = f"{len(reps)} cosets hit of {data.count}"
-        if ok and ws.n <= ws.d + 1:
-            ok = len(box) == data.count
-            detail += f"; bijectivity |box| {len(box)}"
-        results.append(CheckResult("coset_structure", str(ws), ok, detail if not ok else ""))
-    return results
+    data = grading.coset_data_mod_omega(ws)
+    box = algebra.canonical_interval(ws)
+    reps = set(grading.coset_keys(ws, box))
+    detail = f"{len(reps)} cosets hit of {data.count}"
+    if len(reps) != data.count:
+        return False, detail
+    if ws.n <= ws.d + 1 and len(box) != data.count:
+        return False, detail + f"; bijectivity |box| {len(box)}"
+    return True, ""
 
 
 def _piece_dim_census(ws: WeightSystem, max_free: int) -> dict[GroupElement, int]:
@@ -223,61 +231,40 @@ def _piece_dim_census(ws: WeightSystem, max_free: int) -> dict[GroupElement, int
     return census
 
 
-def battery_piece_dims(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
-    results = []
-    if grid is None:
-        grid = [ws for ws in default_grid() if math.prod(ws.weights) <= 60]
-    for ws in grid:
-        ok = True
-        detail = ""
-        max_free = ws.d + 2
-        census = _piece_dim_census(ws, max_free)
-        for x in grading.elements_with_free_in(ws, -2, max_free):
-            expected = census.get(x, 0)
-            if grading.piece_dim(ws, x) != expected:
-                ok, detail = False, f"piece_dim mismatch at {x}"
-                break
-        if ok:
-            w = grading.omega(ws)
-            for x in grading.elements_with_free_in(ws, -1, 1):
-                y = grading.zero(ws)
-                lhs = grading.hom_ext_dim(ws, x, y, ws.d)
-                rhs = grading.hom_ext_dim(ws, y, grading.add(ws, x, w), 0)
-                if lhs != rhs:
-                    ok, detail = False, f"duality symmetry fails at {x}"
-                    break
-        results.append(CheckResult("piece_dims", str(ws), ok, detail))
-    return results
+@per_system("piece_dims", lambda: [ws for ws in default_grid() if math.prod(ws.weights) <= 60])
+def battery_piece_dims(ws: WeightSystem) -> tuple[bool, str]:
+    max_free = ws.d + 2
+    census = _piece_dim_census(ws, max_free)
+    for x in grading.elements_with_free_in(ws, -2, max_free):
+        if grading.piece_dim(ws, x) != census.get(x, 0):
+            return False, f"piece_dim mismatch at {x}"
+    w = grading.omega(ws)
+    y = grading.zero(ws)
+    for x in grading.elements_with_free_in(ws, -1, 1):
+        lhs = grading.hom_ext_dim(ws, x, y, ws.d)
+        rhs = grading.hom_ext_dim(ws, y, grading.add(ws, x, w), 0)
+        if lhs != rhs:
+            return False, f"duality symmetry fails at {x}"
+    return True, ""
 
 
-def battery_coxeter_cross_route(
-    grid: Optional[Sequence[WeightSystem]] = None,
-) -> list[CheckResult]:
+@per_system("coxeter_cross_route", matrix_grid)
+def battery_coxeter_cross_route(ws: WeightSystem) -> tuple[bool, str]:
     """Matrix route vs product route, per block and overall, plus unit constant term."""
-    results = []
-    for ws in grid if grid is not None else matrix_grid():
-        ok = True
-        detail = ""
-        blocks = coxeter.omega_action_blocks(ws)
-        for subset, level, block in blocks:
-            if level:
-                continue  # blocks repeat across levels by construction
-            char = coxeter.char_poly(block)
-            expected = coxeter.phi(
-                tuple(ws.weights[i] for i in subset)
-            ).monic_normalized()
-            if char != expected:
-                ok, detail = False, f"block {subset} char poly mismatch"
-                break
-        if ok:
-            full = coxeter.char_poly(coxeter.omega_action_matrix(ws))
-            chi = coxeter.coxeter_polynomial(ws)
-            if full != chi and full != -chi:
-                ok, detail = False, "full matrix char poly != +-coxeter polynomial"
-            elif abs(full.constant_term()) != 1:
-                ok, detail = False, f"constant term {full.constant_term()} not a unit"
-        results.append(CheckResult("coxeter_cross_route", str(ws), ok, detail))
-    return results
+    for subset, level, block in coxeter.omega_action_blocks(ws):
+        if level:
+            continue  # blocks repeat across levels by construction
+        char = coxeter.char_poly(block)
+        expected = coxeter.phi(tuple(ws.weights[i] for i in subset)).monic_normalized()
+        if char != expected:
+            return False, f"block {subset} char poly mismatch"
+    full = coxeter.char_poly(coxeter.omega_action_matrix(ws))
+    chi = coxeter.coxeter_polynomial(ws)
+    if full != chi and full != -chi:
+        return False, "full matrix char poly != +-coxeter polynomial"
+    if abs(full.constant_term()) != 1:
+        return False, f"constant term {full.constant_term()} not a unit"
+    return True, ""
 
 
 def _sub_multisets(values: tuple[int, ...]):
@@ -320,37 +307,30 @@ def battery_phi_telescoping(grid: Optional[Sequence[WeightSystem]] = None) -> li
     return results
 
 
-def battery_quiver_structure(
-    grid: Optional[Sequence[WeightSystem]] = None,
-) -> list[CheckResult]:
+@per_system(
+    "quiver_structure", lambda: [ws for ws in default_grid() if coxeter.k0_rank(ws) <= 30]
+)
+def battery_quiver_structure(ws: WeightSystem) -> tuple[bool, str]:
     """Interval quivers are acyclic with relation paths of length >= 2, the
     Cartan matrix transposes under negating the interval, and systems with
     n = d + 2 agree with their one-dimension-up partner."""
-    results = []
-    if grid is None:
-        grid = [ws for ws in default_grid() if coxeter.k0_rank(ws) <= 30]
-    for ws in grid:
-        ok = True
-        detail = ""
-        box = algebra.canonical_interval(ws)
-        quiver = algebra.i_canonical_quiver(ws, box)
-        if not algebra.is_acyclic(len(quiver.vertices), quiver.arrows):
-            ok, detail = False, "interval quiver has a cycle"
-        if ok and any(min(len(p) for p in rel.paths) < 2 for rel in quiver.relations):
-            ok, detail = False, "relation path of length < 2"
-        if ok:
-            neg_box = [grading.negate(ws, x) for x in box]
-            cm = algebra.cartan_matrix(ws, box)
-            cm_neg = algebra.cartan_matrix(ws, neg_box)
-            if cm_neg != [list(col) for col in zip(*cm)]:
-                ok, detail = False, "Cartan matrix not transposed under negation"
-        if ok and ws.n == ws.d + 2:
-            try:
-                classify.knoerrer_partner(ws)
-            except AssertionError as exc:
-                ok, detail = False, f"dimension-shift pairing: {exc}"
-        results.append(CheckResult("quiver_structure", str(ws), ok, detail))
-    return results
+    box = algebra.canonical_interval(ws)
+    quiver = algebra.i_canonical_quiver(ws, box)
+    if not algebra.is_acyclic(len(quiver.vertices), quiver.arrows):
+        return False, "interval quiver has a cycle"
+    if any(min(len(p) for p in rel.paths) < 2 for rel in quiver.relations):
+        return False, "relation path of length < 2"
+    neg_box = [grading.negate(ws, x) for x in box]
+    cm = algebra.cartan_matrix(ws, box)
+    cm_neg = algebra.cartan_matrix(ws, neg_box)
+    if cm_neg != [list(col) for col in zip(*cm)]:
+        return False, "Cartan matrix not transposed under negation"
+    if ws.n == ws.d + 2:
+        try:
+            classify.knoerrer_partner(ws)
+        except AssertionError as exc:
+            return False, f"dimension-shift pairing: {exc}"
+    return True, ""
 
 
 def _fixtures_then_grid(
@@ -372,41 +352,30 @@ MF_FIXTURES: tuple[WeightSystem, ...] = (
 )
 
 
-def battery_matrix_factorizations(
-    grid: Optional[Sequence[WeightSystem]] = None,
-) -> list[CheckResult]:
+@per_system(
+    "matrix_factorizations",
+    lambda: _fixtures_then_grid(
+        MF_FIXTURES, lambda ws: ws.d <= 2 and math.prod(p - 1 for p in ws.weights) <= 8
+    ),
+    applies=lambda ws: ws.n == ws.d + 2,
+)
+def battery_matrix_factorizations(ws: WeightSystem) -> tuple[bool, str]:
     """Systems with n = d + 2: every matrix factorization verified symbolically.
     By default the fixtures, then grid systems with d <= 2 and at most 8
     factorizations."""
-    if grid is None:
-        grid = _fixtures_then_grid(
-            MF_FIXTURES,
-            lambda ws: ws.d <= 2 and math.prod(p - 1 for p in ws.weights) <= 8,
-        )
-    results = []
-    for ws in grid:
-        if ws.n != ws.d + 2:
-            continue
-        indices = matfac.mf_enumerate(ws)
-        ok = len(indices) == matfac.expected_index_count(ws)
-        detail = f"index count {len(indices)}"
-        if ok:
-            for index in indices:
-                pair = matfac.mf_build(ws, index)
-                if pair.size != 2 ** (ws.d + 1):
-                    ok, detail = False, f"{index.ell}: size {pair.size}"
-                    break
-                report = matfac.mf_verify(pair)
-                if not report.ok:
-                    ok, detail = False, f"{index.ell}: {report.failures[:2]}"
-                    break
-                if not matfac.mf_minor_nonsingular(pair):
-                    ok, detail = False, f"{index.ell}: singular corner minor"
-                    break
-            else:
-                detail = f"{len(indices)} factorizations verified"
-        results.append(CheckResult("matrix_factorizations", str(ws), ok, detail))
-    return results
+    indices = matfac.mf_enumerate(ws)
+    if len(indices) != matfac.expected_index_count(ws):
+        return False, f"index count {len(indices)}"
+    for index in indices:
+        pair = matfac.mf_build(ws, index)
+        if pair.size != 2 ** (ws.d + 1):
+            return False, f"{index.ell}: size {pair.size}"
+        report = matfac.mf_verify(pair)
+        if not report.ok:
+            return False, f"{index.ell}: {report.failures[:2]}"
+        if not matfac.mf_minor_nonsingular(pair):
+            return False, f"{index.ell}: singular corner minor"
+    return True, f"{len(indices)} factorizations verified"
 
 
 ATILDE_FIXTURES: tuple[WeightSystem, ...] = (
@@ -417,26 +386,19 @@ ATILDE_FIXTURES: tuple[WeightSystem, ...] = (
 )
 
 
-def battery_atilde(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+@per_system(
+    "atilde_cut",
+    lambda: _fixtures_then_grid(ATILDE_FIXTURES, lambda ws: coxeter.k0_rank(ws) <= 20),
+    applies=lambda ws: ws.n <= ws.d + 1,
+)
+def battery_atilde(ws: WeightSystem) -> tuple[bool, str]:
     """Systems with n <= d + 1: the orbit quiver satisfies the cut axioms.
     By default the fixtures, then grid systems of Grothendieck rank <= 20."""
-    if grid is None:
-        grid = _fixtures_then_grid(ATILDE_FIXTURES, lambda ws: coxeter.k0_rank(ws) <= 20)
-    results = []
-    for ws in grid:
-        if ws.n > ws.d + 1:
-            continue
-        q = atilde.atilde_presentation(ws)
-        report = atilde.verify_cut(q)
-        count = grading.coset_data_mod_omega(ws).count
-        ok = (
-            report.ok
-            and atilde.noncut_matches_interval_quiver(q)
-            and len(q.vertices) == count
-        )
-        detail = "" if ok else f"bad walks {report.bad_walks[:2]}"
-        results.append(CheckResult("atilde_cut", str(ws), ok, detail))
-    return results
+    q = atilde.atilde_presentation(ws)
+    report = atilde.verify_cut(q)
+    count = grading.coset_data_mod_omega(ws).count
+    ok = report.ok and atilde.noncut_matches_interval_quiver(q) and len(q.vertices) == count
+    return ok, "" if ok else f"bad walks {report.bad_walks[:2]}"
 
 
 GLDIM_FIXTURES: tuple[WeightSystem, ...] = (
@@ -453,38 +415,24 @@ GLDIM_EXTRA: tuple[WeightSystem, ...] = (
 )
 
 
-def battery_global_dimension(
-    grid: Optional[Sequence[WeightSystem]] = None,
-) -> list[CheckResult]:
+@per_system("global_dimension", lambda: GLDIM_FIXTURES + GLDIM_EXTRA)
+def battery_global_dimension(ws: WeightSystem) -> tuple[bool, str]:
     """Any system: the resolution oracle's global dimension equals the formula.
     By default the fixtures and the extra systems."""
-    results = []
-    for ws in grid if grid is not None else GLDIM_FIXTURES + GLDIM_EXTRA:
-        alg = algebra.structure_constants(ws, algebra.canonical_interval(ws))
-        got = algebra.global_dimension(alg)
-        expected = classify.gldim_canonical(ws)
-        ok = got == expected and algebra.associativity_spot_check(alg)
-        results.append(
-            CheckResult(
-                "global_dimension",
-                str(ws),
-                ok,
-                "" if ok else f"oracle {got} vs formula {expected}",
-            )
-        )
-    return results
+    alg = algebra.structure_constants(ws, algebra.canonical_interval(ws))
+    got = algebra.global_dimension(alg)
+    expected = classify.gldim_canonical(ws)
+    ok = got == expected and algebra.associativity_spot_check(alg)
+    return ok, "" if ok else f"oracle {got} vs formula {expected}"
 
 
-def battery_orlov(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
-    results = []
-    for ws in grid if grid is not None else default_grid():
-        try:
-            classify.orlov_rank_delta(ws)
-            ok, detail = True, ""
-        except AssertionError as exc:
-            ok, detail = False, str(exc)
-        results.append(CheckResult("orlov_rank", str(ws), ok, detail))
-    return results
+@per_system("orlov_rank", default_grid)
+def battery_orlov(ws: WeightSystem) -> tuple[bool, str]:
+    try:
+        classify.orlov_rank_delta(ws)
+    except AssertionError as exc:
+        return False, str(exc)
+    return True, ""
 
 
 SLICE_FIXTURES: tuple[WeightSystem, ...] = (
@@ -494,31 +442,21 @@ SLICE_FIXTURES: tuple[WeightSystem, ...] = (
 )
 
 
-def battery_slices(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+def _few_cosets(ws: WeightSystem) -> bool:
+    count = grading.coset_data_mod_omega(ws).count
+    return count is not None and count <= 150
+
+
+@per_system(
+    "slices",
+    lambda: _fixtures_then_grid(SLICE_FIXTURES, _few_cosets),
+    applies=lambda ws: ws.n == ws.d + 2 and sorted(ws.weights)[:2] == [2, 2],
+)
+def battery_slices(ws: WeightSystem) -> tuple[bool, str]:
     """Systems with n = d + 2 and two weights 2: the slice report holds.
     By default the fixtures, then grid systems with at most 150 omega cosets."""
-
-    def few_cosets(ws: WeightSystem) -> bool:
-        count = grading.coset_data_mod_omega(ws).count
-        return count is not None and count <= 150
-
-    if grid is None:
-        grid = _fixtures_then_grid(SLICE_FIXTURES, few_cosets)
-    results = []
-    for ws in grid:
-        if ws.n != ws.d + 2 or sorted(ws.weights)[:2] != [2, 2]:
-            continue
-        data = classify.main2_slice(ws)
-        ok = data.report.ok
-        results.append(
-            CheckResult(
-                "slices",
-                str(ws),
-                ok,
-                "" if ok else f"report {data.report}",
-            )
-        )
-    return results
+    report = classify.main2_slice(ws).report
+    return report.ok, "" if report.ok else f"report {report}"
 
 
 def battery_cm_finiteness_scan(

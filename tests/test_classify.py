@@ -24,7 +24,7 @@ from glci.grading import (
     Trichotomy,
     WeightSystem,
     coset_data_mod_omega,
-    coset_key,
+    coset_keys,
 )
 from glci.suite import default_grid
 from test_grading import delta_by_fractions, delta_omega_by_fractions, trichotomy_by_fractions
@@ -167,7 +167,7 @@ def test_main2_slice_examples():
     assert data.report.size == 48 and data.report.ok
     # representatives are pairwise distinct modulo omega
     ws = data.ws
-    keys = {coset_key(ws, x) for x in data.elements}
+    keys = {coset_keys(ws, [x])[0] for x in data.elements}
     assert len(keys) == len(data.elements)
 
 

@@ -12,7 +12,6 @@ from glci.grading import (
     WeightSystem,
     add,
     coset_data_mod_omega,
-    coset_key,
     coset_keys,
     delta,
     delta_l,
@@ -134,10 +133,10 @@ def test_coset_key():
     for k in (-3, -1, 0, 2, 5):
         x = GroupElement((1, 2, 3), 1)
         shifted = add(W235, x, smul(W235, k, w))
-        assert coset_key(W235, shifted) == coset_key(W235, x)
+        assert coset_keys(W235, [shifted])[0] == coset_keys(W235, [x])[0]
     # (2;2,2,3,4) has 28 omega-cosets, and x_1 is not a multiple of omega
     ws = WeightSystem(2, (2, 2, 3, 4))
-    assert coset_key(ws, gen_x(ws, 1)) != coset_key(ws, zero(ws))
+    assert coset_keys(ws, [gen_x(ws, 1)])[0] != coset_keys(ws, [zero(ws)])[0]
 
 
 def test_piece_dim_examples():
@@ -331,8 +330,8 @@ def test_negate_is_the_additive_inverse():
     _group_property(check)
 
 
-# Fraction routes, the bodies `delta`, `delta_omega`, `trichotomy` and
-# `coset_key` had before degrees became lcm-scaled integers; kept as oracles.
+# Fraction routes, the bodies `delta`, `delta_omega`, `trichotomy` and the
+# coset key had before degrees became lcm-scaled integers; kept as oracles.
 
 
 def delta_by_fractions(ws, x):
@@ -413,15 +412,15 @@ def test_coset_key_matches_the_fraction_oracle_and_lands_in_the_window():
         dw = delta_omega_l(ws)
         if dw == 0:
             with pytest.raises(ValueError):
-                coset_key(ws, x)
+                coset_keys(ws, [x])
             with pytest.raises(ValueError):
                 coset_keys(ws, [])
             return
-        key = coset_key(ws, x)
+        key = coset_keys(ws, [x])[0]
         assert key == coset_key_by_fractions(ws, x)
         assert 0 <= delta_l(ws, key) < abs(dw)
         w = omega(ws)
-        assert coset_key(ws, add(ws, x, w)) == key == coset_key(ws, sub(ws, x, w))
+        assert coset_keys(ws, [add(ws, x, w)])[0] == key == coset_keys(ws, [sub(ws, x, w)])[0]
         assert coset_keys(ws, [sub(ws, x, w), x, add(ws, x, w), zero(ws)]) == [
             key,
             key,

@@ -21,13 +21,11 @@ def test_weight_tuples_bounds():
 
 def test_matrix_grid_respects_rank_cap_and_fixtures():
     grid = suite.matrix_grid()
-    pairs = {(ws.d, ws.weights) for ws in grid}
-    for fixture in suite.MATRIX_FIXTURES:
-        assert fixture in pairs
-    fixtures = set(suite.MATRIX_FIXTURES)
-    for ws in grid:
-        if (ws.d, ws.weights) not in fixtures:
-            assert k0_rank(ws) <= 80
+    capped = [ws for ws in suite.default_grid() if k0_rank(ws) <= 80]
+    # the capped grid first, then each fixture not already in it, once
+    assert grid[: len(capped)] == capped and len(set(grid)) == len(grid)
+    assert set(grid) == set(capped) | set(suite.MATRIX_FIXTURES)
+    assert all(ws in suite.MATRIX_FIXTURES for ws in grid[len(capped) :])
 
 
 def test_run_batteries_filter_and_narrowing():
@@ -49,6 +47,43 @@ def test_run_batteries_filter_and_narrowing():
     for name, fn in suite.BATTERIES.items():
         results = fn([ws])
         assert all(r.ok and r.label == str(ws) for r in results), name
+
+
+MIXED_GRID = (
+    WeightSystem(2, (2, 2, 3, 4)),  # Fano, n = d + 2, two weights 2
+    WeightSystem(2, (2, 3)),  # Fano, n <= d + 1
+    WeightSystem(1, (2, 3, 6)),  # Calabi-Yau, n = d + 2
+    WeightSystem(1, (3, 3, 4)),  # anti-Fano, n = d + 2
+)
+# systems of MIXED_GRID each precondition admits; the other batteries admit all
+ADMITTED = {"coset_structure": 2, "mf": 3, "atilde": 1, "slices": 1}
+PER_SYSTEM = [name for name in suite.BATTERIES if name not in ("phi", "cm_finite", "enumeration")]
+
+
+@pytest.mark.parametrize("name", PER_SYSTEM)
+def test_a_battery_on_a_grid_is_its_checks_one_system_at_a_time(name):
+    fn = suite.BATTERIES[name]
+    results = fn(list(MIXED_GRID))
+    assert results == [r for ws in MIXED_GRID for r in fn([ws])]
+    assert len(results) == ADMITTED.get(name, len(MIXED_GRID))
+    assert all(r.ok for r in results), name
+
+
+def test_a_failed_check_ends_that_system_not_the_battery(monkeypatch):
+    first, second = WeightSystem(1, (2, 3, 5)), WeightSystem(2, (2, 3))
+    real = classify.orlov_rank_delta
+
+    def broken(ws):
+        if ws == first:
+            raise AssertionError("rank bookkeeping broken")
+        return real(ws)
+
+    monkeypatch.setattr(classify, "orlov_rank_delta", broken)
+    results = suite.battery_orlov([first, second])
+    assert [(r.label, r.ok, r.detail) for r in results] == [
+        (str(first), False, "rank bookkeeping broken"),
+        (str(second), True, ""),
+    ]
 
 
 def test_boxed_enumeration_oracle_matches_enumerator():
