@@ -6,7 +6,6 @@ from .grading import (
     WeightSystem,
     add,
     coset_data_mod_omega,
-    delta,
     hom_ext_dim,
     interval,
     interval_size,

@@ -3,7 +3,7 @@
 An interval algebra A^I packs the graded pieces R_{x-y} for x, y in a finite
 convex subset I of the grading group into one finite dimensional algebra.
 This module builds its quiver presentation, its multiplication table over
-exact rationals, and a projective-resolution oracle for the global dimension.
+the integers, and a projective-resolution oracle for the global dimension.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .grading import (
@@ -22,8 +21,6 @@ from .grading import (
     WeightSystem,
     add,
     delta_l,
-    general_position_ok,
-    generic_lambda,
     gen_c,
     gen_x,
     interval,
@@ -36,10 +33,9 @@ from .grading import (
     sub,
     zero,
 )
-from .linalg import GraphEchelon
+from .linalg import GraphEchelon, nonsingular
 
-Scalar = Union[int, Fraction]
-Coefficient = Union[Fraction, str]
+Coefficient = Union[int, str]
 
 
 @dataclass(frozen=True)
@@ -105,10 +101,6 @@ def check_convex(ws: WeightSystem, elements: Sequence[GroupElement]) -> bool:
     return not any(leq(ws, s, t) for s in outside for t in tops)
 
 
-def _symbolic_coeff(i: int, j: int) -> str:
-    return f"-lambda[{i}][{j}]"
-
-
 def i_canonical_quiver(
     ws: WeightSystem, elements: Sequence[GroupElement]
 ) -> Quiver:
@@ -117,8 +109,7 @@ def i_canonical_quiver(
     Arrows x -> x + x_i for every presentation generator; commutativity
     relations wherever both length-two paths exist, and one hypersurface
     relation per non-coordinate hyperplane at every x with x + c in I.
-    Relation coefficients stay symbolic unless the weight system carries
-    numeric hyperplane rows.
+    The hypersurface relations keep their coefficients -lambda[i][j] symbolic.
     """
     gens, pres_weights = presentation(ws)
     verts = tuple(dict.fromkeys(elements))
@@ -157,23 +148,20 @@ def i_canonical_quiver(
             pij = path(vi, (i, j))
             pji = path(vi, (j, i))
             if pij is not None and pji is not None:
-                relations.append(
-                    Relation((Fraction(1), Fraction(-1)), (pij, pji))
-                )
+                relations.append(Relation((1, -1), (pij, pji)))
     for i in range(ws.d + 2, n_pres + 1):
         p_i = pres_weights[i - 1]
-        row = ws.lam[i - ws.d - 2] if ws.lam is not None else None
         for vi in range(len(verts)):
             main = path(vi, (i,) * p_i)
             if main is None:
                 continue
-            coeffs: list[Coefficient] = [Fraction(1)]
+            coeffs: list[Coefficient] = [1]
             paths = [main]
             for j in range(1, ws.d + 2):
                 pj = path(vi, (j,) * pres_weights[j - 1])
                 if pj is None:
                     raise AssertionError("convexity guarantees comparison paths")
-                coeffs.append(-row[j - 1] if row is not None else _symbolic_coeff(i, j - 1))
+                coeffs.append(f"-lambda[{i}][{j - 1}]")
                 paths.append(pj)
             relations.append(Relation(tuple(coeffs), tuple(paths)))
     return Quiver(verts, tuple(arrows), tuple(relations))
@@ -217,8 +205,8 @@ def cartan_matrix(ws: WeightSystem, elements: Sequence[GroupElement]) -> list[li
 
 @dataclass(frozen=True)
 class StructureAlgebra:
-    """Multiplication table of A^I on its monomial basis over exact rationals;
-    the coefficients are ints when the hyperplane rows are integral.
+    """Multiplication table of A^I on its monomial basis over the integers,
+    with the integer hyperplane rows of `generic_rows`.
 
     Basis elements are triples (source vertex, target vertex, exponent tuple)
     where the exponents encode a monomial of degree source - target in the
@@ -229,12 +217,12 @@ class StructureAlgebra:
     ws: WeightSystem
     vertices: tuple[GroupElement, ...]
     pres_weights: tuple[int, ...]
-    lam_rows: tuple[tuple[Scalar, ...], ...]
+    lam_rows: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, int, tuple[int, ...]], ...]
     index: dict[tuple[int, int, tuple[int, ...]], int] = field(compare=False)
     by_pair: dict[tuple[int, int], tuple[int, ...]] = field(compare=False)
     # multiply's results by (a, b); callers only read the dicts it returns
-    products: dict[tuple[int, int], dict[int, Scalar]] = field(
+    products: dict[tuple[int, int], dict[int, int]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -248,13 +236,13 @@ class StructureAlgebra:
         with x != y has x - y effective and nonzero, so delta(x) > delta(y)."""
         return sorted(range(len(self.vertices)), key=lambda v: delta_l(self.ws, self.vertices[v]))
 
-    def reduce_monomial(self, exps: Sequence[int]) -> dict[tuple[int, ...], Scalar]:
+    def reduce_monomial(self, exps: Sequence[int]) -> dict[tuple[int, ...], int]:
         """Rewrite X_i^{p_i} for non-coordinate i until exponents are in range."""
         d = self.ws.d
         pending = {tuple(exps): 1}
-        done: dict[tuple[int, ...], Scalar] = {}
+        done: dict[tuple[int, ...], int] = {}
         while pending:
-            nxt: dict[tuple[int, ...], Scalar] = {}
+            nxt: dict[tuple[int, ...], int] = {}
             for e, coeff in pending.items():
                 hot = next(
                     (
@@ -269,8 +257,6 @@ class StructureAlgebra:
                     continue
                 row = self.lam_rows[hot - d - 1]
                 for j in range(d + 1):
-                    if row[j] == 0:
-                        continue
                     e2 = list(e)
                     e2[hot] -= self.pres_weights[hot]
                     e2[j] += self.pres_weights[j]
@@ -279,7 +265,7 @@ class StructureAlgebra:
             pending = {k: v for k, v in nxt.items() if v}
         return {k: v for k, v in done.items() if v}
 
-    def multiply(self, a: int, b: int) -> dict[int, Scalar]:
+    def multiply(self, a: int, b: int) -> dict[int, int]:
         """Product of basis elements a * b, zero unless the middle vertices
         match; computed once per pair and kept in `products`."""
         cached = self.products.get((a, b))
@@ -289,7 +275,7 @@ class StructureAlgebra:
         xb, yb, eb = self.basis[b]
         if ya != xb:
             return {}
-        out: dict[int, Scalar] = {}
+        out: dict[int, int] = {}
         for e, coeff in self.reduce_monomial(
             [u + v for u, v in zip(ea, eb)]
         ).items():
@@ -332,27 +318,36 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+def general_position_ok(rows: Sequence[Sequence[int]]) -> bool:
+    """All minors of every size of the hyperplane coefficient rows are
+    nonzero: the rows' hyperplanes and the coordinate ones are in general
+    position."""
+    cols = len(rows[0]) if rows else 0
+    return all(
+        nonsingular([[rows[i][j] for j in ci] for i in ri])
+        for k in range(1, min(len(rows), cols) + 1)
+        for ri in itertools.combinations(range(len(rows)), k)
+        for ci in itertools.combinations(range(cols), k)
+    )
+
+
+def generic_rows(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Integer coefficient rows for the hyperplanes of index d+2..n, the first
+    d+1 being coordinate hyperplanes: Vandermonde rows (1, t, ..., t^d) at the
+    distinct positive nodes t = 2, 3, ..., so every minor of every size is
+    positive; the check is still run."""
+    rows = tuple(tuple(t**j for j in range(d + 1)) for t in range(2, n - d + 1))
+    if not general_position_ok(rows):
+        raise AssertionError(f"Vandermonde rows not in general position for d={d}, n={n}")
+    return rows
+
+
 def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> StructureAlgebra:
-    """Build A^I with numeric hyperplane coefficients in general position:
-    the rows of `ws.lam`, checked here, else `generic_lambda`, which checks
-    its own rows."""
+    """Build A^I with the integer hyperplane rows of `generic_rows`, which are
+    in general position, so every structure constant is an int."""
     if not check_convex(ws, elements):
         raise ValueError("vertex set is not convex")
     _, pres_weights = presentation(ws)
-    need_rows = max(0, ws.n - ws.d - 1)
-    if need_rows:
-        if ws.lam is None:
-            lam_rows = generic_lambda(ws.d, ws.weights).lam
-        elif general_position_ok(ws):
-            lam_rows = ws.lam
-        else:
-            raise ValueError("hyperplane coefficients are not in general position")
-    else:
-        lam_rows = ()
-    # Integral rows (Vandermonde ones always) as ints keep every product an int.
-    lam_rows = tuple(
-        tuple(v.numerator if v.denominator == 1 else v for v in row) for row in lam_rows
-    )
 
     verts = tuple(dict.fromkeys(elements))
     basis: list[tuple[int, int, tuple[int, ...]]] = []
@@ -374,7 +369,7 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
         ws=ws,
         vertices=verts,
         pres_weights=pres_weights,
-        lam_rows=lam_rows,
+        lam_rows=generic_rows(ws.d, ws.n),
         basis=tuple(basis),
         index={b: k for k, b in enumerate(basis)},
         by_pair={k: tuple(v) for k, v in by_pair.items()},
@@ -397,8 +392,8 @@ def associativity_spot_check(alg: StructureAlgebra) -> bool:
     return True
 
 
-def _combine(alg, partial: dict[int, Scalar], other: int, right: bool):
-    out: dict[int, Scalar] = {}
+def _combine(alg, partial: dict[int, int], other: int, right: bool):
+    out: dict[int, int] = {}
     for pos, coeff in partial.items():
         prod = alg.multiply(pos, other) if right else alg.multiply(other, pos)
         for q, v in prod.items():
@@ -426,7 +421,7 @@ class _FreeModule:
     def dim_at(self, vertex: int) -> int:
         return len(self.slot[vertex])
 
-    def act(self, a: int, vertex: int, column: list[Scalar]) -> tuple[int, list[Scalar]]:
+    def act(self, a: int, vertex: int, column: list[int]) -> tuple[int, list[int]]:
         """Left action of basis element a on a column supported at `vertex`."""
         xa, ya, _ = self.alg.basis[a]
         if ya != vertex:
@@ -455,7 +450,7 @@ def _resolution_step(alg: StructureAlgebra, free: _FreeModule, cols_by_vertex):
     kernel at x is the null space of the images, padded with zeros, and
     there are new generators only when dim M_x exceeds the images' rank.
     """
-    gens: list[tuple[int, list[Scalar]]] = []
+    gens: list[tuple[int, list[int]]] = []
     kernel_cols = {}
     for x in alg.degree_order:
         images = [
@@ -538,7 +533,7 @@ def cm_tensor_check(ws: WeightSystem) -> bool:
                 expected_relations.add((tup, i + 1, j + 1))
     actual_relations = set()
     for rel in quiver.relations:
-        if len(rel.paths) != 2 or sorted(rel.coeffs) != [Fraction(-1), Fraction(1)]:
+        if len(rel.paths) != 2 or sorted(rel.coeffs) != [-1, 1]:
             return False
         path = rel.paths[0]
         if len(path) != 2:

@@ -23,8 +23,8 @@ from .grading import (
 )
 
 
-class InputError(Exception):
-    pass
+class InputError(ValueError):
+    """Unusable input; `main` exits 2 on it as on any other ValueError."""
 
 
 def parse_weights(text: str) -> tuple[int, ...]:
@@ -404,9 +404,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,8 @@
 The group L is generated by x_1, ..., x_n and c subject to p_i * x_i = c.
 Every element has a unique normal form sum(a_i * x_i) + a * c with
 0 <= a_i < p_i; all functions in this module keep elements in that form.
-No floating point is used anywhere: torsion data are ints, degrees are ints
-scaled by L = lcm(p_i); only `delta` and `delta_omega` return `Fraction`s.
+No floating point and no rational is used: torsion data are ints, and
+degrees are ints scaled by L = lcm(p_i).
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .linalg import nonsingular, smith_normal_form
+from .linalg import smith_normal_form
 
 
 class Trichotomy(Enum):
@@ -26,42 +25,38 @@ class Trichotomy(Enum):
     ANTI_FANO = "AntiFano"
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int, refusing anything `operator.index` refuses (a float
+    or a string), so that no value is silently truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class WeightSystem:
-    """Ambient dimension d, weights p_1..p_n and optional hyperplane data.
+    """Ambient dimension d and weights p_1..p_n.
 
     Weight-1 hyperplanes are dropped when the system is built: X_i = l_i(T)
     eliminates X_i and leaves R and L unchanged, so `weights` never holds 1.
-    `lam` is either None (coefficients stay symbolic) or a tuple of rows,
-    one row of d+1 exact rationals for each hyperplane of index i >= d+2
-    (the first min(n, d+1) hyperplanes are coordinate hyperplanes and carry
-    no data).
+    No invariant computed here depends on which hyperplanes in general
+    position define R, so the system carries none.
     """
 
     d: int
     weights: tuple[int, ...]
-    lam: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"ambient dimension must be >= 1, got {self.d}")
-        object.__setattr__(self, "weights", tuple(int(p) for p in self.weights))
-        for p in self.weights:
+        d = _integer(self.d, "ambient dimension")
+        if d < 1:
+            raise ValueError(f"ambient dimension must be >= 1, got {d}")
+        weights = tuple(_integer(p, "weight") for p in self.weights)
+        for p in weights:
             if p < 1:
                 raise ValueError(f"weights must be >= 1, got {p}")
-        if self.lam is not None:
-            if any(p < 2 for p in self.weights):
-                raise ValueError("numeric hyperplane data requires all weights >= 2")
-            rows = tuple(tuple(Fraction(v) for v in row) for row in self.lam)
-            if len(rows) != max(0, self.n - self.d - 1):
-                raise ValueError(
-                    f"expected {max(0, self.n - self.d - 1)} hyperplane rows, got {len(rows)}"
-                )
-            for row in rows:
-                if len(row) != self.d + 1:
-                    raise ValueError("each hyperplane row needs d+1 coefficients")
-            object.__setattr__(self, "lam", rows)
-        object.__setattr__(self, "weights", tuple(p for p in self.weights if p > 1))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "weights", tuple(p for p in weights if p > 1))
 
     @property
     def n(self) -> int:
@@ -166,11 +161,6 @@ def delta_l(ws: WeightSystem, x: GroupElement) -> int:
     return x.free * big + sum(a * (big // p) for a, p in zip(x.torsion, ws.weights))
 
 
-def delta(ws: WeightSystem, x: GroupElement) -> Fraction:
-    """Degree map: x_i -> 1/p_i, c -> 1."""
-    return Fraction(delta_l(ws, x), math.lcm(*ws.weights))
-
-
 def omega(ws: WeightSystem) -> GroupElement:
     """Dualizing element (n-d-1)c - sum(x_i)."""
     return normal_form(ws, [-1] * ws.n, ws.n - ws.d - 1)
@@ -180,10 +170,6 @@ def delta_omega_l(ws: WeightSystem) -> int:
     """L * delta(omega) for L = lcm(p_i)."""
     big = math.lcm(*ws.weights)
     return (ws.n - ws.d - 1) * big - sum(big // p for p in ws.weights)
-
-
-def delta_omega(ws: WeightSystem) -> Fraction:
-    return Fraction(delta_omega_l(ws), math.lcm(*ws.weights))
 
 
 def trichotomy(ws: WeightSystem) -> Trichotomy:
@@ -335,37 +321,3 @@ def coset_keys(ws: WeightSystem, xs: Iterable[GroupElement]) -> list[GroupElemen
         # x + step * omega, with omega = (n-d-1)c - sum(x_i)
         keys.append(normal_form(ws, [a - step for a in x.torsion], x.free + step * shift))
     return keys
-
-
-def general_position_ok(ws: WeightSystem) -> bool:
-    """All minors of every size of the hyperplane coefficient block are nonzero."""
-    if ws.lam is None:
-        raise ValueError("no numeric hyperplane data to check")
-    rows = ws.lam
-    r = len(rows)
-    c = ws.d + 1
-    for k in range(1, min(r, c) + 1):
-        for ri in itertools.combinations(range(r), k):
-            for ci in itertools.combinations(range(c), k):
-                sub_m = [[rows[i][j] for j in ci] for i in ri]
-                if not nonsingular(sub_m):
-                    return False
-    return True
-
-
-def generic_lambda(d: int, weights: Sequence[int]) -> WeightSystem:
-    """Weight system with numeric hyperplane rows in general position.
-
-    Rows are Vandermonde rows (1, t, t^2, ..., t^d) at the distinct positive
-    nodes t = 2, 3, ..., so every minor of every size is positive; the check
-    is still run.
-    """
-    weights = tuple(weights)
-    if any(p < 2 for p in weights):
-        raise ValueError("generic hyperplane data requires all weights >= 2")
-    k = max(0, len(weights) - d - 1)
-    rows = tuple(tuple(Fraction(t**j) for j in range(d + 1)) for t in range(2, k + 2))
-    ws = WeightSystem(d, weights, rows)
-    if k and not general_position_ok(ws):
-        raise AssertionError(f"Vandermonde rows not in general position for {ws}")
-    return ws

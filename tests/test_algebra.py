@@ -1,5 +1,4 @@
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
@@ -13,6 +12,8 @@ from glci.algebra import (
     check_convex,
     cm_interval,
     cm_tensor_check,
+    general_position_ok,
+    generic_rows,
     global_dimension,
     i_canonical_quiver,
     is_acyclic,
@@ -30,7 +31,6 @@ from glci.grading import (
     add,
     gen_c,
     gen_x,
-    generic_lambda,
     interval,
     leq,
     negate,
@@ -58,7 +58,7 @@ def test_canonical_quiver_star_for_weighted_line():
     # exactly one hypersurface relation, at the source vertex
     assert len(q.relations) == 1
     rel = q.relations[0]
-    assert rel.coeffs[0] == Fraction(1)
+    assert rel.coeffs[0] == 1
     assert rel.coeffs[1:] == ("-lambda[3][0]", "-lambda[3][1]")
     assert [len(p) for p in rel.paths] == [5, 2, 3]
 
@@ -71,7 +71,7 @@ def test_canonical_quiver_beilinson():
     # all relations are commutativity relations of length-2 paths
     assert len(q.relations) == 3
     for rel in q.relations:
-        assert sorted(rel.coeffs) == [Fraction(-1), Fraction(1)]
+        assert sorted(rel.coeffs) == [-1, 1]
         assert all(len(p) == 2 for p in rel.paths)
 
 
@@ -157,7 +157,7 @@ def test_structure_constants_field_case():
     alg = structure_constants(ws, [zero(ws)])
     assert alg.dim == 1
     one = alg.index[(0, 0, (0,) * len(alg.pres_weights))]
-    assert alg.multiply(one, one) == {one: Fraction(1)}
+    assert alg.multiply(one, one) == {one: 1}
 
 
 def test_structure_constants_closure_and_dim():
@@ -173,18 +173,16 @@ def test_structure_constants_closure_and_dim():
     assert associativity_spot_check(alg2)
 
 
-def test_structure_constants_with_explicit_points():
-    # hyperplane data (1:0), (0:1), (1:1) on the line
-    ws = WeightSystem(1, (2, 3, 5), ((Fraction(1), Fraction(1)),))
-    alg = structure_constants(ws, canonical_interval(ws))
-    assert associativity_spot_check(alg)
-
-
-def test_structure_constants_rejects_degenerate_points():
-    # (0:1) repeats the second coordinate hyperplane: a 1x1 minor vanishes
-    ws = WeightSystem(1, (2, 3, 5), ((Fraction(0), Fraction(1)),))
-    with pytest.raises(ValueError, match="general position"):
-        structure_constants(ws, canonical_interval(ws))
+def test_general_position_and_generic_rows():
+    # on the line, the row (1, 1) is the point (1:1), distinct from the
+    # coordinate points (1:0) and (0:1); the row (0, 1) repeats (0:1)
+    assert general_position_ok(((1, 1),))
+    assert not general_position_ok(((0, 1),))
+    assert generic_rows(1, 3) == ((1, 2),)
+    assert generic_rows(2, 5) == ((1, 2, 4), (1, 3, 9))
+    assert generic_rows(2, 3) == generic_rows(3, 2) == ()
+    # one vanishing 2x2 minor, on columns 0 and 1: det [[1, 2], [2, 4]] = 0
+    assert not general_position_ok(((1, 2, 3), (2, 4, 7)))
 
 
 @pytest.mark.parametrize("drop", [slice(1, None), slice(None, -1)])
@@ -353,14 +351,14 @@ def test_radical_is_nilpotent():
     # off-diagonal span is an ideal whose powers vanish (directed poset)
     ws = WeightSystem(1, (2, 3, 3))
     alg = structure_constants(ws, canonical_interval(ws))
-    layer = {pos: Fraction(1) for pos in _radical_positions(alg)}
+    layer = {pos: 1 for pos in _radical_positions(alg)}
     power = 1
     while layer and power <= alg.dim:
         nxt = {}
         for a in layer:
             for b in _radical_positions(alg):
                 for pos, coeff in alg.multiply(a, b).items():
-                    nxt[pos] = nxt.get(pos, Fraction(0)) + coeff
+                    nxt[pos] = nxt.get(pos, 0) + coeff
         layer = {k: v for k, v in nxt.items() if v}
         power += 1
         # products never reacquire a diagonal component
@@ -608,8 +606,9 @@ def test_arrows_generate_every_radical_monomial():
 
 @pytest.mark.parametrize("d, weights", [(1, (2, 3, 5)), (1, (2, 2, 2, 2)), (2, (2, 2, 3, 3))])
 def test_generic_structure_constants_are_ints(d, weights):
-    ws = generic_lambda(d, weights)
+    ws = WeightSystem(d, weights)
     alg = structure_constants(ws, canonical_interval(ws))
+    assert alg.lam_rows == generic_rows(d, len(weights))
     coeffs = [
         c for a in range(alg.dim) for b in range(alg.dim) for c in alg.multiply(a, b).values()
     ]

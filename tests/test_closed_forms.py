@@ -2,7 +2,7 @@
 and the slice Hom-vanishing corner test.
 
 The oracles below are the original enumerate-and-test routines.  They share
-only the group arithmetic (`add`, `sub`, `leq`, `delta`) with the library,
+only the group arithmetic (`add`, `sub`, `leq`, `delta_l`) with the library,
 never the interval, size or convexity code they check.  The slice oracle
 enumerates the pieces with the (separately checked) `interval` and tests
 every pair; it shares only the pieces with the corner test.
@@ -27,7 +27,7 @@ from glci.grading import (
     GroupElement,
     WeightSystem,
     add,
-    delta,
+    delta_l,
     gen_c,
     gen_x,
     leq,
@@ -48,7 +48,7 @@ def _interval_by_enumeration(ws, x, y):
     w = sub(ws, y, x)
     if w.free < 0:
         return []
-    bound = math.floor(delta(ws, w))
+    bound = delta_l(ws, w) // math.lcm(*ws.weights)
     out = []
     for tors in itertools.product(*(range(p) for p in ws.weights)):
         for a in range(bound + 1):

@@ -13,15 +13,11 @@ from glci.grading import (
     add,
     coset_data_mod_omega,
     coset_keys,
-    delta,
     delta_l,
-    delta_omega,
     delta_omega_l,
     elements_with_free_in,
     gen_c,
     gen_x,
-    general_position_ok,
-    generic_lambda,
     hom_ext_dim,
     interval,
     is_nonneg,
@@ -70,10 +66,11 @@ def test_order_examples():
 
 
 def test_delta_examples():
-    assert delta(W235, gen_c(W235)) == 1
-    assert delta(W235, omega(W235)) == Fraction(-1, 30)
+    # delta scaled by L = lcm(p_i): L = 30 on (1;2,3,5) and 12 on (2;2,2,3,4)
+    assert delta_l(W235, gen_c(W235)) == 30
+    assert delta_l(W235, omega(W235)) == delta_omega_l(W235) == -1
     w2234 = WeightSystem(2, (2, 2, 3, 4))
-    assert delta(w2234, omega(w2234)) == Fraction(-7, 12)
+    assert delta_l(w2234, omega(w2234)) == delta_omega_l(w2234) == -7
 
 
 def test_omega_examples():
@@ -82,7 +79,7 @@ def test_omega_examples():
     w = WeightSystem(2, (2,) * 6)
     # 3c - sum(x_i) normalizes to all torsion 1, free -3; its degree is 0
     assert omega(w) == GroupElement((1,) * 6, -3)
-    assert delta(w, omega(w)) == 0
+    assert delta_l(w, omega(w)) == 0
 
 
 def test_trichotomy_examples():
@@ -198,7 +195,9 @@ def test_weight_one_hyperplanes_are_dropped_when_built():
         assert coxeter_polynomial(ws) == coxeter_polynomial(plain)
         assert coset_data_mod_omega(ws) == coset_data_mod_omega(plain)
         assert trichotomy(ws) == trichotomy(plain)
-        assert delta_omega(ws) == len(raw) - d - 1 - sum(Fraction(1, p) for p in raw)
+        assert Fraction(delta_omega_l(ws), math.lcm(*kept)) == len(raw) - d - 1 - sum(
+            Fraction(1, p) for p in raw
+        )
         assert canonical_interval_size(ws) == canonical_interval_size(plain)
 
     check()
@@ -228,24 +227,20 @@ def test_order_omega_three_way_equivalence():
             assert in_box == by_count == by_omega
 
 
-def test_general_position_and_generic_lambda():
-    ws = generic_lambda(1, (2, 3, 5))
-    assert ws.lam is not None and len(ws.lam) == 1
-    assert general_position_ok(ws)
-    # the three points (1:0), (0:1), (1:1) are mutually distinct
-    explicit = WeightSystem(1, (2, 3, 5), ((Fraction(1), Fraction(1)),))
-    assert general_position_ok(explicit)
-    degenerate = WeightSystem(1, (2, 3, 5), ((Fraction(0), Fraction(1)),))
-    assert not general_position_ok(degenerate)
-
-
 def test_weight_system_validation():
     with pytest.raises(ValueError):
         WeightSystem(0, (2,))
     with pytest.raises(ValueError):
         WeightSystem(1, (0,))
-    with pytest.raises(ValueError):
-        WeightSystem(1, (1, 2), ((Fraction(1), Fraction(1)),))
+    # a float or a string is refused, not truncated
+    with pytest.raises(ValueError, match="2.5"):
+        WeightSystem(1, (2.5, 3))
+    with pytest.raises(ValueError, match="1.9"):
+        WeightSystem(1.9, (2, 3))
+    with pytest.raises(ValueError, match="'3'"):
+        WeightSystem(1, (2, "3"))
+    with pytest.raises(ValueError, match="'1'"):
+        WeightSystem("1", (2, 3))
 
 
 def test_add_sub_match_the_normal_form_route():
@@ -391,8 +386,6 @@ def test_integer_degrees_match_the_fraction_oracle():
         scale = math.lcm(*ws.weights)
         assert delta_l(ws, x) == scale * delta_by_fractions(ws, x)
         assert delta_omega_l(ws) == scale * delta_omega_by_fractions(ws)
-        assert delta(ws, x) == delta_by_fractions(ws, x)
-        assert delta_omega(ws) == delta_omega_by_fractions(ws)
         assert delta_l(ws, omega(ws)) == delta_omega_l(ws)
 
     _degree_property(check)

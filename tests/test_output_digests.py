@@ -46,6 +46,12 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("quiver", "-d", "1", "-w", "1,2,3", "--format", "json"),
     ("mf", "--verify", "-d", "1", "-w", "2,1,3,5"),
     ("atilde", "-d", "2", "-w", "1,3"),
+    # Relation coefficients: the hypersurface relations and commutativity
+    # relations of i_canonical_quiver, and the presentation of A-tilde.
+    ("quiver", "-d", "1", "-w", "2,3,5"),
+    ("quiver", "-d", "1", "-w", "2,3,5", "--format", "json"),
+    ("quiver", "-d", "2", "-w", "2,2,3,4", "--interval", "cm", "--format", "json"),
+    ("atilde", "-d", "2", "-w", "2,3,4", "--format", "json"),
 )
 
 

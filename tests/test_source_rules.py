@@ -33,13 +33,21 @@ def test_library_imports_only_stdlib_and_uses_no_floats():
             ), f"{where}: float() call"
 
 
-INTEGER_ONLY_MODULES = ("coxeter.py", "linalg.py", "matfac.py", "suite.py")
+INTEGER_ONLY_MODULES = (
+    "algebra.py",
+    "coxeter.py",
+    "grading.py",
+    "linalg.py",
+    "matfac.py",
+    "suite.py",
+)
 
 
 @pytest.mark.parametrize("module", INTEGER_ONLY_MODULES)
 def test_module_is_integer_only(module):
-    """Both Coxeter routes, the exact elimination, the matrix factorizations
-    and the suite's box scan compute over the integers, never over Q."""
+    """The grading group, the interval algebras' structure constants, both
+    Coxeter routes, the exact elimination, the matrix factorizations and the
+    suite's box scan compute over the integers, never over Q."""
     path = next(p for p in SOURCES if p.name == module)
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -149,10 +157,9 @@ def test_box_scan_oracle_is_independent_of_classify():
     assert not used, used
 
 
-# Top-level definitions that may name `Fraction`: the hyperplane rows and the
-# output edges.  Degrees everywhere else are integers scaled by lcm(p_i).
+# Top-level definitions that may name `Fraction`: the output edge of the
+# fractional Calabi-Yau data.  Degrees everywhere are integers scaled by lcm(p_i).
 FRACTION_SITES = {
-    "grading.py": {"WeightSystem", "generic_lambda", "delta", "delta_omega"},
     "classify.py": {"FracCY", "frac_cy"},
 }
 
@@ -169,19 +176,6 @@ def test_fraction_is_named_only_at_its_sites(module):
         )
     }
     assert named == FRACTION_SITES[module]
-
-
-def test_fraction_degrees_are_output_edges_only():
-    """`delta` and `delta_omega` build a `Fraction` from the scaled integer;
-    no library code calls them."""
-    calls = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("delta", "delta_omega")
-    ]
-    assert not calls, calls
 
 
 def test_char_poly_route_names_nothing_of_the_product_route():
