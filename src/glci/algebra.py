@@ -101,6 +101,19 @@ def check_convex(ws: WeightSystem, elements: Sequence[GroupElement]) -> bool:
     return not any(leq(ws, s, t) for s in outside for t in tops)
 
 
+def _vertex_tuple(
+    ws: WeightSystem, elements: Sequence[GroupElement]
+) -> tuple[GroupElement, ...]:
+    """The vertices of A^I in the given order, refusing a repeated or
+    non-convex vertex set."""
+    verts = tuple(dict.fromkeys(elements))
+    if len(verts) != len(elements):
+        raise ValueError("interval contains repeated vertices")
+    if not check_convex(ws, verts):
+        raise ValueError("vertex set is not convex")
+    return verts
+
+
 def i_canonical_quiver(
     ws: WeightSystem, elements: Sequence[GroupElement]
 ) -> Quiver:
@@ -112,12 +125,8 @@ def i_canonical_quiver(
     The hypersurface relations keep their coefficients -lambda[i][j] symbolic.
     """
     gens, pres_weights = presentation(ws)
-    verts = tuple(dict.fromkeys(elements))
-    if len(verts) != len(elements):
-        raise ValueError("interval contains repeated vertices")
+    verts = _vertex_tuple(ws, elements)
     vindex = {v: i for i, v in enumerate(verts)}
-    if not check_convex(ws, verts):
-        raise ValueError("vertex set is not convex")
     n_pres = len(gens)
 
     arrows = []
@@ -345,11 +354,8 @@ def generic_rows(d: int, n: int) -> tuple[tuple[int, ...], ...]:
 def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> StructureAlgebra:
     """Build A^I with the integer hyperplane rows of `generic_rows`, which are
     in general position, so every structure constant is an int."""
-    if not check_convex(ws, elements):
-        raise ValueError("vertex set is not convex")
+    verts = _vertex_tuple(ws, elements)
     _, pres_weights = presentation(ws)
-
-    verts = tuple(dict.fromkeys(elements))
     basis: list[tuple[int, int, tuple[int, ...]]] = []
     by_pair: dict[tuple[int, int], list[int]] = {}
     expected = 0

@@ -18,7 +18,6 @@ from .grading import (
     add,
     omega,
     presentation,
-    smul,
 )
 from .algebra import canonical_interval, i_canonical_quiver, is_acyclic
 
@@ -38,36 +37,26 @@ class OrbitQuiverWithCut:
     arrows: tuple[CutArrow, ...]
 
 
-def _interval_representative(ws, members, x: GroupElement) -> GroupElement:
-    # omega < 0 here, so walking down the omega orbit from an effective
-    # element passes through the interval exactly once.
-    w = omega(ws)
-    k = 0
-    cur = x
-    while cur.free >= 0:
-        if cur in members:
-            return cur
-        k += 1
-        cur = add(ws, x, smul(ws, k, w))
-    raise AssertionError(f"no interval representative found for {x}")
-
-
 def atilde_presentation(ws: WeightSystem) -> OrbitQuiverWithCut:
     if ws.n > ws.d + 1:
         raise ValueError("orbit presentation requires n <= d + 1 after normalization")
     gens, _ = presentation(ws)
     verts = tuple(canonical_interval(ws))
-    members = set(verts)
     vindex = {v: i for i, v in enumerate(verts)}
+    w = omega(ws)
     arrows = []
     for label, g in enumerate(gens, start=1):
         for vi, v in enumerate(verts):
             t = add(ws, v, g)
-            if t in members:
+            if t in vindex:
                 arrows.append(CutArrow(vi, vindex[t], label, cut=False))
             else:
-                rep = _interval_representative(ws, members, t)
-                arrows.append(CutArrow(vi, vindex[rep], label, cut=True))
+                # For n <= d+1 every generator g has g + omega <= 0, so a target
+                # that leaves [0, d*c] comes back into it at exactly t + omega.
+                rep = vindex.get(add(ws, t, w))
+                if rep is None:
+                    raise AssertionError(f"no interval representative found for {t}")
+                arrows.append(CutArrow(vi, rep, label, cut=True))
     return OrbitQuiverWithCut(ws, verts, tuple(arrows))
 
 

@@ -3,16 +3,17 @@
 Every battery has the signature `battery(grid=None) -> list[CheckResult]`,
 and the CLI `suite` subcommand and the acceptance tests both run them:
 
-- with `grid=None` a battery runs its default systems;
+- with `grid=None` a battery runs its default cases;
 - a given list is filtered by the battery's own precondition, so a system
   it does not apply to yields no check;
 - the global batteries (`phi`, `cm_finite`, `enumeration`) check fixed
-  enumerations, not systems, and return [] for any given list.
+  cases, not systems, and return [] for any given list.
 
-The per-system batteries are written as one check of one system,
-`check(ws) -> (ok, detail)`, and `per_system` declares each one's label,
-default systems and precondition: it holds the one loop over the systems
-that builds the `CheckResult`s.
+Each battery is written as one check of one case, `check(case) -> (ok,
+detail)`, and `per_system` declares its label, default cases and
+precondition.  It holds the one loop over the cases: the only place a
+`CheckResult` is built, and the only place an `AssertionError` raised by a
+failed invariant is caught, so that failure ends its own case alone.
 
 The default grid takes every nondecreasing weight tuple with entries in
 [2, 6], length at most 6 and product at most 240, for ambient dimensions
@@ -29,7 +30,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import algebra, atilde, classify, coxeter, grading, matfac
 from .coxeter import IntPolynomial
@@ -86,21 +87,34 @@ def matrix_grid() -> list[WeightSystem]:
 
 def per_system(
     battery_label: str,
-    systems: Callable[[], Sequence[WeightSystem]],
-    applies: Callable[[WeightSystem], bool] = lambda ws: True,
+    cases: Callable[[], Iterable],
+    applies: Optional[Callable[[WeightSystem], bool]] = lambda ws: True,
+    label: Callable[[Any], str] = str,
 ):
     """Make a battery `run(grid=None) -> list[CheckResult]` of a check
-    `check(ws) -> (ok, detail)`: `run` checks `systems()`, or the given
-    list, in order, skipping the systems `applies` does not admit."""
+    `check(case) -> (ok, detail)`: `run` checks `cases()`, or the given list
+    of systems, in order, skipping those `applies` does not admit, and
+    labels each check `label(case)`.  `applies=None` marks a global battery,
+    whose fixed cases are not systems: it has no precondition, and a given
+    list yields no check.  An `AssertionError` from the check fails that
+    case alone, with the exception's message as its detail."""
 
-    def decorate(check: Callable[[WeightSystem], tuple[bool, str]]):
+    def picked(grid: Optional[Sequence[WeightSystem]]) -> Iterable:
+        if applies is None:
+            return cases() if grid is None else ()
+        return filter(applies, cases() if grid is None else grid)
+
+    def decorate(check: Callable[[Any], tuple[bool, str]]):
         @functools.wraps(check)
         def run(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
-            return [
-                CheckResult(battery_label, str(ws), *check(ws))
-                for ws in (systems() if grid is None else grid)
-                if applies(ws)
-            ]
+            results = []
+            for case in picked(grid):
+                try:
+                    ok, detail = check(case)
+                except AssertionError as exc:
+                    ok, detail = False, str(exc)
+                results.append(CheckResult(battery_label, label(case), ok, detail))
+            return results
 
         return run
 
@@ -281,30 +295,25 @@ def _sub_multisets(values: tuple[int, ...]):
         yield tuple(sub), mult
 
 
-def battery_phi_telescoping(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
+@per_system(
+    "phi_telescoping",
+    lambda: itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(1, 7), size) for size in range(4)
+    ),
+    applies=None,
+)
+def battery_phi_telescoping(combo: tuple[int, ...]) -> tuple[bool, str]:
     """Global: the phi factors over the sub-multisets of each multiset of at
     most 3 values in 1..6 multiply out to (1 - t^lcm)^(prod / lcm), the
     forward form of the identity that `coxeter.phi` inverts."""
-    if grid is not None:
-        return []
-    results = []
-    for size in range(4):
-        for combo in itertools.combinations_with_replacement(range(1, 7), size):
-            prod = IntPolynomial([1])
-            for sub_key, mult in _sub_multisets(combo):
-                prod = prod * coxeter.phi(sub_key) ** mult
-            L = math.lcm(*combo)
-            one_minus_t_to_L = IntPolynomial([1] + [0] * (L - 1) + [-1])
-            ok = prod == one_minus_t_to_L ** (math.prod(combo) // L)
-            results.append(
-                CheckResult(
-                    "phi_telescoping",
-                    str(combo),
-                    ok,
-                    "" if ok else "product of phi factors mismatches closed form",
-                )
-            )
-    return results
+    prod = IntPolynomial([1])
+    for sub_key, mult in _sub_multisets(combo):
+        prod = prod * coxeter.phi(sub_key) ** mult
+    L = math.lcm(*combo)
+    one_minus_t_to_L = IntPolynomial([1] + [0] * (L - 1) + [-1])
+    if prod != one_minus_t_to_L ** (math.prod(combo) // L):
+        return False, "product of phi factors mismatches closed form"
+    return True, ""
 
 
 @per_system(
@@ -326,10 +335,7 @@ def battery_quiver_structure(ws: WeightSystem) -> tuple[bool, str]:
     if cm_neg != [list(col) for col in zip(*cm)]:
         return False, "Cartan matrix not transposed under negation"
     if ws.n == ws.d + 2:
-        try:
-            classify.knoerrer_partner(ws)
-        except AssertionError as exc:
-            return False, f"dimension-shift pairing: {exc}"
+        classify.knoerrer_partner(ws)
     return True, ""
 
 
@@ -428,10 +434,9 @@ def battery_global_dimension(ws: WeightSystem) -> tuple[bool, str]:
 
 @per_system("orlov_rank", default_grid)
 def battery_orlov(ws: WeightSystem) -> tuple[bool, str]:
-    try:
-        classify.orlov_rank_delta(ws)
-    except AssertionError as exc:
-        return False, str(exc)
+    """The rank bookkeeping between the sheaf and singularity sides, which
+    `orlov_rank_delta` asserts."""
+    classify.orlov_rank_delta(ws)
     return True, ""
 
 
@@ -459,49 +464,37 @@ def battery_slices(ws: WeightSystem) -> tuple[bool, str]:
     return report.ok, "" if report.ok else f"report {report}"
 
 
-def battery_cm_finiteness_scan(
-    grid: Optional[Sequence[WeightSystem]] = None,
-) -> list[CheckResult]:
-    """Global: membership in the finite-type list, re-derived case by case for
-    weights up to 7, versus cm_finite; plus consistency with the sufficient
-    higher-finiteness list at n = d + 2."""
-    if grid is not None:
-        return []
-    results = []
-    for d in (1, 2, 3):
-        ok = True
-        detail = ""
-        for n in range(0, d + 4):
-            for tup in itertools.combinations_with_replacement(range(2, 8), n):
-                ws = WeightSystem(d, tup)
-                got = classify.cm_finite(ws)
-                if n <= d + 1:
-                    expected = True
-                elif n == d + 2:
-                    twos = sum(1 for p in tup if p == 2)
-                    rest = tuple(sorted(p for p in tup if p != 2))
-                    expected = (
-                        twos >= n - 1
-                        or (twos == n - 2 and len(rest) == 1)
-                        or (twos == n - 2 and rest in {(3, 3), (3, 4), (3, 5)})
-                    )
-                else:
-                    expected = False
-                if got != expected:
-                    ok, detail = False, f"cm_finite({d},{tup}) = {got}"
-                    break
-                if (
-                    n == d + 2
-                    and got
-                    and classify.d_cm_finite_sufficient(ws)
-                    != classify.DCMFiniteness.SUFFICIENT_BY_HYPERSURFACE_LIST
-                ):
-                    ok, detail = False, f"finite type {tup} not in sufficient list"
-                    break
-            if not ok:
-                break
-        results.append(CheckResult("cm_finiteness_scan", f"d={d}", ok, detail))
-    return results
+@per_system("cm_finiteness_scan", lambda: (1, 2, 3), applies=None, label=lambda d: f"d={d}")
+def battery_cm_finiteness_scan(d: int) -> tuple[bool, str]:
+    """Global, per dimension d: membership in the finite-type list,
+    re-derived case by case for weights up to 7, versus cm_finite; plus
+    consistency with the sufficient higher-finiteness list at n = d + 2."""
+    for n in range(0, d + 4):
+        for tup in itertools.combinations_with_replacement(range(2, 8), n):
+            ws = WeightSystem(d, tup)
+            got = classify.cm_finite(ws)
+            if n <= d + 1:
+                expected = True
+            elif n == d + 2:
+                twos = sum(1 for p in tup if p == 2)
+                rest = tuple(sorted(p for p in tup if p != 2))
+                expected = (
+                    twos >= n - 1
+                    or (twos == n - 2 and len(rest) == 1)
+                    or (twos == n - 2 and rest in {(3, 3), (3, 4), (3, 5)})
+                )
+            else:
+                expected = False
+            if got != expected:
+                return False, f"cm_finite({d},{tup}) = {got}"
+            if (
+                n == d + 2
+                and got
+                and classify.d_cm_finite_sufficient(ws)
+                != classify.DCMFiniteness.SUFFICIENT_BY_HYPERSURFACE_LIST
+            ):
+                return False, f"finite type {tup} not in sufficient list"
+    return True, ""
 
 
 def boxed_enumeration_oracle(
@@ -544,46 +537,40 @@ def boxed_enumeration_oracle(
     return found, all(family_covered(prefix) for prefix in near)
 
 
-def battery_enumeration(grid: Optional[Sequence[WeightSystem]] = None) -> list[CheckResult]:
-    """Global: families and sporadic tuples against an independent bounded box scan."""
-    if grid is not None:
-        return []
-    results = []
-    fano = classify.enumerate_weight_systems(2, 4, Trichotomy.FANO)
-    results.append(
-        CheckResult(
-            "enumeration",
-            "d=2 n=4 Fano families",
-            len(fano.infinite_families) == 7,
-            f"{len(fano.infinite_families)} families",
-        )
-    )
+def _fano_families() -> tuple[bool, str]:
+    families = classify.enumerate_weight_systems(2, 4, Trichotomy.FANO).infinite_families
+    return len(families) == 7, f"{len(families)} families"
+
+
+def _fano_sporadic_vs_box_scan() -> tuple[bool, str]:
+    sporadic = classify.enumerate_weight_systems(2, 4, Trichotomy.FANO).sporadic
     oracle, complete = boxed_enumeration_oracle(2, 4, Trichotomy.FANO, box=45)
-    ok = complete and set(fano.sporadic) == oracle
-    results.append(
-        CheckResult(
-            "enumeration",
-            "d=2 n=4 Fano sporadic vs box scan",
-            ok,
-            f"{len(fano.sporadic)} sporadic, oracle {len(oracle)}, complete={complete}",
-        )
-    )
-    cy_counts = {}
-    cy_ok = True
+    ok = complete and set(sporadic) == oracle
+    return ok, f"{len(sporadic)} sporadic, oracle {len(oracle)}, complete={complete}"
+
+
+def _calabi_yau_totals() -> tuple[bool, str]:
+    counts = {}
+    ok = True
     for n, box in ((4, 45), (5, 12), (6, 7)):
         cy = classify.enumerate_weight_systems(2, n, Trichotomy.CALABI_YAU)
-        cy_counts[n] = len(cy.sporadic)
+        counts[n] = len(cy.sporadic)
         oracle, complete = boxed_enumeration_oracle(2, n, Trichotomy.CALABI_YAU, box=box)
-        cy_ok = cy_ok and complete and set(cy.sporadic) == oracle
-    results.append(
-        CheckResult(
-            "enumeration",
-            "d=2 Calabi-Yau totals",
-            cy_ok and cy_counts == {4: 14, 5: 3, 6: 1},
-            f"{cy_counts}",
-        )
-    )
-    return results
+        ok = ok and complete and set(cy.sporadic) == oracle
+    return ok and counts == {4: 14, 5: 3, 6: 1}, f"{counts}"
+
+
+ENUMERATION_CLAIMS: dict[str, Callable[[], tuple[bool, str]]] = {
+    "d=2 n=4 Fano families": _fano_families,
+    "d=2 n=4 Fano sporadic vs box scan": _fano_sporadic_vs_box_scan,
+    "d=2 Calabi-Yau totals": _calabi_yau_totals,
+}
+
+
+@per_system("enumeration", lambda: ENUMERATION_CLAIMS, applies=None)
+def battery_enumeration(claim: str) -> tuple[bool, str]:
+    """Global: families and sporadic tuples against an independent bounded box scan."""
+    return ENUMERATION_CLAIMS[claim]()
 
 
 BATTERIES: dict[str, Callable[[Optional[Sequence[WeightSystem]]], list[CheckResult]]] = {

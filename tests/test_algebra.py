@@ -87,10 +87,12 @@ def test_canonical_quiver_cm_square():
 def test_quiver_rejects_non_convex_and_duplicates():
     ws = WeightSystem(1, (2, 3, 5))
     c = gen_c(ws)
-    with pytest.raises(ValueError):
-        i_canonical_quiver(ws, [zero(ws), c])  # misses interior points
-    with pytest.raises(ValueError):
-        i_canonical_quiver(ws, [zero(ws), zero(ws)])
+    # both builders of A^I validate their vertices alike
+    for build in (i_canonical_quiver, structure_constants):
+        with pytest.raises(ValueError, match="not convex"):
+            build(ws, [zero(ws), c])  # misses interior points
+        with pytest.raises(ValueError, match="repeated"):
+            build(ws, [zero(ws), zero(ws)])
     assert check_convex(ws, canonical_interval(ws))
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from glci.atilde import (
@@ -6,7 +8,7 @@ from glci.atilde import (
     verify_cut,
 )
 from glci.coxeter import k0_rank
-from glci.grading import WeightSystem, coset_data_mod_omega
+from glci.grading import WeightSystem, add, coset_data_mod_omega, omega, presentation
 
 
 def test_kronecker_with_cut():
@@ -74,3 +76,33 @@ def test_walk_cap():
     q = atilde_presentation(WeightSystem(6, ()))
     with pytest.raises(ValueError):
         verify_cut(q)
+
+
+def _orbit_walk_representative(ws, members, x):
+    """The oracle for the closed-form cut target: walk down the omega orbit
+    of x (omega < 0 here) until it enters the interval."""
+    w = omega(ws)
+    while x.free >= 0:
+        if x in members:
+            return x
+        x = add(ws, x, w)
+    return None
+
+
+def test_cut_target_is_the_orbit_representative():
+    systems = [
+        ws
+        for d in (1, 2, 3)
+        for n in range(d + 2)
+        for tup in itertools.combinations_with_replacement(range(2, 6), n)
+        if k0_rank(ws := WeightSystem(d, tup)) <= 60
+    ]
+    assert len(systems) > 50
+    for ws in systems:
+        q = atilde_presentation(ws)
+        gens, _ = presentation(ws)
+        members = set(q.vertices)
+        for a in q.arrows:
+            t = add(ws, q.vertices[a.source], gens[a.label - 1])
+            expected = _orbit_walk_representative(ws, members, t) if a.cut else t
+            assert q.vertices[a.target] == expected, (ws, a)

@@ -273,6 +273,27 @@ def test_invariant_failure_exit_code(capsys, monkeypatch):
     assert err == "error: invariant failed: rank difference 1 != expected 0\n"
 
 
+def test_suite_reports_a_failed_invariant_as_its_check(capsys, monkeypatch):
+    from glci import algebra
+
+    real = algebra.structure_constants
+
+    def broken(ws, elements):
+        if ws == WeightSystem(1, (2, 2, 2)):
+            raise AssertionError("basis size disagrees with the Cartan count")
+        return real(ws, elements)
+
+    monkeypatch.setattr(algebra, "structure_constants", broken)
+    code, out, err = run_cli(capsys, "suite", "--only", "gldim")
+    lines = out.splitlines()
+    assert code == 1 and err == ""
+    assert len(lines) == 8 and lines[-1] == "6/7 checks passed"
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL  global_dimension  (d=1; 2,2,2)  -- basis size disagrees with the Cartan count"
+    ]
+
+
 def test_suite_filter(capsys):
     code, out, _ = run_cli(capsys, "suite", "--only", "gldim")
     assert code == 0

@@ -199,3 +199,23 @@ def test_char_poly_route_names_nothing_of_the_product_route():
         if name in banned
     ]
     assert not used, used
+
+
+def test_suite_builds_results_and_catches_failed_invariants_in_one_place():
+    """Every battery runs through `suite.per_system`'s loop, so `suite.py`
+    constructs `CheckResult` once and handles `AssertionError` once: a
+    failed invariant fails its own check in every battery alike."""
+    tree = _module_tree("suite.py")
+    builds = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"
+    ]
+    handlers = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and any(getattr(sub, "id", None) == "AssertionError" for sub in ast.walk(node.type))
+    ]
+    assert len(builds) == 1 and len(handlers) == 1, (builds, handlers)

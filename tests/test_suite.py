@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from glci import classify, grading, suite
+from glci import algebra, classify, grading, suite
 from glci.coxeter import k0_rank
 from glci.grading import GroupElement, Trichotomy, WeightSystem
 
@@ -69,21 +69,46 @@ def test_a_battery_on_a_grid_is_its_checks_one_system_at_a_time(name):
     assert all(r.ok for r in results), name
 
 
-def test_a_failed_check_ends_that_system_not_the_battery(monkeypatch):
-    first, second = WeightSystem(1, (2, 3, 5)), WeightSystem(2, (2, 3))
-    real = classify.orlov_rank_delta
+# battery: (module, function made to raise, the case it raises on, the
+# given list or None for the defaults, the label of that case's check)
+INJECTED = {
+    "orlov": (
+        classify,
+        "orlov_rank_delta",
+        lambda ws: ws == WeightSystem(1, (2, 3, 5)),
+        [WeightSystem(1, (2, 3, 5)), WeightSystem(2, (2, 3))],
+        "(d=1; 2,3,5)",
+    ),
+    "gldim": (
+        algebra,
+        "structure_constants",
+        lambda ws: ws == WeightSystem(1, (2, 2, 2)),
+        [WeightSystem(1, (2, 2, 2)), WeightSystem(2, (2, 3))],
+        "(d=1; 2,2,2)",
+    ),
+    "cm_finite": (classify, "cm_finite", lambda ws: ws.d == 2, None, "d=2"),
+}
 
-    def broken(ws):
-        if ws == first:
-            raise AssertionError("rank bookkeeping broken")
-        return real(ws)
 
-    monkeypatch.setattr(classify, "orlov_rank_delta", broken)
-    results = suite.battery_orlov([first, second])
-    assert [(r.label, r.ok, r.detail) for r in results] == [
-        (str(first), False, "rank bookkeeping broken"),
-        (str(second), True, ""),
+@pytest.mark.parametrize("name", INJECTED)
+def test_a_failed_check_ends_that_system_not_the_battery(monkeypatch, name):
+    module, attr, raises_on, grid, label = INJECTED[name]
+    battery = suite.BATTERIES[name]
+    clean = battery(grid)
+    real = getattr(module, attr)
+
+    def broken(ws, *args):
+        if raises_on(ws):
+            raise AssertionError("invariant broken")
+        return real(ws, *args)
+
+    monkeypatch.setattr(module, attr, broken)
+    results = battery(grid)
+    assert [r.label for r in results] == [r.label for r in clean] and len(results) >= 2
+    assert [r for r in results if not r.ok] == [
+        suite.CheckResult(clean[0].battery, label, False, "invariant broken")
     ]
+    assert [r for r in results if r.label != label] == [r for r in clean if r.label != label]
 
 
 def test_boxed_enumeration_oracle_matches_enumerator():
