@@ -541,11 +541,14 @@ def cm_tensor_check(ws: WeightSystem) -> bool:
     for rel in quiver.relations:
         if len(rel.paths) != 2 or sorted(rel.coeffs) != [-1, 1]:
             return False
-        path = rel.paths[0]
-        if len(path) != 2:
+        if any(len(path) != 2 for path in rel.paths):
             return False
-        first = quiver.arrows[path[0]]
-        second = quiver.arrows[path[1]]
-        labels = tuple(sorted((first.label, second.label)))
-        actual_relations.add((coords[first.source], labels[0], labels[1]))
+        # the second path must run b2 then a2, with the labels of b then a
+        (a, b), (b2, a2) = ([quiver.arrows[k] for k in path] for path in rel.paths)
+        composable = a.target == b.source and b2.target == a2.source
+        swapped = (b2.source, a2.target, b2.label, a2.label) == (a.source, b.target, b.label, a.label)
+        if not (composable and swapped):
+            return False
+        labels = tuple(sorted((a.label, b.label)))
+        actual_relations.add((coords[a.source], labels[0], labels[1]))
     return actual_relations == expected_relations

@@ -190,7 +190,7 @@ def cmd_coxeter(args) -> int:
 
 
 def _matrix_route_agrees(ws: WeightSystem, chi) -> bool:
-    char = coxeter.char_poly(coxeter.omega_action_matrix(ws))
+    char = coxeter.matrix_route_polynomial(ws)
     return char == chi or char == -chi
 
 

@@ -1,10 +1,13 @@
 """Coxeter polynomials via two independent routes.
 
 Route one multiplies closed-form cyclotomic-like factors; route two builds the
-integer matrix of the degree-shift action on a block basis of the Grothendieck
-group and takes its characteristic polynomial modulo a prime large enough to
-recover every integer coefficient. The two never share code, so their
-agreement is a real check. Both compute over the integers only.
+integer matrix of the degree-shift action on each block of a block basis of
+the Grothendieck group, takes its characteristic polynomial modulo a prime
+large enough to recover every integer coefficient, and multiplies these, each
+raised to the number of levels its block acts on. The action is
+block-diagonal, so no route assembles the full matrix. The two routes share
+only the enumeration of weight subsets, so their agreement is a real check.
+Both compute over the integers only.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 import itertools
 import math
 import operator
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .grading import WeightSystem
 
@@ -87,8 +90,9 @@ class IntPolynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def evaluate(self, x):
@@ -267,29 +271,32 @@ def omega_action_block(weights: Sequence[int]) -> list[list[int]]:
     return mat
 
 
-def omega_action_blocks(ws: WeightSystem) -> list[tuple[tuple[int, ...], int, list[list[int]]]]:
-    """(subset, level, block) triples in deterministic order; equal subsets share blocks."""
-    out = []
+def omega_action_blocks(ws: WeightSystem) -> Iterator[tuple[tuple[int, ...], int, list[list[int]]]]:
+    """Yield (subset, levels, block) per subset I with |I| <= d, in
+    deterministic order: the block acts on each of the d + 1 - |I| levels of I."""
     for subset in _weight_subsets(ws):
-        block = omega_action_block(tuple(ws.weights[i] for i in subset))
-        for level in range(ws.d + 1 - len(subset)):
-            out.append((subset, level, block))
-    return out
+        yield subset, ws.d + 1 - len(subset), omega_action_block(tuple(ws.weights[i] for i in subset))
+
+
+def matrix_route_polynomial(ws: WeightSystem) -> IntPolynomial:
+    """det(t*I - M) for the omega action M, as the product of each block's
+    characteristic polynomial raised to its number of levels."""
+    result = IntPolynomial([1])
+    for _, levels, block in omega_action_blocks(ws):
+        result = result * char_poly(block) ** levels
+    return result
 
 
 def omega_action_matrix(ws: WeightSystem) -> list[list[int]]:
     """Block-diagonal integer matrix of the omega shift on the Grothendieck basis."""
-    blocks = omega_action_blocks(ws)
-    size = sum(len(b) for _, _, b in blocks)
+    blocks = [block for _, levels, block in omega_action_blocks(ws) for _ in range(levels)]
+    size = sum(len(b) for b in blocks)
     mat = [[0] * size for _ in range(size)]
     offset = 0
-    for _, _, block in blocks:
+    for block in blocks:
         k = len(block)
         for i in range(k):
-            row = mat[offset + i]
-            src = block[i]
-            for j in range(k):
-                row[offset + j] = src[j]
+            mat[offset + i][offset : offset + k] = block[i]
         offset += k
     return mat
 
@@ -302,39 +309,6 @@ MERSENNE_EXPONENTS = (
 
 
 def char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
-    """det(t*I - M) for a square integer matrix, one factor per connected
-    component of its nonzero pattern.
-
-    Indices i and j are joined when M[i][j] or M[j][i] is nonzero, i != j.
-    Ordering the indices component by component makes M block-diagonal, so
-    det(t*I - M) is the product of the components' characteristic
-    polynomials.
-    """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix must be square")
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, row in enumerate(matrix):
-        for j in itertools.compress(range(n), row):
-            a, b = find(i), find(j)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    members: dict[int, list[int]] = {}
-    for i in range(n):
-        members.setdefault(find(i), []).append(i)
-    result = IntPolynomial([1])
-    for idx in members.values():
-        result = result * _hessenberg_char_poly([[matrix[i][j] for j in idx] for i in idx])
-    return result
-
-
-def _hessenberg_char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
     """det(t*I - M) for a square integer matrix, by Hessenberg reduction and
     the Hessenberg recurrence over GF(P).
 
@@ -344,6 +318,8 @@ def _hessenberg_char_poly(matrix: Sequence[Sequence[int]]) -> IntPolynomial:
     the symmetric range (-P/2, P/2).
     """
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
     bound = math.prod(2 + math.isqrt(sum(v * v for v in row)) for row in matrix)
     primes = (2**e - 1 for e in MERSENNE_EXPONENTS)
     P = next((p for p in primes if p > 2 * bound), None)

@@ -264,15 +264,17 @@ def battery_piece_dims(ws: WeightSystem) -> tuple[bool, str]:
 
 @per_system("coxeter_cross_route", matrix_grid)
 def battery_coxeter_cross_route(ws: WeightSystem) -> tuple[bool, str]:
-    """Matrix route vs product route, per block and overall, plus unit constant term."""
-    for subset, level, block in coxeter.omega_action_blocks(ws):
-        if level:
-            continue  # blocks repeat across levels by construction
+    """Matrix route vs product route, per block and overall, plus unit constant term.
+
+    Each block is reduced once; the matrix route's polynomial is the product
+    of the blocks' characteristic polynomials, one factor per level."""
+    full = coxeter.IntPolynomial([1])
+    for subset, levels, block in coxeter.omega_action_blocks(ws):
         char = coxeter.char_poly(block)
         expected = coxeter.phi(tuple(ws.weights[i] for i in subset)).monic_normalized()
         if char != expected:
             return False, f"block {subset} char poly mismatch"
-    full = coxeter.char_poly(coxeter.omega_action_matrix(ws))
+        full = full * char**levels
     chi = coxeter.coxeter_polynomial(ws)
     if full != chi and full != -chi:
         return False, "full matrix char poly != +-coxeter polynomial"
@@ -402,9 +404,16 @@ def battery_atilde(ws: WeightSystem) -> tuple[bool, str]:
     By default the fixtures, then grid systems of Grothendieck rank <= 20."""
     q = atilde.atilde_presentation(ws)
     report = atilde.verify_cut(q)
+    if not report.acyclic_without_cut:
+        return False, "the arrows outside the cut form a cycle"
+    if report.bad_walks:
+        return False, f"bad walks {report.bad_walks[:2]}"
+    if not atilde.noncut_matches_interval_quiver(q):
+        return False, "the arrows outside the cut differ from the interval quiver's"
     count = grading.coset_data_mod_omega(ws).count
-    ok = report.ok and atilde.noncut_matches_interval_quiver(q) and len(q.vertices) == count
-    return ok, "" if ok else f"bad walks {report.bad_walks[:2]}"
+    if len(q.vertices) != count:
+        return False, f"{len(q.vertices)} vertices vs {count} cosets mod omega"
+    return True, ""
 
 
 GLDIM_FIXTURES: tuple[WeightSystem, ...] = (
@@ -428,8 +437,11 @@ def battery_global_dimension(ws: WeightSystem) -> tuple[bool, str]:
     alg = algebra.structure_constants(ws, algebra.canonical_interval(ws))
     got = algebra.global_dimension(alg)
     expected = classify.gldim_canonical(ws)
-    ok = got == expected and algebra.associativity_spot_check(alg)
-    return ok, "" if ok else f"oracle {got} vs formula {expected}"
+    if got != expected:
+        return False, f"oracle {got} vs formula {expected}"
+    if not algebra.associativity_spot_check(alg):
+        return False, "associativity spot check fails"
+    return True, ""
 
 
 @per_system("orlov_rank", default_grid)

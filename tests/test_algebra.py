@@ -6,6 +6,7 @@ from glci import algebra, suite
 from glci.algebra import (
     Arrow,
     Quiver,
+    Relation,
     associativity_spot_check,
     canonical_interval,
     cartan_matrix,
@@ -341,6 +342,29 @@ def test_cm_tensor_check_examples():
     assert cm_tensor_check(WeightSystem(2, (2, 2, 3, 4)))
     with pytest.raises(ValueError):
         cm_tensor_check(WeightSystem(1, (2, 3)))
+
+
+@pytest.mark.parametrize("second", ["repeat the first path", "next relation's"])
+def test_cm_tensor_check_reads_each_relations_second_path(monkeypatch, second):
+    """A commutativity relation must pair a path with the one through the
+    other corner of its square, not with itself or with another square's."""
+    ws = WeightSystem(2, (2, 3, 4, 4))
+    quiver = i_canonical_quiver(ws, cm_interval(ws))
+    rels = quiver.relations
+    assert len(rels) > 1 and cm_tensor_check(ws)
+    if second == "repeat the first path":
+        broken = [Relation(r.coeffs, (r.paths[0], r.paths[0])) for r in rels]
+    else:
+        broken = [
+            Relation(r.coeffs, (r.paths[0], rels[(k + 1) % len(rels)].paths[1]))
+            for k, r in enumerate(rels)
+        ]
+    monkeypatch.setattr(
+        algebra,
+        "i_canonical_quiver",
+        lambda ws, box: Quiver(quiver.vertices, quiver.arrows, tuple(broken)),
+    )
+    assert not cm_tensor_check(ws)
 
 
 def _radical_positions(alg):

@@ -109,6 +109,39 @@ def test_coxeter_matrix_disagreement_exits_one_in_both_formats(capsys, monkeypat
     assert json.loads(out)["matrix_route_agrees"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, passed",
+    [
+        (("coxeter", "--check-matrix"), "matrix route agrees: True"),
+        (("suite", "--only", "coxeter"), "1/1 checks passed"),
+    ],
+)
+def test_matrix_route_reduces_each_block_once(capsys, monkeypatch, argv, passed):
+    """Neither the CLI nor the suite builds the rank x rank omega matrix:
+    `char_poly` sees each block once, and the blocks times their levels
+    fill the rank."""
+    from glci import coxeter
+
+    def refuse(ws):
+        raise AssertionError("omega_action_matrix called")
+
+    widths = []
+    reduce_block = coxeter.char_poly
+
+    def recording(matrix):
+        widths.append(len(matrix))
+        return reduce_block(matrix)
+
+    monkeypatch.setattr(coxeter, "omega_action_matrix", refuse)
+    monkeypatch.setattr(coxeter, "char_poly", recording)
+    code, out, _ = run_cli(capsys, *argv, "--dim", "2", "--weights", "7,11,13")
+    assert code == 0 and passed in out
+    blocks = list(coxeter.omega_action_blocks(WeightSystem(2, (7, 11, 13))))
+    assert widths == [len(block) for _, _, block in blocks]
+    assert max(widths) == 120
+    assert sum(w * levels for w, (_, levels, _) in zip(widths, blocks)) == 311
+
+
 def test_mf_verify_summary(capsys):
     code, out, _ = run_cli(
         capsys, "mf", "--dim", "1", "--weights", "2,3,5", "--verify"

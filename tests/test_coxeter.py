@@ -196,8 +196,8 @@ def test_k0_rank_examples():
 
 def test_omega_action_blocks_structure():
     ws = WeightSystem(1, ())
-    blocks = omega_action_blocks(ws)
-    assert [(s, e) for s, e, _ in blocks] == [((), 0), ((), 1)]
+    blocks = list(omega_action_blocks(ws))
+    assert [(s, e) for s, e, _ in blocks] == [((), 2)]
     assert all(b == [[1]] for _, _, b in blocks)
 
     # single weight 2: the only nontrivial block is 1x1 with entry -1
@@ -247,6 +247,6 @@ def test_cross_route_equality_samples():
 
 def test_per_block_char_poly_is_phi():
     ws = WeightSystem(2, (2, 3))
-    for subset, level, block in omega_action_blocks(ws):
+    for subset, _, block in omega_action_blocks(ws):
         expected = phi(tuple(ws.weights[i] for i in subset)).monic_normalized()
         assert char_poly(block) == expected

@@ -158,14 +158,6 @@ def test_char_poly_refuses_a_bound_past_the_prime_table():
         char_poly([[2 ** MERSENNE_EXPONENTS[-1]]])
 
 
-def test_char_poly_bounds_each_component_on_its_own():
-    """Three 1x1 components of 7,000 bits: the whole-matrix bound would pass
-    the prime table, each component's bound fits below 2^9689 - 1."""
-    big = 2**7000
-    m = [[big if i == j else 0 for j in range(3)] for i in range(3)]
-    assert char_poly(m) == IntPolynomial([-big, 1]) ** 3
-
-
 def _permuted_direct_sum(blocks, perm):
     """The direct sum of the square `blocks` with index i renamed perm[i]:
     the block-diagonal matrix conjugated by a permutation matrix."""
@@ -181,9 +173,9 @@ def _permuted_direct_sum(blocks, perm):
 
 
 def test_char_poly_of_permuted_block_diagonal_matrices():
-    """`char_poly` factors at the components of the nonzero pattern; the
-    oracles reduce the whole matrix.  Blocks repeat, so equal components
-    must count once per copy."""
+    """`char_poly` reduces the whole permuted matrix, whose nonzero pattern
+    hides its blocks, and must equal both oracles on it and the product of
+    the blocks' oracle polynomials, repeated blocks counted once per copy."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     entry = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
@@ -229,8 +221,8 @@ def test_char_poly_of_the_omega_matrix_is_the_product_over_its_blocks():
     chi = coxeter_polynomial(ws)
     assert full in (chi, -chi) and full.degree == 311
     product = IntPolynomial([1])
-    for _, _, block in omega_action_blocks(ws):
-        product = product * char_poly(block)
+    for _, levels, block in omega_action_blocks(ws):
+        product = product * char_poly(block) ** levels
     assert full == product
 
 

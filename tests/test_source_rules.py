@@ -179,18 +179,18 @@ def test_fraction_is_named_only_at_its_sites(module):
 
 
 def test_char_poly_route_names_nothing_of_the_product_route():
-    """`char_poly` and its Hessenberg helper find the blocks of the matrix
-    themselves: they name neither the phi factors nor the subsets that
-    index the omega blocks, so the matrix route cannot agree with the
-    product route by sharing its structure."""
+    """`char_poly` reduces whatever integer matrix it is given: it names
+    neither the phi factors nor the subsets that index the omega blocks, so
+    the matrix route cannot agree with the product route by sharing its
+    structure."""
     banned = {"phi", "_phi_sorted", "omega_action_blocks", "_weight_subsets"}
     routes = {
         node.name: node
         for node in _module_tree("coxeter.py").body
         if isinstance(node, ast.FunctionDef)
-        and node.name in ("char_poly", "_hessenberg_char_poly")
+        and node.name == "char_poly"
     }
-    assert sorted(routes) == ["_hessenberg_char_poly", "char_poly"]
+    assert sorted(routes) == ["char_poly"]
     used = [
         (fn.name, node.lineno, name)
         for fn in routes.values()

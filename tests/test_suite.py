@@ -1,10 +1,11 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from glci import algebra, classify, grading, suite
+from glci import algebra, atilde, classify, grading, suite
 from glci.coxeter import k0_rank
 from glci.grading import GroupElement, Trichotomy, WeightSystem
 
@@ -109,6 +110,60 @@ def test_a_failed_check_ends_that_system_not_the_battery(monkeypatch, name):
         suite.CheckResult(clean[0].battery, label, False, "invariant broken")
     ]
     assert [r for r in results if r.label != label] == [r for r in clean if r.label != label]
+
+
+def _one_more_coset(real):
+    return lambda ws: replace(real(ws), count=real(ws).count + 1)
+
+
+# battery: (system, module, function, its broken replacement given the real
+# one, the failed check's detail)
+NAMED_FAILURES = {
+    "atilde cycle": (
+        WeightSystem(2, (2, 3, 4)),
+        atilde,
+        "verify_cut",
+        lambda real: lambda q: replace(real(q), acyclic_without_cut=False),
+        "the arrows outside the cut form a cycle",
+    ),
+    "atilde non-cut arrows": (
+        WeightSystem(2, (2, 3, 4)),
+        atilde,
+        "noncut_matches_interval_quiver",
+        lambda real: lambda q: False,
+        "the arrows outside the cut differ from the interval quiver's",
+    ),
+    "atilde coset count": (
+        WeightSystem(2, (2, 3, 4)),
+        grading,
+        "coset_data_mod_omega",
+        _one_more_coset,
+        "26 vertices vs 27 cosets mod omega",
+    ),
+    "gldim formula": (
+        WeightSystem(1, (2, 2, 2)),
+        classify,
+        "gldim_canonical",
+        lambda real: lambda ws: real(ws) + 1,
+        "oracle 2 vs formula 3",
+    ),
+    "gldim associativity": (
+        WeightSystem(1, (2, 2, 2)),
+        algebra,
+        "associativity_spot_check",
+        lambda real: lambda alg: False,
+        "associativity spot check fails",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NAMED_FAILURES)
+def test_a_failed_check_names_its_condition(monkeypatch, case):
+    ws, module, attr, breaking, detail = NAMED_FAILURES[case]
+    battery = suite.BATTERIES[case.split()[0]]
+    assert [(r.ok, r.detail) for r in battery([ws])] == [(True, "")]
+    monkeypatch.setattr(module, attr, breaking(getattr(module, attr)))
+    assert [(r.ok, r.detail) for r in battery([ws])] == [(False, detail)]
 
 
 def test_boxed_enumeration_oracle_matches_enumerator():
