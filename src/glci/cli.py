@@ -13,7 +13,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import algebra, atilde, classify, coxeter, matfac, suite
-from .algebra import Arrow, Quiver
+from .algebra import Quiver
 from .coxeter import format_poly
 from .grading import (
     GroupElement,
@@ -34,8 +34,6 @@ def parse_weights(text: str) -> tuple[int, ...]:
         weights = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse weights {text!r}") from exc
-    if any(p < 1 for p in weights):
-        raise InputError("weights must be positive")
     return weights
 
 
@@ -68,13 +66,14 @@ def quiver_to_json(q: Quiver) -> dict:
     }
 
 
-def quiver_to_dot(q: Quiver, cut_flags: Optional[Sequence[bool]] = None) -> str:
+def quiver_to_dot(q: Quiver | atilde.OrbitQuiverWithCut) -> str:
+    """Graphviz source of a quiver; cut arrows of an orbit quiver are dashed."""
     lines = ["digraph quiver {"]
     for i, v in enumerate(q.vertices):
         lines.append(f'  v{i} [label="{v}"];')
-    for k, a in enumerate(q.arrows):
+    for a in q.arrows:
         attrs = f'label="x{a.label}"'
-        if cut_flags and cut_flags[k]:
+        if getattr(a, "cut", False):
             attrs += ", style=dashed"
         lines.append(f"  v{a.source} -> v{a.target} [{attrs}];")
     lines.append("}")
@@ -163,7 +162,7 @@ def cmd_coxeter(args) -> int:
     ws = _ws_from_args(args)
     chi = coxeter.coxeter_polynomial(ws)
     factors = coxeter.coxeter_factors(ws)
-    agrees = _matrix_route_agrees(ws, chi) if args.check_matrix else None
+    agrees = coxeter.matrix_route_check(ws)[0] if args.check_matrix else None
     if args.format == "json":
         payload = {
             "coefficients": list(chi.coeffs),
@@ -187,11 +186,6 @@ def cmd_coxeter(args) -> int:
         if args.check_matrix:
             print(f"matrix route agrees: {agrees}")
     return 1 if agrees is False else 0
-
-
-def _matrix_route_agrees(ws: WeightSystem, chi) -> bool:
-    char = coxeter.matrix_route_polynomial(ws)
-    return char == chi or char == -chi
 
 
 def cmd_mf(args) -> int:
@@ -251,12 +245,7 @@ def cmd_atilde(args) -> int:
     report = atilde.verify_cut(q)
     matches = atilde.noncut_matches_interval_quiver(q)
     if args.format == "dot":
-        plain = Quiver(
-            q.vertices,
-            tuple(Arrow(a.source, a.target, a.label) for a in q.arrows),
-            (),
-        )
-        sys.stdout.write(quiver_to_dot(plain, [a.cut for a in q.arrows]))
+        sys.stdout.write(quiver_to_dot(q))
     elif args.format == "json":
         payload = {
             "vertices": [{"torsion": list(v.torsion), "free": v.free} for v in q.vertices],

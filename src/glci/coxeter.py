@@ -4,10 +4,12 @@ Route one multiplies closed-form cyclotomic-like factors; route two builds the
 integer matrix of the degree-shift action on each block of a block basis of
 the Grothendieck group, takes its characteristic polynomial modulo a prime
 large enough to recover every integer coefficient, and multiplies these, each
-raised to the number of levels its block acts on. The action is
-block-diagonal, so no route assembles the full matrix. The two routes share
-only the enumeration of weight subsets, so their agreement is a real check.
-Both compute over the integers only.
+raised to the number of levels its block acts on.  The action is
+block-diagonal, so no route assembles the full matrix, and blocks of the same
+ordered weight tuple are equal, so each is reduced once.  The two routes share
+only the enumeration of weight subsets, so their agreement is a real check;
+`matrix_route_check` is that check, block by block and overall.  Both compute
+over the integers only.
 """
 
 from __future__ import annotations
@@ -272,23 +274,41 @@ def omega_action_block(weights: Sequence[int]) -> list[list[int]]:
 
 
 def omega_action_blocks(ws: WeightSystem) -> Iterator[tuple[tuple[int, ...], int, list[list[int]]]]:
-    """Yield (subset, levels, block) per subset I with |I| <= d, in
-    deterministic order: the block acts on each of the d + 1 - |I| levels of I."""
+    """Yield (weights, levels, block) once per distinct ordered weight tuple
+    (p_i : i in I) of the subsets I with |I| <= d, in the order the subsets
+    first reach it: the block acts on each of the d + 1 - |I| levels of every
+    such I, summed into `levels`.  The block is a function of the tuple alone."""
+    levels: dict[tuple[int, ...], int] = {}
     for subset in _weight_subsets(ws):
-        yield subset, ws.d + 1 - len(subset), omega_action_block(tuple(ws.weights[i] for i in subset))
+        weights = tuple(ws.weights[i] for i in subset)
+        levels[weights] = levels.get(weights, 0) + ws.d + 1 - len(subset)
+    for weights, count in levels.items():
+        yield weights, count, omega_action_block(weights)
 
 
-def matrix_route_polynomial(ws: WeightSystem) -> IntPolynomial:
-    """det(t*I - M) for the omega action M, as the product of each block's
-    characteristic polynomial raised to its number of levels."""
-    result = IntPolynomial([1])
-    for _, levels, block in omega_action_blocks(ws):
-        result = result * char_poly(block) ** levels
-    return result
+def matrix_route_check(ws: WeightSystem) -> tuple[bool, str]:
+    """The matrix route against the product route: (ok, detail).
+
+    Each block's characteristic polynomial is its phi factor made monic, the
+    product over the levels is +-`coxeter_polynomial`, and its constant term
+    is a unit.  Each block is reduced once."""
+    full = IntPolynomial([1])
+    for weights, levels, block in omega_action_blocks(ws):
+        char = char_poly(block)
+        if char != phi(weights).monic_normalized():
+            return False, f"block {weights} char poly mismatch"
+        full = full * char**levels
+    chi = coxeter_polynomial(ws)
+    if full != chi and full != -chi:
+        return False, "full matrix char poly != +-coxeter polynomial"
+    if abs(full.constant_term()) != 1:
+        return False, f"constant term {full.constant_term()} not a unit"
+    return True, ""
 
 
 def omega_action_matrix(ws: WeightSystem) -> list[list[int]]:
-    """Block-diagonal integer matrix of the omega shift on the Grothendieck basis."""
+    """Block-diagonal integer matrix of the omega shift on the Grothendieck
+    basis, each distinct block repeated once per level."""
     blocks = [block for _, levels, block in omega_action_blocks(ws) for _ in range(levels)]
     size = sum(len(b) for b in blocks)
     mat = [[0] * size for _ in range(size)]

@@ -1,9 +1,10 @@
-"""Exact linear algebra: one echelon reduction over Q, and a Smith normal form over Z.
+"""Exact linear algebra: one echelon reduction of integer vectors, and a
+Smith normal form over Z.
 
-`Echelon` is the only elimination over Q: span membership, rank,
+`Echelon` is the only elimination of its kind: span membership, rank,
 nonsingularity and the null space (through `GraphEchelon`, which also grows
-the image) are all read off it.  It eliminates over Z without division, so
-every result is a Python int; rational input is scaled to integers on entry.
+the image) are all read off it.  It eliminates without division, so every
+result is a Python int.
 """
 
 from __future__ import annotations
@@ -13,23 +14,22 @@ from typing import Iterable, Sequence
 
 
 class Echelon:
-    """Incrementally grown echelon basis of a subspace of Q^n, kept over Z.
+    """Incrementally grown echelon basis of the span of integer vectors.
 
     Each row is a primitive integer vector (its entries have gcd 1) whose
     pivot, its first nonzero entry, is positive.  Row k has its pivot in
     column `pivots[k]` and is zero in the pivot columns of every earlier row,
     so reducing against the rows in insertion order clears every pivot
-    column.  A rational vector is scaled by the lcm of its denominators on
-    entry, which keeps the span.
+    column.
     """
 
-    def __init__(self, rows: Iterable[Sequence] = ()):
+    def __init__(self, rows: Iterable[Sequence[int]] = ()):
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
         for row in rows:
             self.add(row)
 
-    def reduce(self, v: Sequence) -> list[int]:
+    def reduce(self, v: Sequence[int]) -> list[int]:
         """A positive integer multiple of v minus a combination of the rows,
         zero in every pivot column; all zero exactly when v lies in the span.
 
@@ -39,11 +39,7 @@ class Echelon:
         """
         if self.rows and len(v) != len(self.rows[0]):
             raise ValueError(f"vector of length {len(v)} against rows of length {len(self.rows[0])}")
-        if set(map(type, v)) <= {int}:
-            w = list(v)
-        else:
-            t = math.lcm(*(x.denominator for x in v))
-            w = [x.numerator * (t // x.denominator) for x in v]
+        w = list(v)
         for row, p in zip(self.rows, self.pivots):
             a = w[p]
             if not a:
@@ -60,7 +56,7 @@ class Echelon:
                 w = [b * x - a * y for x, y in zip(w, row)]
         return w
 
-    def add(self, v: Sequence) -> bool:
+    def add(self, v: Sequence[int]) -> bool:
         """Extend the basis by v; False (and no change) when v is already in the span."""
         return self._insert(self.reduce(v))
 
@@ -79,7 +75,7 @@ class Echelon:
         return True
 
 
-def nonsingular(m: Sequence[Sequence]) -> bool:
+def nonsingular(m: Sequence[Sequence[int]]) -> bool:
     """Whether the square matrix m has full rank (a nonzero determinant)."""
     ech = Echelon()
     return all(ech.add(row) for row in m)
@@ -99,12 +95,12 @@ class GraphEchelon(Echelon):
     part lies in the image exactly when that of its reduction is zero.
     """
 
-    def __init__(self, columns: Sequence[Sequence], height: int):
+    def __init__(self, columns: Sequence[Sequence[int]], height: int):
         self.height, self.units = height, len(columns)
         n = self.units
         super().__init__([*c, *[0] * j, 1, *[0] * (n - 1 - j)] for j, c in enumerate(columns))
 
-    def extend_image(self, v: Sequence) -> bool:
+    def extend_image(self, v: Sequence[int]) -> bool:
         """Add the column v to the image; False (and no change) when it lies there."""
         w = self.reduce([*v, *[0] * self.units])
         return any(w[: self.height]) and self._insert(w)

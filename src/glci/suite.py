@@ -264,23 +264,9 @@ def battery_piece_dims(ws: WeightSystem) -> tuple[bool, str]:
 
 @per_system("coxeter_cross_route", matrix_grid)
 def battery_coxeter_cross_route(ws: WeightSystem) -> tuple[bool, str]:
-    """Matrix route vs product route, per block and overall, plus unit constant term.
-
-    Each block is reduced once; the matrix route's polynomial is the product
-    of the blocks' characteristic polynomials, one factor per level."""
-    full = coxeter.IntPolynomial([1])
-    for subset, levels, block in coxeter.omega_action_blocks(ws):
-        char = coxeter.char_poly(block)
-        expected = coxeter.phi(tuple(ws.weights[i] for i in subset)).monic_normalized()
-        if char != expected:
-            return False, f"block {subset} char poly mismatch"
-        full = full * char**levels
-    chi = coxeter.coxeter_polynomial(ws)
-    if full != chi and full != -chi:
-        return False, "full matrix char poly != +-coxeter polynomial"
-    if abs(full.constant_term()) != 1:
-        return False, f"constant term {full.constant_term()} not a unit"
-    return True, ""
+    """Matrix route vs product route, per block and overall, plus unit
+    constant term: `coxeter.matrix_route_check`."""
+    return coxeter.matrix_route_check(ws)
 
 
 def _sub_multisets(values: tuple[int, ...]):

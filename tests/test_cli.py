@@ -118,8 +118,9 @@ def test_coxeter_matrix_disagreement_exits_one_in_both_formats(capsys, monkeypat
 )
 def test_matrix_route_reduces_each_block_once(capsys, monkeypatch, argv, passed):
     """Neither the CLI nor the suite builds the rank x rank omega matrix:
-    `char_poly` sees each block once, and the blocks times their levels
-    fill the rank."""
+    `char_poly` sees each distinct block once, and the widths times the
+    summed levels fill the rank.  At (2;5,5,5,5) the 11 subsets with
+    |I| <= 2 have 3 distinct ordered weight tuples, (), (5,) and (5, 5)."""
     from glci import coxeter
 
     def refuse(ws):
@@ -134,12 +135,36 @@ def test_matrix_route_reduces_each_block_once(capsys, monkeypatch, argv, passed)
 
     monkeypatch.setattr(coxeter, "omega_action_matrix", refuse)
     monkeypatch.setattr(coxeter, "char_poly", recording)
-    code, out, _ = run_cli(capsys, *argv, "--dim", "2", "--weights", "7,11,13")
-    assert code == 0 and passed in out
-    blocks = list(coxeter.omega_action_blocks(WeightSystem(2, (7, 11, 13))))
-    assert widths == [len(block) for _, _, block in blocks]
-    assert max(widths) == 120
-    assert sum(w * levels for w, (_, levels, _) in zip(widths, blocks)) == 311
+    for weights, expected in (
+        ((7, 11, 13), [1, 6, 10, 12, 60, 72, 120]),
+        ((5, 5, 5, 5), [1, 4, 16]),
+    ):
+        widths.clear()
+        text = ",".join(map(str, weights))
+        code, out, _ = run_cli(capsys, *argv, "--dim", "2", "--weights", text)
+        assert code == 0 and passed in out
+        assert widths == expected
+        ws = WeightSystem(2, weights)
+        levels = [levels for _, levels, _ in coxeter.omega_action_blocks(ws)]
+        assert sum(w * n for w, n in zip(widths, levels)) == coxeter.k0_rank(ws)
+
+
+def test_a_wrong_phi_factor_fails_the_matrix_check(capsys, monkeypatch):
+    """`coxeter_polynomial` expands the phi exponents, not the `phi`
+    factors, so a factor off by 1 + t leaves the full product as it was and
+    only the per-block comparison catches it (the battery's named failure
+    `coxeter block` in `tests/test_suite.py`)."""
+    from glci import coxeter
+
+    real = coxeter.phi
+
+    def broken(values):
+        factor = real(values)
+        return factor * coxeter.IntPolynomial([1, 1]) if values == (5, 5) else factor
+
+    monkeypatch.setattr(coxeter, "phi", broken)
+    code, out, _ = run_cli(capsys, "coxeter", "--check-matrix", "-d", "2", "-w", "5,5,5,5")
+    assert code == 1 and out.splitlines()[-1] == "matrix route agrees: False"
 
 
 def test_mf_verify_summary(capsys):
@@ -291,6 +316,9 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
 def test_invalid_weights_exit_code(capsys):
     code, _, err = run_cli(capsys, "info", "--dim", "1", "--weights", "2,zz")
     assert code == 2
+    for weights in ("2,0,3", "-1"):
+        code, out, err = run_cli(capsys, "info", "--dim", "1", "--weights", weights)
+        assert code == 2 and out == "" and err.startswith("error: weights must be >= 1")
 
 
 def test_invariant_failure_exit_code(capsys, monkeypatch):

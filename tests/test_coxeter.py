@@ -205,6 +205,19 @@ def test_omega_action_blocks_structure():
     assert omega_action_block((3,)) == [[0, 1], [-1, -1]]
 
 
+def test_omega_action_blocks_group_subsets_by_ordered_weights():
+    """Subsets with the same ordered weight tuple share one block, their
+    levels summed; (3, 2) and (2, 3) stay apart, since sorting is the phi
+    side's symmetry argument."""
+    ws = WeightSystem(2, (3, 2, 3))
+    blocks = list(omega_action_blocks(ws))
+    assert [(w, n) for w, n, _ in blocks] == [
+        ((), 3), ((3,), 4), ((2,), 2), ((3, 2), 1), ((3, 3), 1), ((2, 3), 1)
+    ]
+    assert all(block == omega_action_block(w) for w, _, block in blocks)
+    assert sum(n * len(b) for _, n, b in blocks) == k0_rank(ws)
+
+
 def test_omega_matrix_size_is_rank():
     for ws in (WeightSystem(1, (2, 3, 5)), WeightSystem(2, (2, 3)), WeightSystem(3, (2, 2))):
         assert len(omega_action_matrix(ws)) == k0_rank(ws)
@@ -247,6 +260,5 @@ def test_cross_route_equality_samples():
 
 def test_per_block_char_poly_is_phi():
     ws = WeightSystem(2, (2, 3))
-    for subset, _, block in omega_action_blocks(ws):
-        expected = phi(tuple(ws.weights[i] for i in subset)).monic_normalized()
-        assert char_poly(block) == expected
+    for weights, _, block in omega_action_blocks(ws):
+        assert char_poly(block) == phi(weights).monic_normalized()

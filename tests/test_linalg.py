@@ -90,13 +90,20 @@ def _entry(rng, fractions):
     return Fraction(num, rng.randint(1, 4)) if fractions else num
 
 
+def _integral(row):
+    """`row` times the lcm of its denominators: an int row on the same line,
+    so spans, pivots, kernels and nonsingularity are those of `row`."""
+    t = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * t) for x in row]
+
+
 def _random_rows(rng, nrows, ncols, fractions):
     rows = [[_entry(rng, fractions) for _ in range(ncols)] for _ in range(nrows)]
     if nrows >= 2 and rng.random() < 0.3:
         # force a dependency: last row a combination of the first two
         a, b = rng.randint(-2, 2), Fraction(rng.randint(-3, 3), 2)
         rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
-    return rows
+    return [_integral(row) for row in rows]
 
 
 def _columns(rows, ncols):
@@ -120,7 +127,7 @@ def _assert_same_kernel(kernel, oracle):
     assert len(kernel) == len(oracle), (kernel, oracle)
     span = Echelon(kernel)
     for vec in oracle:
-        assert not any(span.reduce(vec)), (kernel, vec)
+        assert not any(span.reduce(_integral(vec))), (kernel, vec)
 
 
 def test_nonsingular_against_permutation_expansion():
@@ -154,11 +161,8 @@ def test_echelon_and_nullspace_against_sympy():
         ech = Echelon(rows)
         reference = to_sympy(rows)
         assert len(ech.rows) == reference.rank(), rows
-        combo = [
-            sum((Fraction(rng.randint(-2, 2)) * row[c] for row in rows), Fraction(0))
-            for c in range(ncols)
-        ]
-        other = [_entry(rng, True) for _ in range(ncols)]
+        combo = [sum(rng.randint(-2, 2) * row[c] for row in rows) for c in range(ncols)]
+        other = _integral([_entry(rng, True) for _ in range(ncols)])
         for v in (combo, other):
             in_span = not any(ech.reduce(v))
             assert in_span == (to_sympy(rows + [v]).rank() == reference.rank()), (rows, v)
@@ -194,8 +198,9 @@ def test_int_input_gives_exact_values():
 
 @st.composite
 def _matrices(draw):
-    """Int or Fraction matrices up to 5 x 6, zero-heavy, with some rows forced
-    to be combinations of earlier ones."""
+    """Int matrices up to 5 x 6, zero-heavy, with some rows forced to be
+    combinations of earlier ones; drawn with Fraction entries or not, then
+    each row scaled by the lcm of its denominators."""
     nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(1, 6))
     small = st.sampled_from((0, 0, 0, -1, 1, -2, 2, 3))
     if draw(st.booleans()):
@@ -208,7 +213,7 @@ def _matrices(draw):
             i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
             a, b = draw(small), draw(st.builds(Fraction, small, st.integers(1, 3)))
             rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
-    return rows
+    return [_integral(row) for row in rows]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -52,6 +52,9 @@ COMMANDS: tuple[tuple[str, ...], ...] = (
     ("quiver", "-d", "1", "-w", "2,3,5", "--format", "json"),
     ("quiver", "-d", "2", "-w", "2,2,3,4", "--interval", "cm", "--format", "json"),
     ("atilde", "-d", "2", "-w", "2,3,4", "--format", "json"),
+    # Graphviz output, cut arrows dashed.
+    ("atilde", "-d", "2", "-w", "2,3,4", "--format", "dot"),
+    ("quiver", "-d", "1", "-w", "2,3,5", "--format", "dot"),
 )
 
 

@@ -201,6 +201,21 @@ def test_char_poly_route_names_nothing_of_the_product_route():
     assert not used, used
 
 
+def test_char_poly_is_called_only_by_the_matrix_route_check():
+    """One check of the matrix route: `coxeter.matrix_route_check` is the
+    only library code that calls `char_poly`, so `glci coxeter
+    --check-matrix` and the suite's `coxeter` battery run the same check."""
+    callers = [
+        (path.name, getattr(node, "name", f"line {node.lineno}"))
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and "char_poly" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+    ]
+    assert callers == [("coxeter.py", "matrix_route_check")]
+
+
 def test_suite_builds_results_and_catches_failed_invariants_in_one_place():
     """Every battery runs through `suite.per_system`'s loop, so `suite.py`
     constructs `CheckResult` once and handles `AssertionError` once: a

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from glci import algebra, atilde, classify, grading, suite
-from glci.coxeter import k0_rank
+from glci import algebra, atilde, classify, coxeter, grading, suite
+from glci.coxeter import IntPolynomial, k0_rank
 from glci.grading import GroupElement, Trichotomy, WeightSystem
 
 
@@ -147,6 +147,22 @@ NAMED_FAILURES = {
         lambda real: lambda ws: real(ws) + 1,
         "oracle 2 vs formula 3",
     ),
+    "coxeter block": (
+        WeightSystem(2, (5, 5, 5, 5)),
+        coxeter,
+        "phi",
+        lambda real: lambda values: (
+            real(values) * IntPolynomial([1, 1]) if values == (5, 5) else real(values)
+        ),
+        "block (5, 5) char poly mismatch",
+    ),
+    "coxeter product": (
+        WeightSystem(1, (2, 3, 5)),
+        coxeter,
+        "coxeter_polynomial",
+        lambda real: lambda ws: real(ws) * IntPolynomial([1, 1]),
+        "full matrix char poly != +-coxeter polynomial",
+    ),
     "gldim associativity": (
         WeightSystem(1, (2, 2, 2)),
         algebra,
@@ -164,6 +180,17 @@ def test_a_failed_check_names_its_condition(monkeypatch, case):
     assert [(r.ok, r.detail) for r in battery([ws])] == [(True, "")]
     monkeypatch.setattr(module, attr, breaking(getattr(module, attr)))
     assert [(r.ok, r.detail) for r in battery([ws])] == [(False, detail)]
+
+
+def test_coxeter_battery_refuses_a_non_unit_constant_term(monkeypatch):
+    """Routes that agree on a polynomial whose constant term is not a unit
+    still fail: the omega action is invertible over the integers."""
+    two_plus_t = IntPolynomial([2, 1])
+    monkeypatch.setattr(coxeter, "char_poly", lambda matrix: two_plus_t)
+    monkeypatch.setattr(coxeter, "phi", lambda values: two_plus_t)
+    monkeypatch.setattr(coxeter, "coxeter_polynomial", lambda ws: two_plus_t**2)
+    results = suite.BATTERIES["coxeter"]([WeightSystem(1, ())])  # one block, 2 levels
+    assert [(r.ok, r.detail) for r in results] == [(False, "constant term 4 not a unit")]
 
 
 def test_boxed_enumeration_oracle_matches_enumerator():
