@@ -162,7 +162,7 @@ def cmd_coxeter(args) -> int:
     ws = _ws_from_args(args)
     chi = coxeter.coxeter_polynomial(ws)
     factors = coxeter.coxeter_factors(ws)
-    agrees = coxeter.matrix_route_check(ws)[0] if args.check_matrix else None
+    agrees = coxeter.matrix_route_check(ws, chi)[0] if args.check_matrix else None
     if args.format == "json":
         payload = {
             "coefficients": list(chi.coeffs),

@@ -286,19 +286,18 @@ def omega_action_blocks(ws: WeightSystem) -> Iterator[tuple[tuple[int, ...], int
         yield weights, count, omega_action_block(weights)
 
 
-def matrix_route_check(ws: WeightSystem) -> tuple[bool, str]:
+def matrix_route_check(ws: WeightSystem, chi: IntPolynomial) -> tuple[bool, str]:
     """The matrix route against the product route: (ok, detail).
 
     Each block's characteristic polynomial is its phi factor made monic, the
-    product over the levels is +-`coxeter_polynomial`, and its constant term
-    is a unit.  Each block is reduced once."""
+    product over the levels is +-`chi`, the caller's `coxeter_polynomial(ws)`,
+    and its constant term is a unit.  Each block is reduced once."""
     full = IntPolynomial([1])
     for weights, levels, block in omega_action_blocks(ws):
         char = char_poly(block)
         if char != phi(weights).monic_normalized():
             return False, f"block {weights} char poly mismatch"
         full = full * char**levels
-    chi = coxeter_polynomial(ws)
     if full != chi and full != -chi:
         return False, "full matrix char poly != +-coxeter polynomial"
     if abs(full.constant_term()) != 1:

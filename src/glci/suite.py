@@ -266,7 +266,7 @@ def battery_piece_dims(ws: WeightSystem) -> tuple[bool, str]:
 def battery_coxeter_cross_route(ws: WeightSystem) -> tuple[bool, str]:
     """Matrix route vs product route, per block and overall, plus unit
     constant term: `coxeter.matrix_route_check`."""
-    return coxeter.matrix_route_check(ws)
+    return coxeter.matrix_route_check(ws, coxeter.coxeter_polynomial(ws))
 
 
 def _sub_multisets(values: tuple[int, ...]):
@@ -498,41 +498,45 @@ def battery_cm_finiteness_scan(d: int) -> tuple[bool, str]:
 def boxed_enumeration_oracle(
     d: int, n: int, cls: Trichotomy, box: int
 ) -> tuple[set[tuple[int, ...]], bool]:
-    """Sporadic tuples found by scanning the full box p_i <= box, together with
+    """Sporadic tuples found by scanning the box p_i <= box, together with
     a completeness certificate: no non-family prefix leaves room for a weight
     beyond the box.
 
     Sums of 1/p are exact integers scaled by L = lcm(2..box): every p in the
-    box divides L, so 1/p is L // p."""
+    box divides L, so 1/p is L // p.  Each nondecreasing (n-1)-prefix is
+    summed once, leaving gap = target - sum, and the last weight q >= the
+    prefix's last is solved for rather than scanned, since L // q falls
+    strictly as q grows.  A Fano tuple is family-covered exactly when its
+    prefix reaches the target, as prefix sums only grow; so it is found when
+    gap > 0 and L // q > gap, that is q <= (L - 1) // gap.  A Calabi-Yau
+    tuple needs L // q == gap, so q = L // gap when gap divides L."""
     weights = range(2, box + 1)
     scale = math.lcm(*weights)
     target = (n - d - 1) * scale
     recips = [scale // p for p in weights]
-
-    def family_covered(tup) -> bool:
-        if cls != Trichotomy.FANO:
-            return False
-        total = 0
-        for k in range(min(len(tup), n)):
-            if total >= target:
-                return True
-            total += scale // tup[k]
-        return False
-
-    def scan(k: int, keep: Callable[[int], bool]):
-        # Tuples and their reciprocal sums come from two iterators over the
-        # same positions, so they run in one order; every tuple is summed.
-        tuples = itertools.combinations_with_replacement(weights, k)
-        sums = map(sum, itertools.combinations_with_replacement(recips, k))
-        return itertools.compress(tuples, map(keep, sums))
-
-    in_class = target.__lt__ if cls == Trichotomy.FANO else target.__eq__
-    found = {tup for tup in scan(n, in_class) if not family_covered(tup)}
-    # A tail weight p beyond the box would need L/p > gap (Fano) or == gap,
-    # with 0 < L/p < L/box, which is exact since box divides L.  So a
-    # prefix leaves room when 0 < target - sum < L/box.
-    near = scan(n - 1, range(target - scale // box + 1, target).__contains__)
-    return found, all(family_covered(prefix) for prefix in near)
+    found = set()
+    complete = True
+    prefixes = itertools.combinations_with_replacement(weights, n - 1)
+    sums, selector = itertools.tee(
+        map(sum, itertools.combinations_with_replacement(recips, n - 1))
+    )
+    # Every prefix is summed, but only one with gap <= L/2 can take a last
+    # weight (each adds at most L/2) or leave room beyond the box (L/box).
+    near = map((target - scale // 2).__le__, selector)
+    for prefix, total in itertools.compress(zip(prefixes, sums), near):
+        gap = target - total
+        if gap <= 0:  # n = 1 stops here too (gap = -d * L), so prefix[-1] exists
+            continue
+        # A tail weight p beyond the box would need L/p > gap (Fano) or
+        # == gap, with L/p < L/box, which is exact since box divides L.
+        if gap < scale // box:
+            complete = False
+        if cls == Trichotomy.FANO:
+            top = min(box, (scale - 1) // gap)
+            found.update(prefix + (q,) for q in range(prefix[-1], top + 1))
+        elif scale % gap == 0 and prefix[-1] <= scale // gap <= box:
+            found.add(prefix + (scale // gap,))
+    return found, complete
 
 
 def _fano_families() -> tuple[bool, str]:

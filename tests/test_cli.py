@@ -149,6 +149,33 @@ def test_matrix_route_reduces_each_block_once(capsys, monkeypatch, argv, passed)
         assert sum(w * n for w, n in zip(widths, levels)) == coxeter.k0_rank(ws)
 
 
+@pytest.mark.parametrize(
+    "argv,passed",
+    [
+        (("coxeter", "--check-matrix"), "matrix route agrees: True"),
+        (("suite", "--only", "coxeter"), "1/1 checks passed"),
+    ],
+)
+def test_the_matrix_check_takes_the_product_route_from_its_caller(
+    capsys, monkeypatch, argv, passed
+):
+    """`coxeter --check-matrix` prints the polynomial it hands to
+    `matrix_route_check`, so the product route runs once per command."""
+    from glci import coxeter
+
+    real = coxeter.coxeter_polynomial
+    calls = []
+
+    def counting(ws):
+        calls.append(ws)
+        return real(ws)
+
+    monkeypatch.setattr(coxeter, "coxeter_polynomial", counting)
+    code, out, _ = run_cli(capsys, *argv, "--dim", "2", "--weights", "5,5,5,5")
+    assert code == 0 and passed in out
+    assert calls == [WeightSystem(2, (5, 5, 5, 5))]
+
+
 def test_a_wrong_phi_factor_fails_the_matrix_check(capsys, monkeypatch):
     """`coxeter_polynomial` expands the phi exponents, not the `phi`
     factors, so a factor off by 1 + t leaves the full product as it was and

@@ -247,6 +247,76 @@ def test_integer_box_scan_matches_fraction_box_scan(d, n, cls, box):
     assert suite.boxed_enumeration_oracle(d, n, cls, box) == _fraction_box_scan(d, n, cls, box)
 
 
+def _full_box_scan(d, n, cls, box):
+    """The box scan over every nondecreasing n-tuple: the oracle for the
+    scan that sums only (n-1)-prefixes and solves for the last weight."""
+    weights = range(2, box + 1)
+    scale = math.lcm(*weights)
+    target = (n - d - 1) * scale
+    recips = [scale // p for p in weights]
+
+    def family_covered(tup) -> bool:
+        if cls != Trichotomy.FANO:
+            return False
+        total = 0
+        for k in range(min(len(tup), n)):
+            if total >= target:
+                return True
+            total += scale // tup[k]
+        return False
+
+    def scan(k, keep):
+        tuples = itertools.combinations_with_replacement(weights, k)
+        sums = map(sum, itertools.combinations_with_replacement(recips, k))
+        return itertools.compress(tuples, map(keep, sums))
+
+    in_class = target.__lt__ if cls == Trichotomy.FANO else target.__eq__
+    found = {tup for tup in scan(n, in_class) if not family_covered(tup)}
+    near = scan(n - 1, range(target - scale // box + 1, target).__contains__)
+    return found, all(family_covered(prefix) for prefix in near)
+
+
+# The enumeration battery's four box scans, and (1;2,2,2,2), which completes
+# its prefix at gap exactly L/2, the bound past which the scan passes no
+# prefix to its Python loop.
+PREFIX_SCAN_CASES = list(
+    dict.fromkeys(
+        BOX_SCAN_CASES
+        + [
+            (2, 4, Trichotomy.FANO, 45),
+            (2, 4, Trichotomy.CALABI_YAU, 45),
+            (2, 5, Trichotomy.CALABI_YAU, 12),
+            (2, 6, Trichotomy.CALABI_YAU, 7),
+            (1, 4, Trichotomy.CALABI_YAU, 6),
+        ]
+    )
+)
+
+
+@pytest.mark.parametrize("d,n,cls,box", PREFIX_SCAN_CASES)
+def test_box_scan_of_prefixes_matches_the_full_box_scan(d, n, cls, box):
+    assert suite.boxed_enumeration_oracle(d, n, cls, box) == _full_box_scan(d, n, cls, box)
+
+
+def test_box_scan_sums_prefixes_not_full_tuples(monkeypatch):
+    """A cost guard by count: at (2;n=4, box 45) the scan draws each of the
+    C(46, 3) nondecreasing 3-prefixes from two iterators, where the full
+    scan drew C(47, 4) 4-tuples twice."""
+    real = itertools.combinations_with_replacement
+    drawn = []
+
+    def counting(iterable, r):
+        for combo in real(iterable, r):
+            drawn.append(r)
+            yield combo
+
+    monkeypatch.setattr(suite.itertools, "combinations_with_replacement", counting)
+    found, complete = suite.boxed_enumeration_oracle(2, 4, Trichotomy.FANO, box=45)
+    monkeypatch.undo()
+    assert complete and len(found) == 112
+    assert len(drawn) <= 2 * math.comb(46, 3)
+
+
 def test_box_scan_completeness_flips_between_boxes_5_and_6():
     # The prefix (2,3) leaves the gap 1/6: below 1/5, so at box 5 a weight
     # beyond the box is not ruled out, but not below 1/6.
