@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -21,6 +20,7 @@ from .grading import (
     WeightSystem,
     add,
     delta_l,
+    free_of_difference,
     gen_c,
     gen_x,
     interval,
@@ -197,16 +197,11 @@ def canonical_interval_size(ws: WeightSystem) -> int:
     return interval_size(ws, zero(ws), smul(ws, ws.d, gen_c(ws)))
 
 
-def _free_of_difference(x: GroupElement, y: GroupElement) -> int:
-    """The free part of x - y: each torsion coordinate x_i < y_i borrows a c."""
-    return x.free - y.free - sum(map(operator.lt, x.torsion, y.torsion))
-
-
 def cartan_matrix(ws: WeightSystem, elements: Sequence[GroupElement]) -> list[list[int]]:
     """dim R_{x - y}, read off the free part of x - y."""
 
     def dim(x: GroupElement, y: GroupElement) -> int:
-        f = _free_of_difference(x, y)
+        f = free_of_difference(x, y)
         return math.comb(f + ws.d, ws.d) if f >= 0 else 0
 
     return [[dim(x, y) for y in elements] for x in elements]
@@ -361,7 +356,7 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
     expected = 0
     for xi, x in enumerate(verts):
         for yi, y in enumerate(verts):
-            if _free_of_difference(x, y) < 0:
+            if free_of_difference(x, y) < 0:
                 continue  # R_{x - y} = 0: no basis element, no Cartan count
             degree = sub(ws, x, y)
             expected += piece_dim(ws, degree)

@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .linalg import smith_normal_form
 
@@ -67,9 +67,14 @@ class WeightSystem:
         return f"(d={self.d}; {w})"
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Element of L in normal form: torsion coordinates plus free c-coordinate."""
+class GroupElement(NamedTuple):
+    """Element of L in normal form: torsion coordinates plus free c-coordinate.
+
+    A tuple, so its hash and equality are those of the plain tuple
+    (torsion, free), computed in C.  The kernels below build their results
+    with `tuple.__new__(GroupElement, (torsion, free))`, the call that
+    `GroupElement._make` makes, one Python frame short of the constructor.
+    """
 
     torsion: tuple[int, ...]
     free: int
@@ -81,16 +86,18 @@ class GroupElement:
 
 
 def normal_form(ws: WeightSystem, raw_torsion: Sequence[int], raw_free: int) -> GroupElement:
-    """Reduce arbitrary integer coordinates using p_i * x_i = c."""
+    """Reduce arbitrary integer coordinates using p_i * x_i = c; a float or
+    a string is refused, not truncated."""
     if len(raw_torsion) != ws.n:
         raise ValueError(f"expected {ws.n} torsion coordinates, got {len(raw_torsion)}")
-    free = int(raw_free)
     tors = []
+    carry = 0
     for a, p in zip(raw_torsion, ws.weights):
-        q, r = divmod(int(a), p)
+        q, r = divmod(_integer(a, "torsion coordinate"), p)
         tors.append(r)
-        free += q
-    return GroupElement(tuple(tors), free)
+        carry += q
+    free = _integer(raw_free, "free coordinate") + carry
+    return tuple.__new__(GroupElement, (tuple(tors), free))
 
 
 def zero(ws: WeightSystem) -> GroupElement:
@@ -121,11 +128,14 @@ def add(ws: WeightSystem, x: GroupElement, y: GroupElement) -> GroupElement:
             s -= p
             free += 1
         tors.append(s)
-    return GroupElement(tuple(tors), free)
+    return tuple.__new__(GroupElement, (tuple(tors), free))
 
 
 def negate(ws: WeightSystem, x: GroupElement) -> GroupElement:
-    return normal_form(ws, [-a for a in x.torsion], -x.free)
+    """-x for x in normal form: each nonzero a_i becomes p_i - a_i and
+    borrows one c."""
+    tors = tuple([p - a if a else 0 for a, p in zip(x.torsion, ws.weights, strict=True)])
+    return tuple.__new__(GroupElement, (tors, x.torsion.count(0) - len(tors) - x.free))
 
 
 def sub(ws: WeightSystem, x: GroupElement, y: GroupElement) -> GroupElement:
@@ -139,10 +149,11 @@ def sub(ws: WeightSystem, x: GroupElement, y: GroupElement) -> GroupElement:
             s += p
             free -= 1
         tors.append(s)
-    return GroupElement(tuple(tors), free)
+    return tuple.__new__(GroupElement, (tuple(tors), free))
 
 
 def smul(ws: WeightSystem, k: int, x: GroupElement) -> GroupElement:
+    k = _integer(k, "scalar")
     return normal_form(ws, [k * a for a in x.torsion], k * x.free)
 
 
@@ -151,19 +162,34 @@ def is_nonneg(x: GroupElement) -> bool:
     return x.free >= 0
 
 
+def free_of_difference(x: GroupElement, y: GroupElement) -> int:
+    """The free part of x - y: each torsion coordinate x_i < y_i borrows a c.
+    Lengths are not checked here: `leq` checks its own, and the vertex-pair
+    loops of `algebra` take elements of one system."""
+    return x.free - y.free - sum(map(operator.lt, x.torsion, y.torsion))
+
+
 def leq(ws: WeightSystem, x: GroupElement, y: GroupElement) -> bool:
-    return is_nonneg(sub(ws, y, x))
+    """x <= y: the free part of y - x is >= 0, read without building y - x."""
+    if not len(x.torsion) == len(y.torsion) == len(ws.weights):
+        raise ValueError(
+            f"expected {ws.n} torsion coordinates, got {len(x.torsion)} and {len(y.torsion)}"
+        )
+    return free_of_difference(y, x) >= 0
 
 
 def delta_l(ws: WeightSystem, x: GroupElement) -> int:
     """L * delta(x) for L = lcm(p_i): x_i -> L // p_i, c -> L."""
     big = math.lcm(*ws.weights)
-    return x.free * big + sum(a * (big // p) for a, p in zip(x.torsion, ws.weights))
+    return x.free * big + sum(
+        a * (big // p) for a, p in zip(x.torsion, ws.weights, strict=True)
+    )
 
 
 def omega(ws: WeightSystem) -> GroupElement:
-    """Dualizing element (n-d-1)c - sum(x_i)."""
-    return normal_form(ws, [-1] * ws.n, ws.n - ws.d - 1)
+    """Dualizing element (n-d-1)c - sum(x_i) = ((p_i - 1)_i; -d - 1): each
+    -x_i borrows one c."""
+    return tuple.__new__(GroupElement, (tuple([p - 1 for p in ws.weights]), -ws.d - 1))
 
 
 def delta_omega_l(ws: WeightSystem) -> int:
@@ -195,8 +221,11 @@ def interval(ws: WeightSystem, x: GroupElement, y: GroupElement) -> list[GroupEl
     for tors in itertools.product(*(range(p) for p in ws.weights)):
         top = w.free - sum(t > b for t, b in zip(tors, w.torsion))
         if top >= 0:
-            z = add(ws, x, GroupElement(tors, 0))
-            out.extend(GroupElement(z.torsion, z.free + a) for a in range(top + 1))
+            z_torsion, z_free = add(ws, x, tuple.__new__(GroupElement, (tors, 0)))
+            out.extend(
+                tuple.__new__(GroupElement, (z_torsion, f))
+                for f in range(z_free, z_free + top + 1)
+            )
     return out
 
 

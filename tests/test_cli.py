@@ -268,6 +268,13 @@ def test_quiver_bad_element_names_the_reason(capsys):
     assert "expected 2 torsion coordinates, got 3" in err
 
 
+@pytest.mark.parametrize("text", ["0,x;0..0,0;1", "0,0;0..0,0;1.5", "0,0;0..0.5,0;1"])
+def test_quiver_non_integer_element_exits_2(capsys, text):
+    code, out, err = run_cli(capsys, "quiver", "-d", "1", "-w", "2,3", "--interval", text)
+    assert (code, out) == (2, "")
+    assert "cannot parse group element" in err
+
+
 def test_mf_bad_ell_names_the_flag_and_text(capsys):
     code, out, err = run_cli(capsys, "mf", "-d", "1", "-w", "2,3,5", "--ell", "1,x,2")
     assert code == 2

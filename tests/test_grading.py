@@ -33,6 +33,7 @@ from glci.grading import (
     trichotomy,
     zero,
 )
+from glci.suite import default_grid
 
 W235 = WeightSystem(1, (2, 3, 5))
 
@@ -422,3 +423,109 @@ def test_coset_key_matches_the_fraction_oracle_and_lands_in_the_window():
         ]
 
     _degree_property(check)
+
+
+def test_normal_form_refuses_a_non_integer():
+    # on (1;2,3) truncation would give (1,1; 3); the first non-integer is named
+    ws = WeightSystem(1, (2, 3))
+    with pytest.raises(ValueError, match="1.7"):
+        normal_form(ws, [1.7, "4"], "2")
+    with pytest.raises(ValueError, match="'4'"):
+        normal_form(ws, [1, "4"], 2)
+    with pytest.raises(ValueError, match="'2'"):
+        normal_form(ws, [1, 4], "2")
+    assert normal_form(ws, [True, 4], 2) == GroupElement((1, 1), 3)
+
+
+def test_smul_refuses_a_non_integer():
+    # truncating 1.5 to 1 would give x_1
+    ws = WeightSystem(1, (2, 3))
+    with pytest.raises(ValueError, match="1.5"):
+        smul(ws, 1.5, gen_x(ws, 1))
+    with pytest.raises(ValueError, match="'2'"):
+        smul(ws, "2", gen_x(ws, 1))
+    assert smul(ws, 3, gen_x(ws, 1)) == GroupElement((1, 0), 1)
+
+
+def test_delta_l_refuses_an_element_of_another_length():
+    # zip without strict would drop the third coordinate and return 5
+    ws = WeightSystem(1, (2, 3))
+    with pytest.raises(ValueError):
+        delta_l(ws, GroupElement((1, 1, 1), 0))
+    assert delta_l(ws, GroupElement((1, 1), 0)) == 5
+
+
+def test_group_element_is_a_tuple_with_the_old_hash_repr_and_str():
+    x = GroupElement((1, 2), 3)
+    assert hash(x) == hash(((1, 2), 3))
+    assert x == ((1, 2), 3) and x.torsion == (1, 2) and x.free == 3
+    assert GroupElement(torsion=(1, 2), free=3) == x
+    assert repr(x) == "GroupElement(torsion=(1, 2), free=3)"
+    assert str(x) == "(1,2; 3)"
+    assert str(GroupElement((), -2)) == "(; -2)"
+    for field in ("torsion", "free"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, 0)
+
+
+# The routes `negate`, `leq` and `omega` took before their closed forms;
+# kept as oracles.
+
+
+def negate_by_normal_form(ws, x):
+    return normal_form(ws, [-a for a in x.torsion], -x.free)
+
+
+def leq_by_sub(ws, x, y):
+    return is_nonneg(sub(ws, y, x))
+
+
+def omega_by_normal_form(ws):
+    return normal_form(ws, [-1] * ws.n, ws.n - ws.d - 1)
+
+
+def test_closed_forms_match_the_normal_form_routes_on_small_systems():
+    # every default-grid system with prod(p) <= 8, on all elements with free
+    # part in [-2, 2]: zero torsion entries included
+    systems = [ws for ws in default_grid() if math.prod(ws.weights) <= 8]
+    assert WeightSystem(1, ()) in systems and WeightSystem(3, (2, 2, 2)) in systems
+    for ws in systems:
+        assert omega(ws) == omega_by_normal_form(ws)
+        xs = list(elements_with_free_in(ws, -2, 2))
+        for x in xs:
+            assert negate(ws, x) == negate_by_normal_form(ws, x)
+            for y in xs:
+                assert leq(ws, x, y) == leq_by_sub(ws, x, y)
+
+
+def test_closed_forms_match_the_normal_form_routes():
+    def check(ws, x, y, z):
+        assert negate(ws, x) == negate_by_normal_form(ws, x)
+        assert leq(ws, x, y) == leq_by_sub(ws, x, y)
+        assert leq(ws, y, z) == leq_by_sub(ws, y, z)
+        assert omega(ws) == omega_by_normal_form(ws)
+
+    _group_property(check)
+    ws = WeightSystem(1, (2, 3))
+    for bad in (GroupElement((1,), 0), GroupElement((1, 1, 1), 0)):
+        with pytest.raises(ValueError):
+            negate(ws, bad)
+        with pytest.raises(ValueError):
+            leq(ws, bad, zero(ws))
+        with pytest.raises(ValueError):
+            leq(ws, zero(ws), bad)
+
+
+def test_closed_forms_call_neither_normal_form_nor_sub(monkeypatch):
+    from glci import grading
+
+    def refuse(*args):
+        raise AssertionError("closed form took the normal_form/sub route")
+
+    ws = WeightSystem(2, (2, 3, 4))
+    x, y = GroupElement((1, 0, 3), -1), GroupElement((0, 2, 3), 1)
+    monkeypatch.setattr(grading, "normal_form", refuse)
+    monkeypatch.setattr(grading, "sub", refuse)
+    assert negate(ws, x) == GroupElement((1, 0, 1), -1)
+    assert leq(ws, x, y) and not leq(ws, y, x)
+    assert omega(ws) == GroupElement((1, 2, 3), -3)
