@@ -200,12 +200,9 @@ def cmd_mf(args) -> int:
         indices = matfac.mf_enumerate(ws)
     failures = 0
     payload = []
-    for index in indices:
-        pair = matfac.mf_build(ws, index)
+    for index, pair, report, nonsingular in matfac.mf_pairs(ws, indices, args.verify):
         entry = {"ell": list(index.ell), "size": pair.size}
         if args.verify:
-            report = matfac.mf_verify(pair)
-            nonsingular = matfac.mf_minor_nonsingular(pair)
             entry["identity_ok"] = report.identity_ok
             entry["homogeneity_ok"] = report.homogeneity_ok
             entry["corner_minor_nonsingular"] = nonsingular

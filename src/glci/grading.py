@@ -101,20 +101,22 @@ def normal_form(ws: WeightSystem, raw_torsion: Sequence[int], raw_free: int) -> 
 
 
 def zero(ws: WeightSystem) -> GroupElement:
-    return GroupElement((0,) * ws.n, 0)
+    return tuple.__new__(GroupElement, ((0,) * len(ws.weights), 0))
 
 
 def gen_x(ws: WeightSystem, i: int) -> GroupElement:
-    """The generator x_i (1-based)."""
-    if not 1 <= i <= ws.n:
-        raise ValueError(f"generator index {i} out of range 1..{ws.n}")
-    raw = [0] * ws.n
-    raw[i - 1] = 1
-    return normal_form(ws, raw, 0)
+    """The generator x_i (1-based).  Every weight is at least 2, so
+    x_i = (e_i; 0) is already in normal form."""
+    n = len(ws.weights)
+    if not 1 <= i <= n:
+        raise ValueError(f"generator index {i} out of range 1..{n}")
+    torsion = [0] * n
+    torsion[i - 1] = 1
+    return tuple.__new__(GroupElement, (tuple(torsion), 0))
 
 
 def gen_c(ws: WeightSystem) -> GroupElement:
-    return GroupElement((0,) * ws.n, 1)
+    return tuple.__new__(GroupElement, ((0,) * len(ws.weights), 1))
 
 
 def add(ws: WeightSystem, x: GroupElement, y: GroupElement) -> GroupElement:

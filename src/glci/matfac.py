@@ -15,7 +15,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .grading import (
@@ -209,20 +209,28 @@ def _check_index(ws: WeightSystem, ell: tuple[int, ...]) -> None:
 
 
 def _labels(
-    weights: tuple[int, ...], ell: tuple[int, ...], subsets, position: int
-) -> tuple[GroupElement, ...]:
-    """The shift labels at one homological position, in closed form: with
-    1 <= ell_i <= p_i - 1, -ell_i x_i = (p_i - ell_i) x_i - c, so the normal
-    form of ((|I| + a)/2) c - sum of ell_i x_i over I has torsion p_i - ell_i
-    on I, 0 elsewhere, and free part (a - |I|)/2."""
+    weights: tuple[int, ...], ell: tuple[int, ...], odd, even
+) -> dict[int, tuple[GroupElement, ...]]:
+    """The shift labels at homological positions -1, 0 and 1, in closed form:
+    with 1 <= ell_i <= p_i - 1, -ell_i x_i = (p_i - ell_i) x_i - c, so the
+    normal form of ((|I| + a)/2) c - sum of ell_i x_i over I has torsion
+    p_i - ell_i on I, 0 elsewhere, and free part (a - |I|)/2.  The +1 labels
+    are the -1 labels plus c."""
     top = [p - l for p, l in zip(weights, ell)]
-    out = []
-    for subset in subsets:
+    new = tuple.__new__
+
+    def label(subset, position):
         torsion = [0] * len(weights)
         for i in subset:
             torsion[i - 1] = top[i - 1]
-        out.append(GroupElement(tuple(torsion), (position - len(subset)) // 2))
-    return tuple(out)
+        return new(GroupElement, (tuple(torsion), (position - len(subset)) // 2))
+
+    below = tuple(label(s, -1) for s in odd)
+    return {
+        -1: below,
+        0: tuple(label(s, 0) for s in even),
+        1: tuple(new(GroupElement, (x.torsion, x.free + 1)) for x in below),
+    }
 
 
 def mf_enumerate(ws: WeightSystem) -> list[MFIndex]:
@@ -249,10 +257,7 @@ def mf_build(ws: WeightSystem, index: MFIndex) -> GradedMatrixPair:
     m_rows, n_rows = (
         tuple(tuple(map(slots.__getitem__, row)) for row in table) for table in (m_table, n_table)
     )
-    shifts = {
-        pos: _labels(ws.weights, ell, subsets, pos)
-        for pos, subsets in ((-1, odd), (0, even), (1, odd))
-    }
+    shifts = _labels(ws.weights, ell, odd, even)
     return GradedMatrixPair(ws, MFIndex(ell), odd, even, m_rows, n_rows, shifts)
 
 
@@ -261,6 +266,36 @@ def hypersurface_poly(ws: WeightSystem) -> MultiPoly:
     for i, p in enumerate(ws.weights, start=1):
         total = total + MultiPoly.lam_x_power(ws.n, i, p)
     return total
+
+
+class _SystemConstants(NamedTuple):
+    """What `mf_verify` needs of the system alone, the same for every pair:
+    f, and the homogeneity constants L, the L // p_i, the radix powers R^i,
+    the scale 2R^n and the 2^n sums of some p_i R^i (see `mf_verify`)."""
+
+    weights: tuple[int, ...]
+    f: MultiPoly
+    big: int
+    steps: tuple[int, ...]
+    powers: tuple[int, ...]
+    scale: int
+    allowed: frozenset[int]
+
+
+def _system_constants(ws: WeightSystem) -> _SystemConstants:
+    weights = ws.weights
+    radix = 3 * max(weights)
+    powers = tuple(radix**i for i in range(len(weights)))
+    big = math.lcm(*weights)
+    return _SystemConstants(
+        weights,
+        hypersurface_poly(ws),
+        big,
+        tuple(big // p for p in weights),
+        powers,
+        2 * radix ** len(weights),
+        frozenset(map(sum, itertools.product(*((0, p * r) for p, r in zip(weights, powers))))),
+    )
 
 
 def _monomial_degree(ws: WeightSystem, poly: MultiPoly) -> GroupElement:
@@ -286,7 +321,7 @@ def _nonzero(rows) -> list[list[tuple[int, MultiPoly]]]:
     return [[(j, e) for j, e in enumerate(row) if e.terms] for row in rows]
 
 
-def mf_verify(pair: GradedMatrixPair) -> MFReport:
+def mf_verify(pair: GradedMatrixPair, constants: Optional[_SystemConstants] = None) -> MFReport:
     """Check M*N = N*M = f*Id symbolically and per-entry degree homogeneity.
 
     An exponent tuple packs into one int in base B = 2 * (largest exponent
@@ -300,10 +335,15 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
     Each distinct entry object of the pair is packed once, and each distinct
     monomial's degree is found once.  N*M is computed only when M*N fails:
     square M, N over the domain Z[X^{+-1}, lambda] with M*N = f*Id != 0 have N = f*M^{-1}.
+    `constants`, from `_system_constants` of a system with the pair's
+    weights, is computed here when absent or of other weights; B and W are
+    always the pair's own.
     """
     ws = pair.ws
     weights = ws.weights
-    f = hypersurface_poly(ws)
+    if constants is None or constants.weights != weights:
+        constants = _system_constants(ws)
+    f = constants.f
     m_nonzero, n_nonzero = _nonzero(pair.m_rows), _nonzero(pair.n_rows)
     entries = {id(e): e for rows in (m_nonzero, n_nonzero) for row in rows for _, e in row}
     monomials = set(f.terms).union(*(e.terms for e in entries.values()))
@@ -339,20 +379,22 @@ def mf_verify(pair: GradedMatrixPair) -> MFReport:
     # digits s_i + m_i - t_i of key(s) + key(m) - key(t) lie in (-p_i, 2p_i),
     # so that sum is one of the 2^n sums of some p_i * R^i exactly when
     # s + m = t.
-    big = math.lcm(*weights)
-    steps = [big // p for p in weights]
-    radix = 3 * max(weights)
-    powers = [radix**i for i in range(ws.n)]
-    scale = 2 * radix**ws.n
-
-    def degree_key(torsion, free):
-        torsion_digits = sum(map(operator.mul, map(operator.mod, torsion, weights), powers))
-        return (free * big + sum(map(operator.mul, torsion, steps))) * scale + torsion_digits
-
-    allowed = set(map(sum, itertools.product(*((0, p * r) for p, r in zip(weights, powers)))))
-    labels = {pos: [degree_key(x.torsion, x.free) for x in xs] for pos, xs in pair.shifts.items()}
+    _, _, big, steps, powers, scale, allowed = constants
+    mul, mod = operator.mul, operator.mod
+    labels = {
+        pos: [
+            (free * big + sum(map(mul, torsion, steps))) * scale
+            + sum(map(mul, map(mod, torsion, weights), powers))
+            for torsion, free in xs
+        ]
+        for pos, xs in pair.shifts.items()
+    }
     single = {k: next(iter(e.terms)) for k, e in entries.items() if len(e.terms) == 1}
-    of_monomial = {e: degree_key(e[: ws.n], 0) for e in set(single.values())}
+    # map stops at the n entries of `steps` and `weights`: only X exponents count
+    of_monomial = {
+        e: sum(map(mul, e, steps)) * scale + sum(map(mul, map(mod, e, weights), powers))
+        for e in set(single.values())
+    }
     degrees = {k: of_monomial[e] for k, e in single.items()}
     for name, rows, src_pos, tgt_pos in (("M", m_nonzero, -1, 0), ("N", n_nonzero, 0, 1)):
         sources, targets = labels[src_pos], labels[tgt_pos]
@@ -379,7 +421,20 @@ def _corner_minor(pair: GradedMatrixPair) -> list[list[MultiPoly]]:
     return [[pair.n_rows[r][c] for c in cols] for r in rows]
 
 
-def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
+@functools.cache
+def _evaluation_points(n: int) -> tuple[tuple[int, ...], ...]:
+    """The 5 deterministic pseudo-random positive integer points, one value
+    per variable, at which a corner in n variables is evaluated."""
+    out = []
+    for attempt in range(1, 6):
+        rng = random.Random(10_007 * attempt + 17)
+        out.append(tuple(rng.randint(1, 10**6) for _ in range(2 * n)))
+    return tuple(out)
+
+
+def mf_minor_nonsingular(
+    pair: GradedMatrixPair, verdicts: Optional[dict[tuple[tuple[int, ...], ...], bool]] = None
+) -> bool:
     """Nonvanishing of det of the N-submatrix on subsets avoiding the last index.
 
     The entries are evaluated exactly at up to 5 deterministic pseudo-random
@@ -388,18 +443,47 @@ def mf_minor_nonsingular(pair: GradedMatrixPair) -> bool:
     proves the polynomial determinant nonzero; five singular ones report a
     singular minor without proof.  For a pair from `mf_build` the determinant
     is +-f'^(2^(d-1)) with f' the sum of the first n - 1 terms of f, which is
-    positive at these points.
+    positive at these points.  `verdicts` memoizes `linalg.nonsingular` on
+    the evaluated integer matrix itself, so equal evaluations are eliminated
+    once and every pair is still judged on its own entries.
     """
     minor = _corner_minor(pair)
     ids = [list(map(id, row)) for row in minor]
     entries = {id(entry): entry for row in minor for entry in row}
-    for attempt in range(1, 6):
-        rng = random.Random(10_007 * attempt + 17)
-        point = [rng.randint(1, 10**6) for _ in range(2 * pair.ws.n)]
+    if verdicts is None:
+        verdicts = {}
+    for point in _evaluation_points(pair.ws.n):
         value = {k: entry.evaluate(point) for k, entry in entries.items()}
-        if linalg.nonsingular([list(map(value.__getitem__, row)) for row in ids]):
+        matrix = tuple(tuple(map(value.__getitem__, row)) for row in ids)
+        verdict = verdicts.get(matrix)
+        if verdict is None:
+            verdict = verdicts[matrix] = linalg.nonsingular(matrix)
+        if verdict:
             return True
     return False
+
+
+def mf_pairs(
+    ws: WeightSystem, indices: Iterable[MFIndex], verify: bool
+) -> Iterator[tuple[MFIndex, GradedMatrixPair, Optional[MFReport], Optional[bool]]]:
+    """The one build -> verify -> minor loop: for each index, the index, its
+    pair from `mf_build` and, with `verify`, the pair's `mf_verify` report
+    and `mf_minor_nonsingular` verdict (else None, None).
+
+    Every pair gets its own checks.  f and the homogeneity constants are
+    computed once, and the corner verdicts share one memo keyed on the
+    evaluated matrix: the corner holds only ell_1..ell_{n-1}, so at most
+    prod_{i<n}(p_i - 1) eliminations serve the system.  Neither outlives
+    the loop.
+    """
+    constants, verdicts = None, {}
+    for index in indices:
+        pair = mf_build(ws, index)
+        if not verify:
+            yield index, pair, None, None
+            continue
+        constants = constants or _system_constants(ws)
+        yield index, pair, mf_verify(pair, constants), mf_minor_nonsingular(pair, verdicts)
 
 
 def expected_index_count(ws: WeightSystem) -> int:

@@ -360,14 +360,12 @@ def battery_matrix_factorizations(ws: WeightSystem) -> tuple[bool, str]:
     indices = matfac.mf_enumerate(ws)
     if len(indices) != matfac.expected_index_count(ws):
         return False, f"index count {len(indices)}"
-    for index in indices:
-        pair = matfac.mf_build(ws, index)
+    for index, pair, report, nonsingular in matfac.mf_pairs(ws, indices, True):
         if pair.size != 2 ** (ws.d + 1):
             return False, f"{index.ell}: size {pair.size}"
-        report = matfac.mf_verify(pair)
         if not report.ok:
             return False, f"{index.ell}: {report.failures[:2]}"
-        if not matfac.mf_minor_nonsingular(pair):
+        if not nonsingular:
             return False, f"{index.ell}: singular corner minor"
     return True, f"{len(indices)} factorizations verified"
 

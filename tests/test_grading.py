@@ -529,3 +529,38 @@ def test_closed_forms_call_neither_normal_form_nor_sub(monkeypatch):
     assert negate(ws, x) == GroupElement((1, 0, 1), -1)
     assert leq(ws, x, y) and not leq(ws, y, x)
     assert omega(ws) == GroupElement((1, 2, 3), -3)
+
+
+def test_generators_match_the_normal_form_route_on_small_systems():
+    # every default-grid system with prod(p) <= 8, n = 0 included
+    systems = [ws for ws in default_grid() if math.prod(ws.weights) <= 8]
+    assert WeightSystem(1, ()) in systems
+    for ws in systems:
+        assert zero(ws) == normal_form(ws, [0] * ws.n, 0)
+        assert gen_c(ws) == normal_form(ws, [0] * ws.n, 1)
+        for i in range(1, ws.n + 1):
+            raw = [0] * ws.n
+            raw[i - 1] = 1
+            assert gen_x(ws, i) == normal_form(ws, raw, 0)
+        for i in (0, ws.n + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                gen_x(ws, i)
+        for x in (zero(ws), gen_c(ws), *(gen_x(ws, i) for i in range(1, ws.n + 1))):
+            assert type(x) is GroupElement and type(x.torsion) is tuple
+
+
+def test_generators_call_no_normal_form(monkeypatch):
+    from glci import grading
+
+    def refuse(*args):
+        raise AssertionError("generator took the normal_form route")
+
+    ws = WeightSystem(2, (2, 3, 4))
+    monkeypatch.setattr(grading, "normal_form", refuse)
+    assert zero(ws) == GroupElement((0, 0, 0), 0)
+    assert gen_c(ws) == GroupElement((0, 0, 0), 1)
+    assert [gen_x(ws, i) for i in (1, 2, 3)] == [
+        GroupElement((1, 0, 0), 0),
+        GroupElement((0, 1, 0), 0),
+        GroupElement((0, 0, 1), 0),
+    ]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glci import suite
+from glci import cli, linalg, matfac, suite
 from glci.grading import (
     GroupElement,
     WeightSystem,
@@ -24,11 +24,13 @@ from glci.matfac import (
     _corner_minor,
     _monomial_degree,
     _position_sign,
+    _system_constants,
     expected_index_count,
     hypersurface_poly,
     mf_build,
     mf_enumerate,
     mf_minor_nonsingular,
+    mf_pairs,
     mf_verify,
     subsets_by_parity,
 )
@@ -248,6 +250,107 @@ def test_mf_minor_singular_when_a_corner_row_is_zero():
     assert mf_minor_nonsingular(bad) is False
 
 
+def _zero_a_corner_row(pair):
+    """The pair with one row of its corner minor zeroed: the edit of
+    `test_mf_minor_singular_when_a_corner_row_is_zero`."""
+    n = pair.ws.n
+    row = next(k for k, s in enumerate(pair.even_subsets) if s and n not in s)
+    rows = list(pair.n_rows)
+    rows[row] = tuple(MultiPoly.zero(n) for _ in rows[row])
+    return replace(pair, n_rows=tuple(rows))
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["sound first", "tampered first"])
+def test_corner_verdicts_are_memoized_on_the_matrix_not_on_ell(monkeypatch, order):
+    # the two pairs share ell_1..ell_{n-1}, so their sound corners are equal;
+    # the second is tampered inside its corner and must not take the
+    # first's verdict, whichever of the two the loop meets first
+    ws = WeightSystem(2, (2, 2, 3, 4))
+    sound, tampered = MFIndex((1, 1, 2, 1)), MFIndex((1, 1, 2, 3))
+    real_build = matfac.mf_build
+
+    def build(ws, index):
+        pair = real_build(ws, index)
+        return _zero_a_corner_row(pair) if index == tampered else pair
+
+    monkeypatch.setattr(matfac, "mf_build", build)
+    results = list(mf_pairs(ws, [sound, tampered][::order], True))
+    verdicts = {index: nonsingular for index, _, _, nonsingular in results}
+    assert verdicts == {sound: True, tampered: False}
+    reports = {index: report for index, _, report, _ in results}
+    assert reports[sound].ok and not reports[tampered].identity_ok
+
+
+@pytest.mark.parametrize("ws", suite.MF_FIXTURES + (WeightSystem(2, (2, 3, 3, 4)),), ids=str)
+def test_mf_pairs_agrees_with_each_pair_checked_alone(ws):
+    indices = mf_enumerate(ws)
+    results = list(mf_pairs(ws, indices, True))
+    assert [index for index, *_ in results] == indices
+    for index, pair, report, nonsingular in results:
+        assert pair == mf_build(ws, index)
+        assert report == mf_verify(pair)
+        assert nonsingular is mf_minor_nonsingular(pair) is True
+    built = list(mf_pairs(ws, indices, False))
+    assert [(index, pair) for index, pair, _, _ in built] == [(i, p) for i, p, _, _ in results]
+    assert {(report, nonsingular) for _, _, report, nonsingular in built} == {(None, None)}
+
+
+def test_mf_verify_ignores_constants_of_other_weights():
+    ws = WeightSystem(1, (2, 3, 5))
+    other = _system_constants(WeightSystem(1, (2, 3, 7)))
+    for index in mf_enumerate(ws):
+        pair = mf_build(ws, index)
+        assert mf_verify(pair, other) == mf_verify(pair) == mf_verify(pair, _system_constants(ws))
+        assert mf_verify(pair).ok
+
+
+def test_mf_verify_reads_a_label_as_an_element_of_l():
+    # (a_1 + 3 p_1, a_2, a_3; a - 3) is the label (a_1, a_2, a_3; a): the
+    # keys reduce torsion mod p_i, so it stays homogeneous; moved by x_1 it
+    # is not
+    ws = WeightSystem(1, (2, 3, 5))
+    pair = mf_build(ws, MFIndex((1, 2, 4)))
+    for pos in (-1, 0, 1):
+        for k, (torsion, free) in enumerate(pair.shifts[pos]):
+            for bump in (0, 1):
+                shifts = dict(pair.shifts)
+                moved = list(shifts[pos])
+                raw = (torsion[0] + 3 * ws.weights[0] + bump, *torsion[1:])
+                moved[k] = GroupElement(raw, free - 3)
+                shifts[pos] = tuple(moved)
+                report = mf_verify(replace(pair, shifts=shifts))
+                assert report.identity_ok and report.homogeneity_ok == (not bump), (pos, k)
+
+
+def test_mf_verify_cli_does_each_systems_work_once(capsys, monkeypatch):
+    """Cost guard by count on `mf --verify -d 3 -w 3,3,4,4,5`: one f and one
+    elimination per distinct corner minor, 2*2*3*3 = 36 of them, not one of
+    each per pair; each of the 144 pairs is still built and verified."""
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(linalg, "nonsingular")
+    for name in ("hypersurface_poly", "mf_build", "mf_verify", "mf_minor_nonsingular"):
+        counted(matfac, name)
+    assert cli.main(["mf", "--verify", "-d", "3", "-w", "3,3,4,4,5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "144 factorizations, all identities verified"
+    assert calls == {
+        "nonsingular": 36,
+        "hypersurface_poly": 1,
+        "mf_build": 144,
+        "mf_verify": 144,
+        "mf_minor_nonsingular": 144,
+    }
+
+
 def test_shift_labels_match_printed_summands():
     # P^{l,0} = R + R(c - l1 x1 - l2 x2) + R(c - l1 x1 - l3 x3) + R(c - l2 x2 - l3 x3)
     ws = WeightSystem(1, (2, 3, 5))
@@ -375,12 +478,15 @@ def test_all_indices_cover_box():
     assert ells == manual
 
 
-# The four `mf --verify` systems of the benchmark's verify workload.
+# The four `mf --verify` systems of the benchmark's verify workload, then the
+# first in another order: the corner minor avoids the last weight, which is 3
+# there instead of 5.
 VERIFY_SYSTEMS = (
     WeightSystem(3, (3, 3, 4, 4, 5)),
     WeightSystem(2, (4, 5, 5, 5)),
     WeightSystem(3, (2, 3, 3, 3, 4)),
     WeightSystem(3, (3, 3, 3, 3, 3)),
+    WeightSystem(3, (5, 4, 4, 3, 3)),
 )
 
 

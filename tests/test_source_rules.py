@@ -216,6 +216,24 @@ def test_char_poly_is_called_only_by_the_matrix_route_check():
     assert callers == [("coxeter.py", "matrix_route_check")]
 
 
+def test_mf_checks_are_called_only_by_the_matfac_loop():
+    """One build -> verify -> minor loop: `matfac.mf_pairs` is the only
+    library code that calls `mf_build`, `mf_verify` or
+    `mf_minor_nonsingular`, so `glci mf` and the suite's `mf` battery check
+    each pair alike and share each system's work the same way."""
+    checks = {"mf_build", "mf_verify", "mf_minor_nonsingular"}
+    callers = {
+        (path.name, getattr(node, "name", f"line {node.lineno}"), name)
+        for path in SOURCES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        for name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        if name in checks
+    }
+    assert callers == {("matfac.py", "mf_pairs", name) for name in checks}
+
+
 def test_suite_builds_results_and_catches_failed_invariants_in_one_place():
     """Every battery runs through `suite.per_system`'s loop, so `suite.py`
     constructs `CheckResult` once and handles `AssertionError` once: a
