@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -225,8 +226,12 @@ class StructureAlgebra:
     basis: tuple[tuple[int, int, tuple[int, ...]], ...]
     index: dict[tuple[int, int, tuple[int, ...]], int] = field(compare=False)
     by_pair: dict[tuple[int, int], tuple[int, ...]] = field(compare=False)
-    # multiply's results by (a, b); callers only read the dicts it returns
+    # multiply's results by (a, b), and reduce_monomial's by exponent tuple;
+    # callers only read the dicts they return
     products: dict[tuple[int, int], dict[int, int]] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+    reductions: dict[tuple[int, ...], dict[tuple[int, ...], int]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -271,7 +276,9 @@ class StructureAlgebra:
 
     def multiply(self, a: int, b: int) -> dict[int, int]:
         """Product of basis elements a * b, zero unless the middle vertices
-        match; computed once per pair and kept in `products`."""
+        match; computed once per pair and kept in `products`.  The product
+        monomial recurs across vertex pairs, so its reduction is computed
+        once per exponent tuple and kept in `reductions`."""
         cached = self.products.get((a, b))
         if cached is not None:
             return cached
@@ -279,10 +286,12 @@ class StructureAlgebra:
         xb, yb, eb = self.basis[b]
         if ya != xb:
             return {}
+        exps = tuple(map(operator.add, ea, eb))
+        reduced = self.reductions.get(exps)
+        if reduced is None:
+            reduced = self.reductions[exps] = self.reduce_monomial(exps)
         out: dict[int, int] = {}
-        for e, coeff in self.reduce_monomial(
-            [u + v for u, v in zip(ea, eb)]
-        ).items():
+        for e, coeff in reduced.items():
             pos = self.index.get((xa, yb, e))
             if pos is None:
                 raise AssertionError("product fell outside the monomial basis")
@@ -353,14 +362,17 @@ def structure_constants(ws: WeightSystem, elements: Sequence[GroupElement]) -> S
     _, pres_weights = presentation(ws)
     basis: list[tuple[int, int, tuple[int, ...]]] = []
     by_pair: dict[tuple[int, int], list[int]] = {}
+    monomials: dict[GroupElement, list[tuple[int, ...]]] = {}  # by degree, for this call
     expected = 0
     for xi, x in enumerate(verts):
         for yi, y in enumerate(verts):
             if free_of_difference(x, y) < 0:
                 continue  # R_{x - y} = 0: no basis element, no Cartan count
             degree = sub(ws, x, y)
-            expected += piece_dim(ws, degree)
-            monos = _graded_monomials(ws.d, pres_weights, degree)
+            expected += piece_dim(ws, degree)  # per pair: the check below counts each pair
+            monos = monomials.get(degree)
+            if monos is None:
+                monos = monomials[degree] = _graded_monomials(ws.d, pres_weights, degree)
             if monos:
                 by_pair[(xi, yi)] = list(
                     range(len(basis), len(basis) + len(monos))

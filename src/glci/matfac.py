@@ -174,7 +174,8 @@ def _position_sign(i: int, subset: tuple[int, ...]) -> int:
 @functools.cache
 def _incidence(n: int):
     """The Koszul incidence of the pair in n variables: the odd and even
-    subsets, then M and N as tables of slots.
+    subsets, M and N as tables of slots, and the rows and columns of N that
+    form the corner minor, those whose subsets avoid n.
 
     Row r is nonzero only at the columns r minus {i}, holding the sign of i
     in r times X_i^{ell_i} (slot 4(i - 1), or 4(i - 1) + 1 when negative),
@@ -200,7 +201,11 @@ def _incidence(n: int):
             out.append(tuple(row))
         return tuple(out)
 
-    return odd, even, table(odd, even), table(even, odd)
+    corner = (
+        tuple(k for k, s in enumerate(even) if n not in s),
+        tuple(k for k, s in enumerate(odd) if n not in s),
+    )
+    return odd, even, table(odd, even), table(even, odd), corner
 
 
 def _check_index(ws: WeightSystem, ell: tuple[int, ...]) -> None:
@@ -242,20 +247,35 @@ def mf_enumerate(ws: WeightSystem) -> list[MFIndex]:
     ]
 
 
-def mf_build(ws: WeightSystem, index: MFIndex) -> GradedMatrixPair:
+def mf_build(
+    ws: WeightSystem,
+    index: MFIndex,
+    slots: Optional[dict[tuple[int, int], tuple[MultiPoly, ...]]] = None,
+) -> GradedMatrixPair:
+    """The pair of `index`.  `slots`, kept by the caller for one system,
+    memoizes the slot quadruple X_i^l, -X_i^l, lambda_i X_i^{p_i - l},
+    -lambda_i X_i^{p_i - l} on (i, l) and the zero on (0, 0), so the pairs
+    of the system share their entry objects."""
     if ws.n != ws.d + 2:
         raise ValueError("matrix factorizations require n = d + 2")
     ell = tuple(index.ell)
     _check_index(ws, ell)
     n = ws.n
-    odd, even, m_table, n_table = _incidence(n)
-    slots: list[MultiPoly] = []
+    odd, even, m_table, n_table, _ = _incidence(n)
+    if slots is None:
+        slots = {}
+    if not slots:
+        slots[0, 0] = (MultiPoly.zero(n),)
+    flat: list[MultiPoly] = []
     for i, (l, p) in enumerate(zip(ell, ws.weights), start=1):
-        x, z = MultiPoly.x_power(n, i, l), MultiPoly.lam_x_power(n, i, p - l)
-        slots += (x, -x, z, -z)
-    slots.append(MultiPoly.zero(n))  # slot 4n, shared by every zero entry
+        quadruple = slots.get((i, l))
+        if quadruple is None:
+            x, z = MultiPoly.x_power(n, i, l), MultiPoly.lam_x_power(n, i, p - l)
+            quadruple = slots[i, l] = (x, -x, z, -z)
+        flat += quadruple
+    flat += slots[0, 0]  # slot 4n, shared by every zero entry
     m_rows, n_rows = (
-        tuple(tuple(map(slots.__getitem__, row)) for row in table) for table in (m_table, n_table)
+        tuple(tuple(map(flat.__getitem__, row)) for row in table) for table in (m_table, n_table)
     )
     shifts = _labels(ws.weights, ell, odd, even)
     return GradedMatrixPair(ws, MFIndex(ell), odd, even, m_rows, n_rows, shifts)
@@ -270,8 +290,12 @@ def hypersurface_poly(ws: WeightSystem) -> MultiPoly:
 
 class _SystemConstants(NamedTuple):
     """What `mf_verify` needs of the system alone, the same for every pair:
-    f, and the homogeneity constants L, the L // p_i, the radix powers R^i,
-    the scale 2R^n and the 2^n sums of some p_i R^i (see `mf_verify`)."""
+    f, the homogeneity constants L, the L // p_i, the radix powers R^i, the
+    scale 2R^n and the 2^n sums of some p_i R^i (see `mf_verify`), and the
+    memos of `_degree_key` by value, a shift label's on the label and a
+    monomial's on its exponent tuple, filled by `mf_verify` as it meets
+    them.  The memos live as long as the constants, in `mf_pairs` no longer
+    than its loop."""
 
     weights: tuple[int, ...]
     f: MultiPoly
@@ -280,6 +304,8 @@ class _SystemConstants(NamedTuple):
     powers: tuple[int, ...]
     scale: int
     allowed: frozenset[int]
+    label_keys: dict[GroupElement, int]
+    monomial_keys: dict[tuple[int, ...], int]
 
 
 def _system_constants(ws: WeightSystem) -> _SystemConstants:
@@ -295,7 +321,20 @@ def _system_constants(ws: WeightSystem) -> _SystemConstants:
         powers,
         2 * radix ** len(weights),
         frozenset(map(sum, itertools.product(*((0, p * r) for p, r in zip(weights, powers))))),
+        {},
+        {},
     )
+
+
+def _degree_key(constants: _SystemConstants, torsion: Sequence[int], free: int) -> int:
+    """The homogeneity key of the degree (torsion; free): delta_l * 2R^n
+    plus the torsion reduced mod p_i as digits in radix R.  A monomial's is
+    that of its exponent tuple with free part 0: `map` stops at the n
+    entries of `steps` and `weights`, so only X exponents count."""
+    mul = operator.mul
+    delta = free * constants.big + sum(map(mul, torsion, constants.steps))
+    digits = map(operator.mod, torsion, constants.weights)
+    return delta * constants.scale + sum(map(mul, digits, constants.powers))
 
 
 def _monomial_degree(ws: WeightSystem, poly: MultiPoly) -> GroupElement:
@@ -332,12 +371,13 @@ def mf_verify(pair: GradedMatrixPair, constants: Optional[_SystemConstants] = No
     j * W + packed exponent for column j.  With W > 4 * (largest |packed
     exponent|) a product of two monomials packs to less than W/2 in
     absolute value, so distinct (column, exponent) pairs never share a key.
-    Each distinct entry object of the pair is packed once, and each distinct
-    monomial's degree is found once.  N*M is computed only when M*N fails:
-    square M, N over the domain Z[X^{+-1}, lambda] with M*N = f*Id != 0 have N = f*M^{-1}.
+    Each distinct entry object of the pair is packed once.  N*M is computed
+    only when M*N fails: square M, N over the domain Z[X^{+-1}, lambda]
+    with M*N = f*Id != 0 have N = f*M^{-1}.
     `constants`, from `_system_constants` of a system with the pair's
-    weights, is computed here when absent or of other weights; B and W are
-    always the pair's own.
+    weights, is computed here when absent or of other weights; its memos
+    give the degree key of each distinct label and monomial once for all
+    the pairs that share it.  B and W are always the pair's own.
     """
     ws = pair.ws
     weights = ws.weights
@@ -374,28 +414,18 @@ def mf_verify(pair: GradedMatrixPair, constants: Optional[_SystemConstants] = No
             break
     homogeneity_ok = True
     # L embeds in Z x prod Z/p_i by x -> (delta_l(x), torsion mod p), and each
-    # degree folds into one int: delta_l(x) * 2R^n plus the reduced torsion as
-    # digits in radix R = 3 * max p.  For an entry s -> t of degree m the
-    # digits s_i + m_i - t_i of key(s) + key(m) - key(t) lie in (-p_i, 2p_i),
-    # so that sum is one of the 2^n sums of some p_i * R^i exactly when
-    # s + m = t.
-    _, _, big, steps, powers, scale, allowed = constants
-    mul, mod = operator.mul, operator.mod
-    labels = {
-        pos: [
-            (free * big + sum(map(mul, torsion, steps))) * scale
-            + sum(map(mul, map(mod, torsion, weights), powers))
-            for torsion, free in xs
-        ]
-        for pos, xs in pair.shifts.items()
-    }
+    # degree folds into one int, its `_degree_key`.  For an entry s -> t of
+    # degree m the digits s_i + m_i - t_i of key(s) + key(m) - key(t) lie in
+    # (-p_i, 2p_i), so that sum is one of the 2^n sums of some p_i * R^i
+    # exactly when s + m = t.  Each key is computed once per value.
+    label_keys, monomial_keys = constants.label_keys, constants.monomial_keys
+    for x in set(itertools.chain(*pair.shifts.values())).difference(label_keys):
+        label_keys[x] = _degree_key(constants, *x)
+    labels = {pos: list(map(label_keys.__getitem__, xs)) for pos, xs in pair.shifts.items()}
     single = {k: next(iter(e.terms)) for k, e in entries.items() if len(e.terms) == 1}
-    # map stops at the n entries of `steps` and `weights`: only X exponents count
-    of_monomial = {
-        e: sum(map(mul, e, steps)) * scale + sum(map(mul, map(mod, e, weights), powers))
-        for e in set(single.values())
-    }
-    degrees = {k: of_monomial[e] for k, e in single.items()}
+    for e in set(single.values()).difference(monomial_keys):
+        monomial_keys[e] = _degree_key(constants, e, 0)
+    degrees = {k: monomial_keys[e] for k, e in single.items()}
     for name, rows, src_pos, tgt_pos in (("M", m_nonzero, -1, 0), ("N", n_nonzero, 0, 1)):
         sources, targets = labels[src_pos], labels[tgt_pos]
         for i, row in enumerate(rows):
@@ -405,19 +435,19 @@ def mf_verify(pair: GradedMatrixPair, constants: Optional[_SystemConstants] = No
                 if degree is None:
                     homogeneity_ok = False
                     failures.append(f"{name} entry ({i},{j}) is not a monomial")
-                elif source + degree - targets[j] not in allowed:
+                elif source + degree - targets[j] not in constants.allowed:
                     homogeneity_ok = False
+                    # a label may be written outside normal form, which `sub` assumes
+                    tgt, src = pair.shifts[tgt_pos][j], pair.shifts[src_pos][i]
+                    want = sub(ws, normal_form(ws, *tgt), normal_form(ws, *src))
                     failures.append(
-                        f"{name} entry ({i},{j}) has degree {_monomial_degree(ws, entry)} != "
-                        f"{sub(ws, pair.shifts[tgt_pos][j], pair.shifts[src_pos][i])}"
+                        f"{name} entry ({i},{j}) has degree {_monomial_degree(ws, entry)} != {want}"
                     )
     return MFReport(identity_ok, homogeneity_ok, tuple(failures))
 
 
 def _corner_minor(pair: GradedMatrixPair) -> list[list[MultiPoly]]:
-    n = pair.ws.n
-    rows = [k for k, s in enumerate(pair.even_subsets) if n not in s]
-    cols = [k for k, s in enumerate(pair.odd_subsets) if n not in s]
+    rows, cols = _incidence(pair.ws.n)[4]
     return [[pair.n_rows[r][c] for c in cols] for r in rows]
 
 
@@ -470,15 +500,17 @@ def mf_pairs(
     pair from `mf_build` and, with `verify`, the pair's `mf_verify` report
     and `mf_minor_nonsingular` verdict (else None, None).
 
-    Every pair gets its own checks.  f and the homogeneity constants are
-    computed once, and the corner verdicts share one memo keyed on the
-    evaluated matrix: the corner holds only ell_1..ell_{n-1}, so at most
-    prod_{i<n}(p_i - 1) eliminations serve the system.  Neither outlives
-    the loop.
+    Every pair gets its own checks.  What is fixed by a key is computed once
+    per loop and memoized on the key itself: f and the homogeneity
+    constants once; each slot quadruple once per (i, ell_i), so the pairs
+    share their entry objects; each degree key once per distinct label or
+    monomial value; and each corner verdict once per evaluated matrix: the
+    corner holds only ell_1..ell_{n-1}, so at most prod_{i<n}(p_i - 1)
+    eliminations serve the system.  No memo outlives the loop.
     """
-    constants, verdicts = None, {}
+    constants, slots, verdicts = None, {}, {}
     for index in indices:
-        pair = mf_build(ws, index)
+        pair = mf_build(ws, index, slots)
         if not verify:
             yield index, pair, None, None
             continue

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from glci import algebra, suite
+from glci import algebra, cli, suite
 from glci.algebra import (
     Arrow,
     Quiver,
@@ -662,14 +662,56 @@ def test_memoized_products_stay_fresh():
         global_dimension(alg)
         assert associativity_spot_check(alg)
         assert alg.products
-        fresh = replace(alg, products=_NoMemo())
+        fresh = replace(alg, products=_NoMemo(), reductions=_NoMemo())
         for (a, b), product in alg.products.items():
             assert product == fresh.multiply(a, b), (a, b)
 
 
 def test_resolution_profiles_match_without_the_memo():
     for alg in _gldim_algebras():
-        uncached = replace(alg, products=_NoMemo())
+        uncached = replace(alg, products=_NoMemo(), reductions=_NoMemo())
         for v in range(len(alg.vertices)):
             assert minimal_resolution_profile(alg, v) == minimal_resolution_profile(uncached, v)
         assert not uncached.products
+
+
+def test_memoized_reductions_stay_fresh():
+    # multiply only reads the reductions it keeps: after the gldim battery's
+    # calls every kept reduction still equals a fresh one
+    for alg in _gldim_algebras():
+        global_dimension(alg)
+        assert associativity_spot_check(alg)
+        assert alg.reductions
+        for exps, reduced in alg.reductions.items():
+            assert reduced == alg.reduce_monomial(exps), exps
+
+
+def test_resolution_profiles_match_without_the_reduction_memo():
+    for alg in _gldim_algebras():
+        # products of its own, so each is computed with no reduction kept
+        uncached = replace(alg, products={}, reductions=_NoMemo())
+        for v in range(len(alg.vertices)):
+            assert minimal_resolution_profile(alg, v) == minimal_resolution_profile(uncached, v)
+        assert uncached.products.keys() == alg.products.keys() and not uncached.reductions
+
+
+def test_gldim_cli_enumerates_each_degree_once(capsys, monkeypatch):
+    """Cost guard by count on `suite --only gldim -d 3 -w 2,2,2,2,2`: the
+    monomials of each distinct degree are enumerated once, not once per
+    vertex pair, and each distinct product monomial is reduced once."""
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(algebra, "_graded_monomials")
+    counted(StructureAlgebra, "reduce_monomial")
+    assert cli.main(["suite", "--only", "gldim", "-d", "3", "-w", "2,2,2,2,2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
+    assert calls == {"_graded_monomials": 49, "reduce_monomial": 205}

@@ -13,6 +13,7 @@ from glci.grading import (
     WeightSystem,
     add,
     delta_l,
+    gen_c,
     gen_x,
     normal_form,
     sub,
@@ -269,8 +270,8 @@ def test_corner_verdicts_are_memoized_on_the_matrix_not_on_ell(monkeypatch, orde
     sound, tampered = MFIndex((1, 1, 2, 1)), MFIndex((1, 1, 2, 3))
     real_build = matfac.mf_build
 
-    def build(ws, index):
-        pair = real_build(ws, index)
+    def build(ws, index, slots=None):
+        pair = real_build(ws, index, slots)
         return _zero_a_corner_row(pair) if index == tampered else pair
 
     monkeypatch.setattr(matfac, "mf_build", build)
@@ -293,6 +294,51 @@ def test_mf_pairs_agrees_with_each_pair_checked_alone(ws):
     built = list(mf_pairs(ws, indices, False))
     assert [(index, pair) for index, pair, _, _ in built] == [(i, p) for i, p, _, _ in results]
     assert {(report, nonsingular) for _, _, report, nonsingular in built} == {(None, None)}
+
+
+def _label_case(pair, bump, probe):
+    """The pair, with its label at position 0, column 1, moved by c when
+    `bump`: the entries stay, so only the homogeneity check can see it."""
+    if not bump:
+        return pair
+    shifts = dict(pair.shifts)
+    shifts[0] = (shifts[0][0], add(pair.ws, shifts[0][1], gen_c(pair.ws)), *shifts[0][2:])
+    return replace(pair, shifts=shifts)
+
+
+def _entry_case(pair, bump, probe):
+    """The pair with M's entry (0,0) replaced by `probe`, one object shared
+    by both pairs of a run, set to that entry, times X_2 when `bump`.
+    Setting it in place gives the other pair an entry of another monomial
+    under the same id, as a reused id would."""
+    rows = [list(row) for row in pair.m_rows]
+    ((exps, coeff),) = rows[0][0].terms.items()
+    probe.terms = {(exps[0], exps[1] + bump, *exps[2:]): coeff}
+    rows[0][0] = probe
+    return replace(pair, m_rows=tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("case", [_label_case, _entry_case], ids=["label", "entry"])
+@pytest.mark.parametrize("tampered_at", [1, 0], ids=["sound first", "tampered first"])
+def test_degree_key_memos_are_keyed_on_the_value(monkeypatch, case, tampered_at):
+    # a sound pair and a tampered pair of the same ell run through one loop,
+    # so they share its memos; each must get the report it gets alone,
+    # whichever the loop meets first
+    ws = WeightSystem(1, (2, 3, 5))
+    index = MFIndex((1, 2, 4))
+    probe, turn = MultiPoly.zero(ws.n), itertools.count()
+    real_build = matfac.mf_build
+
+    def build(ws, index, slots=None):
+        return case(real_build(ws, index, slots), next(turn) == tampered_at, probe)
+
+    monkeypatch.setattr(matfac, "mf_build", build)
+    # each pair is checked alone before the loop builds the next, which may
+    # set the probe
+    reports = [(report, mf_verify(pair)) for _, pair, report, _ in mf_pairs(ws, [index] * 2, True)]
+    assert [loop == alone for loop, alone in reports] == [True, True]
+    assert [loop.ok for loop, _ in reports] == [k != tampered_at for k in range(2)]
+    assert not reports[tampered_at][0].homogeneity_ok
 
 
 def test_mf_verify_ignores_constants_of_other_weights():
@@ -349,6 +395,56 @@ def test_mf_verify_cli_does_each_systems_work_once(capsys, monkeypatch):
         "mf_verify": 144,
         "mf_minor_nonsingular": 144,
     }
+
+
+def test_mf_verify_cli_computes_each_value_once(capsys, monkeypatch):
+    """Cost guard by count on `mf --verify -d 3 -w 3,3,4,4,5`: each slot
+    polynomial is built once per (i, ell_i), 2+2+3+3+4 = 14 of each kind
+    (and lambda_i X_i^{p_i} once more for each term of f); each degree key
+    is computed once per distinct label and monomial; each of the 144 pairs
+    is still verified."""
+    calls = {}
+
+    def counted(owner, name, kind=None):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            key = kind(*args) if kind else name
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("x_power", "lam_x_power"):
+        counted(MultiPoly, name)
+    counted(matfac, "mf_verify")
+    # a label's torsion has n entries, a monomial's exponent tuple 2n
+    counted(matfac, "_degree_key", lambda c, torsion, free: f"{len(torsion)}-key")
+    assert cli.main(["mf", "--verify", "-d", "3", "-w", "3,3,4,4,5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "144 factorizations, all identities verified"
+    assert calls == {
+        "x_power": 14,
+        "lam_x_power": 14 + 5,
+        "5-key": 1_086,
+        "10-key": 28,
+        "mf_verify": 144,
+    }
+
+
+def test_homogeneity_failure_names_the_expected_degree_in_normal_form():
+    # (8,1,0; -4) is (0,1,0; 0) written outside normal form: the message
+    # names the expected degree as the difference of the normal forms
+    ws = WeightSystem(1, (2, 3, 5))
+    pair = mf_build(ws, MFIndex((1, 2, 4)))
+    assert pair.shifts[0][1] == GroupElement((1, 1, 0), -1)
+    reports = []
+    for label in (GroupElement((8, 1, 0), -4), normal_form(ws, (8, 1, 0), -4)):
+        shifts = dict(pair.shifts)
+        shifts[0] = (shifts[0][0], label, *shifts[0][2:])
+        reports.append(mf_verify(replace(pair, shifts=shifts)))
+    assert reports[0] == reports[1]
+    assert reports[0].identity_ok and not reports[0].homogeneity_ok
+    assert reports[0].failures[0] == "M entry (0,1) has degree (0,1,0; 0) != (1,1,0; 0)"
 
 
 def test_shift_labels_match_printed_summands():

@@ -252,3 +252,66 @@ def test_suite_builds_results_and_catches_failed_invariants_in_one_place():
         and any(getattr(sub, "id", None) == "AssertionError" for sub in ast.walk(node.type))
     ]
     assert len(builds) == 1 and len(handlers) == 1, (builds, handlers)
+
+
+# What the library keeps for the life of the process: per-n or per-weights
+# constants and the parser, and two tables of checks filled at import.
+PROCESS_LIFETIME_CACHES = {
+    "cli.build_parser",
+    "coxeter._phi_exponents",
+    "coxeter._phi_sorted",
+    "matfac._incidence",
+    "matfac._evaluation_points",
+}
+READ_ONLY_TABLES = {"suite.ENUMERATION_CLAIMS", "suite.BATTERIES"}
+
+
+def _callee(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _is_dict(node):
+    makers = {"dict", "defaultdict", "OrderedDict", "Counter"}
+    return isinstance(node, (ast.Dict, ast.DictComp)) or (
+        isinstance(node, ast.Call) and _callee(node) in makers
+    )
+
+
+def test_no_memo_outlives_its_call():
+    """A memo keyed on a system, a pair or an algebra lives no longer than
+    the call, loop or object it serves: only the pinned per-n and
+    per-weights caches are process-wide.  A benchmark runs many passes in
+    one process, and a memo that outlived its call would make later passes
+    measure another program than a fresh `glci` run.  Checked on
+    `functools.cache` and `lru_cache` at module and class level, on
+    module-level and class-level dicts, and on dict defaults of parameters."""
+    caches, tables, defaults, writes = set(), set(), [], []
+    for path in SOURCES:
+        module, tree = path.stem, ast.parse(path.read_text(), filename=str(path))
+        classes = [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        bodies = [tree.body] + classes
+        for stmt in (stmt for body in bodies for stmt in body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_callee(d) in ("cache", "lru_cache") for d in stmt.decorator_list):
+                    caches.add(f"{module}.{stmt.name}")
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
+                if _is_dict(stmt.value):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    tables.update(f"{module}.{t.id}" for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if any(d is not None and _is_dict(d) for d in args.defaults + args.kw_defaults):
+                    defaults.append(f"{path.name}:{node.lineno}")
+            table = None
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                table = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in {"__setitem__", "setdefault", "update", "pop", "clear"}:
+                    table = node.func.value
+            if table is not None and f"suite.{_callee(table)}" in READ_ONLY_TABLES:
+                writes.append(f"{path.name}:{node.lineno}")
+    assert caches == PROCESS_LIFETIME_CACHES
+    assert tables == READ_ONLY_TABLES
+    assert not defaults and not writes, (defaults, writes)
