@@ -227,12 +227,13 @@ class StructureAlgebra:
     index: dict[tuple[int, int, tuple[int, ...]], int] = field(compare=False)
     by_pair: dict[tuple[int, int], tuple[int, ...]] = field(compare=False)
     # multiply's results by (a, b), and reduce_monomial's by exponent tuple;
-    # callers only read the dicts they return
+    # callers only read the dicts they return.  Not init fields, so a
+    # `dataclasses.replace` copy starts with empty memos of its own.
     products: dict[tuple[int, int], dict[int, int]] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, init=False, compare=False, repr=False
     )
     reductions: dict[tuple[int, ...], dict[tuple[int, ...], int]] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     @property

@@ -1,7 +1,8 @@
 """Command line front end: reports, quiver/matrix exports and the invariant suite.
 
 Exit codes: 0 success, 1 verification or invariant failure, 2 invalid input.
-Output is deterministic byte for byte for a fixed invocation.
+Output is deterministic byte for byte for a fixed invocation.  Each command
+imports the modules it uses, so a run loads only those.
 """
 
 from __future__ import annotations
@@ -10,17 +11,19 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import algebra, atilde, classify, coxeter, matfac, suite
-from .algebra import Quiver
-from .coxeter import format_poly
 from .grading import (
     GroupElement,
+    Trichotomy,
     WeightSystem,
     interval,
     normal_form,
 )
+
+if TYPE_CHECKING:
+    from . import atilde, classify
+    from .algebra import Quiver
 
 
 class InputError(ValueError):
@@ -102,6 +105,8 @@ def _ws_from_args(args) -> WeightSystem:
 
 
 def cmd_info(args) -> int:
+    from . import classify
+
     report = classify.classification_report(_ws_from_args(args))
     payload = {
         "dim": report.ws.d,
@@ -135,6 +140,8 @@ def _frac_cy_payload(data: classify.FracCY):
 
 
 def cmd_quiver(args) -> int:
+    from . import algebra
+
     ws = _ws_from_args(args)
     if args.interval == "canonical":
         elements = algebra.canonical_interval(ws)
@@ -159,6 +166,9 @@ def cmd_quiver(args) -> int:
 
 
 def cmd_coxeter(args) -> int:
+    from . import coxeter
+    from .coxeter import format_poly
+
     ws = _ws_from_args(args)
     chi = coxeter.coxeter_polynomial(ws)
     factors = coxeter.coxeter_factors(ws)
@@ -189,6 +199,8 @@ def cmd_coxeter(args) -> int:
 
 
 def cmd_mf(args) -> int:
+    from . import matfac
+
     ws = _ws_from_args(args)
     if args.ell:
         try:
@@ -237,6 +249,8 @@ def cmd_mf(args) -> int:
 
 
 def cmd_atilde(args) -> int:
+    from . import atilde
+
     ws = _ws_from_args(args)
     q = atilde.atilde_presentation(ws)
     report = atilde.verify_cut(q)
@@ -265,7 +279,7 @@ def cmd_atilde(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .grading import Trichotomy
+    from . import classify
 
     cls = Trichotomy.FANO if args.cls == "fano" else Trichotomy.CALABI_YAU
     data = classify.enumerate_weight_systems(args.dim, args.count, cls)
@@ -292,6 +306,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from . import suite
+
     ws = None
     if args.weights is not None or args.dim is not None:
         if args.weights is None or args.dim is None:

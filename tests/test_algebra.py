@@ -655,6 +655,28 @@ class _NoMemo(dict):
         pass
 
 
+def _with_memos(alg, products, reductions):
+    """A copy of `alg` that keeps its products and reductions in the given
+    tables.  `replace` alone gives the copy empty memos of its own."""
+    copy = replace(alg)
+    vars(copy).update(products=products, reductions=reductions)
+    return copy
+
+
+def test_a_copy_starts_with_empty_memos():
+    # a copy with other hyperplane rows computes its own products: doubling
+    # the rows doubles the coefficient each reduction step brings in
+    algebras = [alg for alg in _gldim_algebras() if alg.lam_rows]
+    assert len(algebras) == 4
+    for alg in algebras:
+        global_dimension(alg)
+        doubled = tuple(tuple(2 * c for c in row) for row in alg.lam_rows)
+        for copy in (replace(alg), replace(alg, basis=alg.basis), replace(alg, lam_rows=doubled)):
+            assert not copy.products and not copy.reductions
+        assert alg.products and alg.reductions
+        assert any(copy.multiply(a, b) != product for (a, b), product in alg.products.items())
+
+
 def test_memoized_products_stay_fresh():
     # callers only read what multiply returns: after the gldim battery's
     # calls every cached product still equals a freshly computed one
@@ -662,14 +684,14 @@ def test_memoized_products_stay_fresh():
         global_dimension(alg)
         assert associativity_spot_check(alg)
         assert alg.products
-        fresh = replace(alg, products=_NoMemo(), reductions=_NoMemo())
+        fresh = _with_memos(alg, _NoMemo(), _NoMemo())
         for (a, b), product in alg.products.items():
             assert product == fresh.multiply(a, b), (a, b)
 
 
 def test_resolution_profiles_match_without_the_memo():
     for alg in _gldim_algebras():
-        uncached = replace(alg, products=_NoMemo(), reductions=_NoMemo())
+        uncached = _with_memos(alg, _NoMemo(), _NoMemo())
         for v in range(len(alg.vertices)):
             assert minimal_resolution_profile(alg, v) == minimal_resolution_profile(uncached, v)
         assert not uncached.products
@@ -689,7 +711,7 @@ def test_memoized_reductions_stay_fresh():
 def test_resolution_profiles_match_without_the_reduction_memo():
     for alg in _gldim_algebras():
         # products of its own, so each is computed with no reduction kept
-        uncached = replace(alg, products={}, reductions=_NoMemo())
+        uncached = _with_memos(alg, {}, _NoMemo())
         for v in range(len(alg.vertices)):
             assert minimal_resolution_profile(alg, v) == minimal_resolution_profile(uncached, v)
         assert uncached.products.keys() == alg.products.keys() and not uncached.reductions

@@ -1,8 +1,13 @@
+import importlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import glci
 from glci.algebra import Arrow, Quiver, Relation, canonical_interval, i_canonical_quiver
 from glci.cli import (
     build_parser,
@@ -455,3 +460,91 @@ def test_dot_export_plain_quiver():
     q = i_canonical_quiver(ws, canonical_interval(ws))
     dot = quiver_to_dot(q)
     assert dot.startswith("digraph") and dot.count("->") == 2
+
+
+# The import model: `import glci` runs no module, and each command loads only
+# what it uses.  Checked in a fresh interpreter, since this one has loaded all.
+SRC = Path(__file__).resolve().parents[1] / "src"
+CLI = {"glci", "glci.cli", "glci.grading", "glci.linalg"}
+REPORTS = CLI | {"glci.classify", "glci.algebra", "glci.coxeter"}
+
+
+def _modules_loaded_by(code):
+    script = "\n".join(
+        [
+            "import contextlib, io, sys",
+            f"sys.path.insert(0, {str(SRC)!r})",
+            code,
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'glci'))",
+        ]
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def _command(*argv):
+    return (
+        "from glci import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0"
+    )
+
+
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import glci", {"glci"}),
+        ("import glci.cli", CLI),
+        (_command("info", "-d", "2", "-w", "7,11,13"), REPORTS),
+        (_command("enumerate", "-d", "1", "-n", "3", "--class", "fano"), REPORTS),
+        (_command("coxeter", "-d", "2", "-w", "2,3,5"), CLI | {"glci.coxeter"}),
+        (_command("quiver", "-d", "1", "-w", "2,3"), CLI | {"glci.algebra"}),
+        (_command("mf", "-d", "1", "-w", "2,3,5", "--ell", "1,1,1"), CLI | {"glci.matfac"}),
+        (_command("atilde", "-d", "1", "-w", "2,3"), CLI | {"glci.algebra", "glci.atilde"}),
+    ],
+    ids=["glci", "glci.cli", "info", "enumerate", "coxeter", "quiver", "mf", "atilde"],
+)
+def test_each_command_loads_only_the_modules_it_uses(code, loaded):
+    assert _modules_loaded_by(code) == loaded
+
+
+EXPORTS = [
+    "ClassificationReport", "GradedMatrixPair", "GroupElement", "IntPolynomial", "MFIndex",
+    "MultiPoly", "OrbitQuiverWithCut", "Quiver", "StructureAlgebra", "Trichotomy",
+    "WeightSystem", "add", "algebra", "atilde", "atilde_presentation", "canonical_interval",
+    "canonical_interval_size", "cartan_matrix", "char_poly", "classification_report",
+    "classify", "cm_finite", "cm_interval", "cm_interval_size", "cm_tensor_check",
+    "coset_data_mod_omega", "coxeter", "coxeter_polynomial", "d_cm_finite_sufficient",
+    "enumerate_weight_systems", "frac_cy", "gldim_canonical", "global_dimension", "grading",
+    "hom_ext_dim", "i_canonical_quiver", "interval", "interval_size", "k0_rank",
+    "knoerrer_partner", "leq", "linalg", "main2_slice", "matfac", "mf_build", "mf_enumerate",
+    "mf_minor_nonsingular", "mf_verify", "negate", "normal_form", "omega",
+    "omega_action_matrix", "orlov_rank_delta", "phi", "piece_dim", "smith_normal_form",
+    "structure_constants", "trichotomy", "vb_finite", "verify_cut",
+]
+
+
+def test_the_package_exports_the_same_names():
+    assert glci.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_each_export_is_its_module_binding(name):
+    value = getattr(glci, name)
+    if name in {"algebra", "atilde", "classify", "coxeter", "grading", "linalg", "matfac"}:
+        assert value is importlib.import_module(f"glci.{name}")
+    else:
+        assert value is getattr(importlib.import_module(value.__module__), name)
+    assert vars(glci)[name] is value
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from glci import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
+
+
+def test_an_unknown_name_is_an_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        glci.__getattr__("no_such_name")
