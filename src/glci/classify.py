@@ -161,20 +161,31 @@ def enumerate_weight_systems(d: int, n: int, cls: Trichotomy) -> WeightEnumerati
     return WeightEnumeration(tuple(families), tuple(sporadic))
 
 
-def orlov_rank_delta(ws: WeightSystem) -> int:
-    """rank K0 of the sheaf side minus rank K0 of the stable side; must equal
-    the signed order of the omega coset group (zero in the Calabi-Yau case)."""
-    value = canonical_interval_size(ws) - cm_interval_size(ws)
-    tri = trichotomy(ws)
+def _orlov_delta(
+    canonical_size: int, cm_size: int, tri: Trichotomy, count: Optional[int]
+) -> int:
+    """canonical_size - cm_size, asserted equal to the signed order `count`
+    of the omega coset group (zero in the Calabi-Yau case)."""
+    value = canonical_size - cm_size
     if tri == Trichotomy.CALABI_YAU:
         if value != 0:
             raise AssertionError(f"rank difference {value} nonzero in Calabi-Yau case")
         return value
-    count = coset_data_mod_omega(ws).count
     expected = count if tri == Trichotomy.FANO else -count
     if value != expected:
         raise AssertionError(f"rank difference {value} != expected {expected}")
     return value
+
+
+def orlov_rank_delta(ws: WeightSystem) -> int:
+    """rank K0 of the sheaf side minus rank K0 of the stable side; must equal
+    the signed order of the omega coset group (zero in the Calabi-Yau case)."""
+    return _orlov_delta(
+        canonical_interval_size(ws),
+        cm_interval_size(ws),
+        trichotomy(ws),
+        coset_data_mod_omega(ws).count,
+    )
 
 
 @dataclass(frozen=True)
@@ -311,10 +322,15 @@ class ClassificationReport:
 
 
 def classification_report(ws: WeightSystem) -> ClassificationReport:
+    """Every invariant that `glci info` prints.  The coset data, the
+    trichotomy and both interval sizes are computed once each and shared
+    with the Orlov check."""
     cosets = coset_data_mod_omega(ws)
+    tri = trichotomy(ws)
+    cm_rank = cm_interval_size(ws)
     return ClassificationReport(
         ws=ws,
-        trichotomy=trichotomy(ws),
+        trichotomy=tri,
         is_regular=ws.n <= ws.d + 1,
         is_hypersurface=ws.n <= ws.d + 2,
         cm_finite=cm_finite(ws),
@@ -325,6 +341,6 @@ def classification_report(ws: WeightSystem) -> ClassificationReport:
         coset_count=cosets.count,
         coset_invariant_factors=cosets.invariant_factors,
         k0_rank=k0_rank(ws),
-        cm_rank=cm_interval_size(ws),
-        orlov_delta=orlov_rank_delta(ws),
+        cm_rank=cm_rank,
+        orlov_delta=_orlov_delta(canonical_interval_size(ws), cm_rank, tri, cosets.count),
     )

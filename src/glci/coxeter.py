@@ -6,8 +6,9 @@ the Grothendieck group, takes its characteristic polynomial modulo a prime
 large enough to recover every integer coefficient, and multiplies these, each
 raised to the number of levels its block acts on.  The action is
 block-diagonal, so no route assembles the full matrix, and blocks of the same
-ordered weight tuple are equal, so each is reduced once.  The two routes share
-only the enumeration of weight subsets, so their agreement is a real check;
+ordered weight tuple are equal, so each is reduced once.  Route one counts
+the weight subsets in closed form and route two enumerates them, so the two
+share only the weights and their agreement is a real check;
 `matrix_route_check` is that check, block by block and overall.  Both compute
 over the integers only.
 """
@@ -210,13 +211,24 @@ def _weight_subsets(ws: WeightSystem):
 
 
 def _phi_multiplicities(ws: WeightSystem) -> dict[tuple[int, ...], int]:
-    """Sorted weight tuple of each phi factor -> its combined exponent, in
-    the order the subsets first reach it."""
-    exps: dict[tuple[int, ...], int] = {}
-    for subset in _weight_subsets(ws):
-        key = tuple(sorted(ws.weights[i] for i in subset))
-        exps[key] = exps.get(key, 0) + ws.d + 1 - len(subset)
-    return exps
+    """Sorted weight tuple of each phi factor -> its combined exponent.
+
+    The index subsets I with |I| <= d whose weights sort to a key taking c_v
+    copies of each weight v number prod C(m_v, c_v), where v occurs m_v
+    times, and each adds d + 1 - |I| to the key.  So the keys are built one
+    distinct weight at a time, never one subset at a time.  No caller relies
+    on the key order: `coxeter_factors` sorts the keys, and `_expand`'s
+    result does not depend on the order of its factors.
+    """
+    ways: dict[tuple[int, ...], int] = {(): 1}
+    for v in sorted(set(ws.weights)):
+        m = ws.weights.count(v)
+        ways = {
+            key + (v,) * c: count * math.comb(m, c)
+            for key, count in ways.items()
+            for c in range(min(m, ws.d - len(key)) + 1)
+        }
+    return {key: (ws.d + 1 - len(key)) * count for key, count in ways.items()}
 
 
 def coxeter_polynomial(ws: WeightSystem) -> IntPolynomial:
@@ -240,11 +252,16 @@ def coxeter_factors(ws: WeightSystem) -> list[tuple[IntPolynomial, int]]:
 
 
 def k0_rank(ws: WeightSystem) -> int:
-    """Rank of the Grothendieck group: sum over |I| <= d of (d+1-|I|) prod (p_i - 1)."""
-    total = 0
-    for subset in _weight_subsets(ws):
-        total += (ws.d + 1 - len(subset)) * math.prod(ws.weights[i] - 1 for i in subset)
-    return total
+    """Rank of the Grothendieck group: sum over |I| <= d of (d+1-|I|) prod (p_i - 1),
+    which is sum over k <= min(d, n) of (d+1-k) e_k with e_k the k-th
+    elementary symmetric polynomial of the p_i - 1.  Each weight updates e_k
+    with k descending, so e_{k-1} still excludes it."""
+    top = min(ws.d, ws.n)
+    e = [1] + [0] * top
+    for p in ws.weights:
+        for k in range(top, 0, -1):
+            e[k] += e[k - 1] * (p - 1)
+    return sum((ws.d + 1 - k) * e_k for k, e_k in enumerate(e))
 
 
 def omega_action_block(weights: Sequence[int]) -> list[list[int]]:

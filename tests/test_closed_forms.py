@@ -1,11 +1,14 @@
-"""Closed forms against enumerate-and-test oracles: intervals, convexity
-and the slice Hom-vanishing corner test.
+"""Closed forms against enumerate-and-test oracles: intervals, convexity,
+the slice Hom-vanishing corner test, the K0 rank, the phi multiplicities and
+the invariant factors of L modulo omega.
 
 The oracles below are the original enumerate-and-test routines.  They share
 only the group arithmetic (`add`, `sub`, `leq`, `delta_l`) with the library,
 never the interval, size or convexity code they check.  The slice oracle
 enumerates the pieces with the (separately checked) `interval` and tests
-every pair; it shares only the pieces with the corner test.
+every pair; it shares only the pieces with the corner test.  The K0 rank and
+phi multiplicity oracles loop over the index subsets, and the coset oracle
+runs the Smith normal form on a presentation of L / Z omega.
 """
 
 import itertools
@@ -21,12 +24,19 @@ from glci.algebra import (
     cm_interval,
     cm_interval_size,
 )
-from glci.classify import SliceReport, hom_vanishing_from_corners, main2_slice
-from glci.coxeter import k0_rank
+from glci.classify import (
+    SliceReport,
+    enumerate_weight_systems,
+    hom_vanishing_from_corners,
+    main2_slice,
+)
+from glci.coxeter import _phi_multiplicities, _weight_subsets, k0_rank
 from glci.grading import (
     GroupElement,
+    Trichotomy,
     WeightSystem,
     add,
+    coset_data_mod_omega,
     delta_l,
     gen_c,
     gen_x,
@@ -38,8 +48,10 @@ from glci.grading import (
     piece_dim,
     smul,
     sub,
+    trichotomy,
     zero,
 )
+from glci.linalg import smith_normal_form
 from glci.suite import battery_slices, default_grid
 
 
@@ -382,3 +394,96 @@ def test_slice_corner_test_matches_pairwise_on_random_pieces():
 
     check()
     assert seen[True] > 10 and seen[False] > 10, seen
+
+
+def _k0_rank_by_subsets(ws):
+    """Sum over index subsets I with |I| <= d of (d+1-|I|) prod (p_i - 1)."""
+    total = 0
+    for subset in _weight_subsets(ws):
+        total += (ws.d + 1 - len(subset)) * math.prod(ws.weights[i] - 1 for i in subset)
+    return total
+
+
+def _phi_multiplicities_by_subsets(ws):
+    """Each index subset I with |I| <= d adds d+1-|I| to its sorted weights."""
+    exps = {}
+    for subset in _weight_subsets(ws):
+        key = tuple(sorted(ws.weights[i] for i in subset))
+        exps[key] = exps.get(key, 0) + ws.d + 1 - len(subset)
+    return exps
+
+
+def _omega_presentation_matrix(ws):
+    """Generators x_1..x_n with c = p_n * x_n eliminated; the last row kills omega."""
+    n = ws.n
+    if n == 0:
+        return [[ws.n - ws.d - 1]]
+    mat = []
+    for i in range(n - 1):
+        row = [0] * n
+        row[i] = ws.weights[i]
+        row[i + 1] = -ws.weights[i + 1]
+        mat.append(row)
+    last = [-1] * n
+    last[n - 1] = (ws.n - ws.d - 1) * ws.weights[n - 1] - 1
+    mat.append(last)
+    return mat
+
+
+def _check_rank_forms(ws):
+    assert k0_rank(ws) == _k0_rank_by_subsets(ws), ws
+    assert _phi_multiplicities(ws) == _phi_multiplicities_by_subsets(ws), ws
+    factors = tuple(smith_normal_form(_omega_presentation_matrix(ws)))
+    assert coset_data_mod_omega(ws).invariant_factors == factors, ws
+
+
+def test_rank_forms_match_oracles_on_default_grid_and_calabi_yau_systems():
+    grid = default_grid()
+    calabi_yau = [
+        WeightSystem(d, weights)
+        for d in (1, 2, 3)
+        for n in range(d + 5)
+        for weights in enumerate_weight_systems(d, n, Trichotomy.CALABI_YAU).sporadic
+    ]
+    assert sum(trichotomy(ws) == Trichotomy.CALABI_YAU for ws in grid) >= 8
+    assert len(calabi_yau) > 150
+    for ws in grid + calabi_yau:
+        _check_rank_forms(ws)
+    # the Calabi-Yau factor lists end in the one free summand
+    assert all(coset_data_mod_omega(ws).invariant_factors[-1] == 0 for ws in calabi_yau)
+
+
+# repeated weights, prime powers and composites with several prime factors
+RANDOM_WEIGHT_POOL = (1, 2, 3, 4, 5, 7, 8, 9, 12, 16, 27, 36, 49, 64, 100)
+
+
+def test_rank_forms_match_oracles_on_random_tuples():
+    rng = random.Random(3101)
+    repeated = 0
+    for _ in range(2_000):
+        n = rng.randint(0, 7)
+        weights = [rng.choice(RANDOM_WEIGHT_POOL) for _ in range(n)]
+        if n >= 2 and rng.random() < 0.5:
+            weights[rng.randrange(n)] = weights[0]
+        ws = WeightSystem(rng.randint(1, 5), tuple(weights))
+        repeated += len(set(weights)) < n
+        _check_rank_forms(ws)
+    assert repeated > 500
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [
+        WeightSystem(2, (MERSENNE_61, 3, 5)),
+        WeightSystem(1, (MERSENNE_61, MERSENNE_61 * (2**31 - 1))),
+        WeightSystem(2, (MERSENNE_61 * (2**31 - 1), MERSENNE_61, 2, 2)),
+        WeightSystem(3, (MERSENNE_61, MERSENNE_61, MERSENNE_61 * (2**31 - 1), 6, 10, 15)),
+        WeightSystem(2, (2**31 - 1, 4 * MERSENNE_61, 12, 9, 9)),
+    ],
+    ids=str,
+)
+def test_rank_forms_match_oracles_on_large_weights(ws):
+    _check_rank_forms(ws)
