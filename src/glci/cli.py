@@ -30,11 +30,21 @@ class InputError(ValueError):
     """Unusable input; `main` exits 2 on it as on any other ValueError."""
 
 
+def parse_int(text: str) -> int:
+    """An integer written as an optional sign and ASCII digits, with surrounding
+    whitespace; `int` alone would also take underscores and other scripts' digits."""
+    value = int(text)
+    body = text.strip()
+    if "_" in body or not body.isascii():
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return value
+
+
 def parse_weights(text: str) -> tuple[int, ...]:
     if text.strip() in ("-", ""):
         return ()
     try:
-        weights = tuple(int(part) for part in text.split(","))
+        weights = tuple(parse_int(part) for part in text.split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse weights {text!r}") from exc
     return weights
@@ -47,8 +57,8 @@ def parse_element(ws: WeightSystem, text: str) -> GroupElement:
             tors_text, free_text = text.split(";")
         else:
             tors_text, free_text = "", text
-        tors = [int(v) for v in tors_text.split(",") if v.strip() != ""]
-        return normal_form(ws, tors + [0] * (ws.n - len(tors)), int(free_text))
+        tors = [parse_int(v) for v in tors_text.split(",") if v.strip() != ""]
+        return normal_form(ws, tors + [0] * (ws.n - len(tors)), parse_int(free_text))
     except (ValueError, IndexError) as exc:
         raise InputError(f"cannot parse group element {text!r}: {exc}") from exc
 
@@ -204,7 +214,7 @@ def cmd_mf(args) -> int:
     ws = _ws_from_args(args)
     if args.ell:
         try:
-            ell = tuple(int(v) for v in args.ell.split(","))
+            ell = tuple(parse_int(v) for v in args.ell.split(","))
         except ValueError as exc:
             raise InputError(f"cannot parse --ell {args.ell!r}: {exc}") from exc
         indices = [matfac.MFIndex(ell)]
@@ -332,12 +342,14 @@ def cmd_suite(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser is built once per process: parsing does not mutate it."""
+    """The parser is built once per process: parsing does not mutate it.
+    Its `commands` attribute maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="glci",
         description="Exact invariants of Geigle-Lenzing complete intersections",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_ws_args(p):
         p.add_argument("--dim", "-d", type=int, required=True, help="ambient dimension d >= 1")
@@ -403,7 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # help, a missing or unknown command: argparse reports it
+        args = parser.parse_args(argv)
+    else:
+        # What the top-level pass ends in, without first classifying every
+        # argument: the command's parser takes the rest, and anything it
+        # leaves is reported in the top-level parser's own words.
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.fn(args)
     except ValueError as exc:

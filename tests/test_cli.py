@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib
 import json
@@ -58,8 +59,10 @@ def run_cli(capsys, *argv):
 def test_parse_weights():
     assert parse_weights("2,3,5") == (2, 3, 5)
     assert parse_weights("-") == ()
-    with pytest.raises(Exception):
-        parse_weights("2,x")
+    assert parse_weights(" 2, +3 ,5\u2003") == (2, 3, 5)
+    for text in ("2,x", "2_0,3", "\u0663,5", "2,\u00b3", "2,,3", "+-2"):
+        with pytest.raises(ValueError, match="cannot parse weights"):
+            parse_weights(text)
 
 
 def test_parse_element():
@@ -277,7 +280,17 @@ def test_quiver_bad_element_names_the_reason(capsys):
     assert "expected 2 torsion coordinates, got 3" in err
 
 
-@pytest.mark.parametrize("text", ["0,x;0..0,0;1", "0,0;0..0,0;1.5", "0,0;0..0.5,0;1"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0,x;0..0,0;1",
+        "0,0;0..0,0;1.5",
+        "0,0;0..0.5,0;1",
+        "0,0;0..1,1_0;1",
+        "0,0;0..1,\u0661;1",
+        "0,0;0..1,1;1_0",
+    ],
+)
 def test_quiver_non_integer_element_exits_2(capsys, text):
     code, out, err = run_cli(capsys, "quiver", "-d", "1", "-w", "2,3", "--interval", text)
     assert (code, out) == (2, "")
@@ -290,6 +303,12 @@ def test_mf_bad_ell_names_the_flag_and_text(capsys):
     assert out == ""
     assert err == (
         "error: cannot parse --ell '1,x,2': invalid literal for int() with base 10: 'x'\n"
+    )
+    # int() alone would read '1_0' as 10
+    code, out, err = run_cli(capsys, "mf", "-d", "1", "-w", "2,3,5", "--ell", "1,1,1_0")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: cannot parse --ell '1,1,1_0': invalid literal for int() with base 10: '1_0'\n"
     )
 
 
@@ -340,7 +359,24 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_one_parser_serves_every_call_in_a_process(capsys):
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """One [parser, result] entry per `parse_known_args` run, in order; the
+    result stays None when the run exits."""
+    calls = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        call = [self, None]
+        calls.append(call)
+        call[1] = real(self, *args, **kwargs)
+        return call[1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return calls
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, parse_calls):
     assert build_parser() is build_parser()
     info = ("info", "--dim", "2", "--weights", "2,2,3,4", "--format", "json")
     code, first, _ = run_cli(capsys, *info)
@@ -354,11 +390,89 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     capsys.readouterr()
     code, last, _ = run_cli(capsys, *info)
     assert code == 0 and last == first
+    # each command is parsed by the same subparser object on every call
+    commands = build_parser().commands
+    expected = ["info", "suite", "info", "info", "info"]
+    assert len(parse_calls) == len(expected)
+    assert all(parser is commands[name] for (parser, _), name in zip(parse_calls, expected))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("info", "-d", "1", "-w", "2,3"),
+        ("info", "--di", "1", "--we", "2,3", "--format=json"),
+        ("coxeter", "-d", "2", "-w", "2,3", "--check-matrix"),
+        ("enumerate", "-d", "1", "-n", "3", "--class", "fano"),
+        ("suite", "--only", "gldim", "-d", "1", "-w", "2,2,2"),
+    ],
+    ids=" ".join,
+)
+def test_a_command_line_is_parsed_once_by_its_command_parser(capsys, parse_calls, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(parse_calls) == 1
+    (parser, (namespace, extras)), = parse_calls
+    assert parser is build_parser().commands[argv[0]] and extras == []
+    # the namespace the two-level parse gives, the command's name included
+    assert namespace == build_parser().parse_args(argv)
+
+
+COMMANDS = ("info", "quiver", "coxeter", "mf", "atilde", "enumerate", "suite")
+WEIGHTS = ("-d", "1", "-w", "2,3")
+
+# Help, usage errors and the argument forms argparse accepts: help and error
+# text is whatever the running interpreter's argparse prints.
+PARSE_TABLE = [
+    (),
+    ("-h",),
+    ("--help",),
+    ("nosuch", *WEIGHTS),
+    ("--", "info", *WEIGHTS),
+    *((command, "-h") for command in COMMANDS),
+    ("info", "-d", "1"),
+    ("info", "-d", "one", "-w", "2,3"),
+    ("info", *WEIGHTS, "--format", "yaml"),
+    ("info", *WEIGHTS, "--bogus"),
+    ("info", *WEIGHTS, "stray"),
+    ("info", *WEIGHTS, "--"),
+    ("suite", "--bogus", "x", "--only", "gldim"),
+    ("info", "--di", "1", "--we", "2,3"),
+    ("info", "--dim=1", "--weights=2,3", "--format=json"),
+    ("info", "-d1", "-w2,3", "--fo", "json"),
+    ("enumerate", "-d", "2", "-n", "3", "--cl", "calabiyau"),
+]
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of one call, taking a SystemExit's code."""
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _two_level(argv):
+    """argparse's own route: the top-level parser reads every argument, then
+    hands the command's to its subparser."""
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "(none)")
+def test_main_parses_as_the_two_level_parser_does(capsys, argv):
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _two_level, argv)
 
 
 def test_invalid_weights_exit_code(capsys):
     code, _, err = run_cli(capsys, "info", "--dim", "1", "--weights", "2,zz")
     assert code == 2
+    # int() alone would read '2_0' as 20 and the Arabic-Indic digit as 3
+    for weights in ("2_0,3", "\u0663,5"):
+        code, out, err = run_cli(capsys, "info", "-d", "1", "-w", weights)
+        assert (code, out, err) == (2, "", f"error: cannot parse weights {weights!r}\n")
     for weights in ("2,0,3", "-1"):
         code, out, err = run_cli(capsys, "info", "--dim", "1", "--weights", weights)
         assert code == 2 and out == "" and err.startswith("error: weights must be >= 1")

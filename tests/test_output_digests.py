@@ -3,7 +3,7 @@ recorded sha256 and exit code in `output_digests.txt`.
 
 A change that means to alter an output regenerates that command's line and
 says why; every other line must keep matching.  To print the lines for the
-source tree on PYTHONPATH:
+source tree on PYTHONPATH, with the standard library only:
 
     PYTHONPATH=src python tests/test_output_digests.py
 """
@@ -12,8 +12,6 @@ import contextlib
 import hashlib
 import io
 from pathlib import Path
-
-import pytest
 
 from glci.cli import main
 
@@ -79,7 +77,13 @@ def test_every_command_has_one_recorded_digest():
     assert sorted(recorded()) == sorted(" ".join(argv) for argv in COMMANDS)
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def pytest_generate_tests(metafunc):
+    """One case per command, named by its argv: pytest's parametrize without
+    importing pytest, so the printing mode below runs without it."""
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", COMMANDS, ids=" ".join)
+
+
 def test_output_matches_its_recorded_digest(argv):
     assert digest_line(argv) == recorded()[" ".join(argv)]
 
