@@ -19,22 +19,14 @@ from .grading import (
     omega,
     presentation,
 )
-from .algebra import canonical_interval, i_canonical_quiver, is_acyclic
-
-
-@dataclass(frozen=True)
-class CutArrow:
-    source: int
-    target: int
-    label: int
-    cut: bool
+from .algebra import Arrow, canonical_interval, i_canonical_quiver, is_acyclic
 
 
 @dataclass(frozen=True)
 class OrbitQuiverWithCut:
     ws: WeightSystem
     vertices: tuple[GroupElement, ...]
-    arrows: tuple[CutArrow, ...]
+    arrows: tuple[Arrow, ...]
 
 
 def atilde_presentation(ws: WeightSystem) -> OrbitQuiverWithCut:
@@ -49,14 +41,14 @@ def atilde_presentation(ws: WeightSystem) -> OrbitQuiverWithCut:
         for vi, v in enumerate(verts):
             t = add(ws, v, g)
             if t in vindex:
-                arrows.append(CutArrow(vi, vindex[t], label, cut=False))
+                arrows.append(Arrow(vi, vindex[t], label))
             else:
                 # For n <= d+1 every generator g has g + omega <= 0, so a target
                 # that leaves [0, d*c] comes back into it at exactly t + omega.
                 rep = vindex.get(add(ws, t, w))
                 if rep is None:
                     raise AssertionError(f"no interval representative found for {t}")
-                arrows.append(CutArrow(vi, rep, label, cut=True))
+                arrows.append(Arrow(vi, rep, label, cut=True))
     return OrbitQuiverWithCut(ws, verts, tuple(arrows))
 
 
@@ -81,7 +73,7 @@ def verify_cut(q: OrbitQuiverWithCut) -> CutReport:
     if d > 5:
         raise ValueError("walk verification capped at d <= 5")
     nv = len(q.vertices)
-    outgoing: dict[tuple[int, int], CutArrow] = {}
+    outgoing: dict[tuple[int, int], Arrow] = {}
     for a in q.arrows:
         key = (a.source, a.label)
         if key in outgoing:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification or invariant failure, 2 invalid input.
 Output is deterministic byte for byte for a fixed invocation.  Each command
-imports the modules it uses, so a run loads only those.
+imports the modules it uses, so a run loads only those.  Each `cmd_*`
+returns its exit code and its whole stdout text, and `run` alone writes
+stdout: once per call, after the command has finished.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -26,10 +29,6 @@ if TYPE_CHECKING:
     from .algebra import Quiver
 
 
-class InputError(ValueError):
-    """Unusable input; `main` exits 2 on it as on any other ValueError."""
-
-
 def parse_int(text: str) -> int:
     """An integer written as an optional sign and ASCII digits, with surrounding
     whitespace; `int` alone would also take underscores and other scripts' digits."""
@@ -40,13 +39,16 @@ def parse_int(text: str) -> int:
     return value
 
 
+parse_int.__name__ = "int"  # argparse refuses an option's text as "invalid int value"
+
+
 def parse_weights(text: str) -> tuple[int, ...]:
     if text.strip() in ("-", ""):
         return ()
     try:
         weights = tuple(parse_int(part) for part in text.split(","))
     except ValueError as exc:
-        raise InputError(f"cannot parse weights {text!r}") from exc
+        raise ValueError(f"cannot parse weights {text!r}") from exc
     return weights
 
 
@@ -60,7 +62,12 @@ def parse_element(ws: WeightSystem, text: str) -> GroupElement:
         tors = [parse_int(v) for v in tors_text.split(",") if v.strip() != ""]
         return normal_form(ws, tors + [0] * (ws.n - len(tors)), parse_int(free_text))
     except (ValueError, IndexError) as exc:
-        raise InputError(f"cannot parse group element {text!r}: {exc}") from exc
+        raise ValueError(f"cannot parse group element {text!r}: {exc}") from exc
+
+
+def _text(lines) -> str:
+    """What `print` writes for each line in turn."""
+    return "".join(f"{line}\n" for line in lines)
 
 
 def quiver_to_json(q: Quiver) -> dict:
@@ -86,11 +93,11 @@ def quiver_to_dot(q: Quiver | atilde.OrbitQuiverWithCut) -> str:
         lines.append(f'  v{i} [label="{v}"];')
     for a in q.arrows:
         attrs = f'label="x{a.label}"'
-        if getattr(a, "cut", False):
+        if a.cut:
             attrs += ", style=dashed"
         lines.append(f"  v{a.source} -> v{a.target} [{attrs}];")
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _text(lines)
 
 
 def quiver_to_text(q: Quiver) -> str:
@@ -107,14 +114,18 @@ def quiver_to_text(q: Quiver) -> str:
             for c, path in zip(rel.coeffs, rel.paths)
         ]
         out.append("  " + " + ".join(terms))
-    return "\n".join(out) + "\n"
+    return _text(out)
 
 
 def _ws_from_args(args) -> WeightSystem:
     return WeightSystem(args.dim, parse_weights(args.weights))
 
 
-def cmd_info(args) -> int:
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def cmd_info(args) -> tuple[int, str]:
     from . import classify
 
     report = classify.classification_report(_ws_from_args(args))
@@ -136,11 +147,8 @@ def cmd_info(args) -> int:
         "orlov_delta": report.orlov_delta,
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    return 0
+        return 0, _json(payload)
+    return 0, _text(f"{key}: {value}" for key, value in payload.items())
 
 
 def _frac_cy_payload(data: classify.FracCY):
@@ -149,7 +157,7 @@ def _frac_cy_payload(data: classify.FracCY):
     return {"m": data.m, "l": data.l, "reduced": str(data.reduced)}
 
 
-def cmd_quiver(args) -> int:
+def cmd_quiver(args) -> tuple[int, str]:
     from . import algebra
 
     ws = _ws_from_args(args)
@@ -161,21 +169,17 @@ def cmd_quiver(args) -> int:
         try:
             lo_text, hi_text = args.interval.split("..")
         except ValueError as exc:
-            raise InputError(
+            raise ValueError(
                 "interval must be 'canonical', 'cm' or 'LO..HI' in normal-form coordinates"
             ) from exc
         elements = interval(ws, parse_element(ws, lo_text), parse_element(ws, hi_text))
     q = algebra.i_canonical_quiver(ws, elements)
     if args.format == "json":
-        print(json.dumps(quiver_to_json(q), indent=2))
-    elif args.format == "dot":
-        sys.stdout.write(quiver_to_dot(q))
-    else:
-        sys.stdout.write(quiver_to_text(q))
-    return 0
+        return 0, _json(quiver_to_json(q))
+    return 0, quiver_to_dot(q) if args.format == "dot" else quiver_to_text(q)
 
 
-def cmd_coxeter(args) -> int:
+def cmd_coxeter(args) -> tuple[int, str]:
     from . import coxeter
     from .coxeter import format_poly
 
@@ -183,6 +187,7 @@ def cmd_coxeter(args) -> int:
     chi = coxeter.coxeter_polynomial(ws)
     factors = coxeter.coxeter_factors(ws)
     agrees = coxeter.matrix_route_check(ws, chi)[0] if args.check_matrix else None
+    status = 1 if agrees is False else 0
     if args.format == "json":
         payload = {
             "coefficients": list(chi.coeffs),
@@ -194,21 +199,18 @@ def cmd_coxeter(args) -> int:
         }
         if args.check_matrix:
             payload["matrix_route_agrees"] = agrees
-        print(json.dumps(payload, indent=2))
-    else:
-        pieces = []
-        for p, e in factors:
-            text = f"({format_poly(p)})"
-            pieces.append(text if e == 1 else f"{text}^{e}")
-        print(" ".join(pieces))
-        print(f"expanded: {format_poly(chi)}")
-        print(f"degree: {chi.degree}")
-        if args.check_matrix:
-            print(f"matrix route agrees: {agrees}")
-    return 1 if agrees is False else 0
+        return status, _json(payload)
+    pieces = []
+    for p, e in factors:
+        text = f"({format_poly(p)})"
+        pieces.append(text if e == 1 else f"{text}^{e}")
+    out = [" ".join(pieces), f"expanded: {format_poly(chi)}", f"degree: {chi.degree}"]
+    if args.check_matrix:
+        out.append(f"matrix route agrees: {agrees}")
+    return status, _text(out)
 
 
-def cmd_mf(args) -> int:
+def cmd_mf(args) -> tuple[int, str]:
     from . import matfac
 
     ws = _ws_from_args(args)
@@ -216,7 +218,7 @@ def cmd_mf(args) -> int:
         try:
             ell = tuple(parse_int(v) for v in args.ell.split(","))
         except ValueError as exc:
-            raise InputError(f"cannot parse --ell {args.ell!r}: {exc}") from exc
+            raise ValueError(f"cannot parse --ell {args.ell!r}: {exc}") from exc
         indices = [matfac.MFIndex(ell)]
     else:
         indices = matfac.mf_enumerate(ws)
@@ -238,36 +240,38 @@ def cmd_mf(args) -> int:
                 for pos, labels in sorted(pair.shifts.items())
             }
         payload.append(entry)
+    status = 1 if failures else 0
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        for entry in payload:
-            line = f"ell={tuple(entry['ell'])} size={entry['size']}"
-            if args.verify:
-                line += (
-                    f" identity={entry['identity_ok']}"
-                    f" homogeneous={entry['homogeneity_ok']}"
-                    f" minor_nonsingular={entry['corner_minor_nonsingular']}"
-                )
-            print(line)
+        return status, _json(payload)
+    out = []
+    for entry in payload:
+        line = f"ell={tuple(entry['ell'])} size={entry['size']}"
         if args.verify:
-            print(
-                f"{len(payload)} factorizations, "
-                + ("all identities verified" if not failures else f"{failures} FAILED")
+            line += (
+                f" identity={entry['identity_ok']}"
+                f" homogeneous={entry['homogeneity_ok']}"
+                f" minor_nonsingular={entry['corner_minor_nonsingular']}"
             )
-    return 1 if failures else 0
+        out.append(line)
+    if args.verify:
+        out.append(
+            f"{len(payload)} factorizations, "
+            + ("all identities verified" if not failures else f"{failures} FAILED")
+        )
+    return status, _text(out)
 
 
-def cmd_atilde(args) -> int:
+def cmd_atilde(args) -> tuple[int, str]:
     from . import atilde
 
     ws = _ws_from_args(args)
     q = atilde.atilde_presentation(ws)
     report = atilde.verify_cut(q)
     matches = atilde.noncut_matches_interval_quiver(q)
+    status = 0 if report.ok and matches else 1
     if args.format == "dot":
-        sys.stdout.write(quiver_to_dot(q))
-    elif args.format == "json":
+        return status, quiver_to_dot(q)
+    if args.format == "json":
         payload = {
             "vertices": [{"torsion": list(v.torsion), "free": v.free} for v in q.vertices],
             "arrows": [
@@ -278,66 +282,62 @@ def cmd_atilde(args) -> int:
             "noncut_matches_interval_quiver": matches,
             "walks_checked": report.walks_checked,
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"vertices: {len(q.vertices)}")
-        print(f"arrows: {len(q.arrows)} ({sum(a.cut for a in q.arrows)} cut)")
-        print(f"walks checked: {report.walks_checked}")
-        print(f"cut axioms hold: {report.ok}")
-        print(f"non-cut part equals interval quiver: {matches}")
-    return 0 if report.ok and matches else 1
+        return status, _json(payload)
+    out = [
+        f"vertices: {len(q.vertices)}",
+        f"arrows: {len(q.arrows)} ({sum(a.cut for a in q.arrows)} cut)",
+        f"walks checked: {report.walks_checked}",
+        f"cut axioms hold: {report.ok}",
+        f"non-cut part equals interval quiver: {matches}",
+    ]
+    return status, _text(out)
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args) -> tuple[int, str]:
     from . import classify
 
     cls = Trichotomy.FANO if args.cls == "fano" else Trichotomy.CALABI_YAU
     data = classify.enumerate_weight_systems(args.dim, args.count, cls)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "infinite_families": [list(f) for f in data.infinite_families],
-                    "sporadic": [list(t) for t in data.sporadic],
-                },
-                indent=2,
-            )
+        return 0, _json(
+            {
+                "infinite_families": [list(f) for f in data.infinite_families],
+                "sporadic": [list(t) for t in data.sporadic],
+            }
         )
-    else:
-        print(f"infinite families ({len(data.infinite_families)}):")
-        for fam in data.infinite_families:
-            stars = ",".join(["*"] * (args.count - len(fam)))
-            body = ",".join(str(p) for p in fam)
-            print(f"  ({body}{',' if body and stars else ''}{stars})")
-        print(f"sporadic ({len(data.sporadic)}):")
-        for tup in data.sporadic:
-            print("  (" + ",".join(str(p) for p in tup) + ")")
-    return 0
+    out = [f"infinite families ({len(data.infinite_families)}):"]
+    for fam in data.infinite_families:
+        stars = ",".join(["*"] * (args.count - len(fam)))
+        body = ",".join(str(p) for p in fam)
+        out.append(f"  ({body}{',' if body and stars else ''}{stars})")
+    out.append(f"sporadic ({len(data.sporadic)}):")
+    out.extend("  (" + ",".join(str(p) for p in tup) + ")" for tup in data.sporadic)
+    return 0, _text(out)
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args) -> tuple[int, str]:
     from . import suite
 
     ws = None
     if args.weights is not None or args.dim is not None:
         if args.weights is None or args.dim is None:
-            raise InputError("suite narrowing needs both --dim and --weights")
-        ws = WeightSystem(args.dim, parse_weights(args.weights))
+            raise ValueError("suite narrowing needs both --dim and --weights")
+        ws = _ws_from_args(args)
     if args.only and not any(args.only in name for name in suite.BATTERIES):
-        raise InputError(
+        raise ValueError(
             f"--only {args.only!r} matches no battery; known: {', '.join(suite.BATTERIES)}"
         )
     results = suite.run_batteries(only=args.only, ws=ws)
     failed = [r for r in results if not r.ok]
     width = max((len(r.battery) for r in results), default=8)
+    out = []
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
-        line = f"{status}  {r.battery:<{width}}  {r.label}"
+        line = f"{'PASS' if r.ok else 'FAIL'}  {r.battery:<{width}}  {r.label}"
         if r.detail:
             line += f"  -- {r.detail}"
-        print(line)
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+        out.append(line)
+    out.append(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    return (1 if failed else 0), _text(out)
 
 
 @functools.cache
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices
 
     def add_ws_args(p):
-        p.add_argument("--dim", "-d", type=int, required=True, help="ambient dimension d >= 1")
+        p.add_argument("--dim", "-d", type=parse_int, required=True, help="ambient dimension d >= 1")
         p.add_argument(
             "--weights",
             "-w",
@@ -398,15 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_atilde)
 
     p = sub.add_parser("enumerate", help="Fano / Calabi-Yau weight tuples")
-    p.add_argument("--dim", "-d", type=int, required=True)
-    p.add_argument("--count", "-n", type=int, required=True, help="tuple length")
+    p.add_argument("--dim", "-d", type=parse_int, required=True)
+    p.add_argument("--count", "-n", type=parse_int, required=True, help="tuple length")
     p.add_argument("--class", dest="cls", choices=("fano", "calabiyau"), required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("suite", help="run the invariant batteries")
     p.add_argument("--only", help="substring filter on battery names")
-    p.add_argument("--dim", "-d", type=int, help="narrow to one weight system")
+    p.add_argument("--dim", "-d", type=parse_int, help="narrow to one weight system")
     p.add_argument("--weights", "-w", help="narrow to one weight system")
     p.set_defaults(fn=cmd_suite)
 
@@ -426,14 +426,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return run(args)
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run a parsed command and write its text: the one place this module
+    writes stdout.  The exit code is known before any byte is written, so a
+    reader that closes the pipe early ends the call silently with that code."""
     try:
-        return args.fn(args)
+        status, text = args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"error: invariant failed: {exc}", file=sys.stderr)
         return 1
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the unwritten rest goes to the null device, so that the flush at
+        # interpreter exit does not fail again and report it on stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return status
 
 
 if __name__ == "__main__":

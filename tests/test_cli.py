@@ -21,6 +21,7 @@ from glci.cli import (
     parse_weights,
     quiver_to_dot,
     quiver_to_json,
+    run,
 )
 from glci.grading import GroupElement, WeightSystem
 
@@ -456,9 +457,8 @@ def _outcome(capsys, call, argv):
 
 def _two_level(argv):
     """argparse's own route: the top-level parser reads every argument, then
-    hands the command's to its subparser."""
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    hands the command's to its subparser; `run` runs and writes as for `main`."""
+    return run(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "(none)")
@@ -476,6 +476,28 @@ def test_invalid_weights_exit_code(capsys):
     for weights in ("2,0,3", "-1"):
         code, out, err = run_cli(capsys, "info", "--dim", "1", "--weights", weights)
         assert code == 2 and out == "" and err.startswith("error: weights must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (("info", "-d", "1_0", "-w", "2,3"), "--dim/-d", "1_0"),
+        (("info", "-d", "\u0661", "-w", "2,3"), "--dim/-d", "\u0661"),
+        (("enumerate", "-d", "2", "-n", "1_0", "--class", "fano"), "--count/-n", "1_0"),
+        (("suite", "-d", "1_0", "-w", "2,3"), "--dim/-d", "1_0"),
+        (("info", "-d", "one", "-w", "2,3"), "--dim/-d", "one"),
+    ],
+    ids=["info -d 1_0", "info -d arabic-indic 1", "enumerate -n 1_0", "suite -d 1_0", "info -d one"],
+)
+def test_integer_options_are_read_as_weights_are(capsys, argv, option, text):
+    """`--dim` and `--count` take an optional sign and ASCII digits, as
+    `--weights` does; int() alone would read '1_0' as 10 and the
+    Arabic-Indic digit as 1.  argparse refuses the text with its usage line."""
+    code, out, err = _outcome(capsys, main, argv)
+    assert (code, out) == (2, "")
+    usage, *_, last = err.splitlines()
+    assert usage.startswith(f"usage: glci {argv[0]} ")
+    assert last == f"glci {argv[0]}: error: argument {option}: invalid int value: {text!r}"
 
 
 def test_invariant_failure_exit_code(capsys, monkeypatch):
@@ -710,3 +732,41 @@ def test_info_on_thirty_weights_three_runs_in_a_second():
     assert code == 0 and seconds < 1, (code, seconds)
     expected = sum((15 - k) * math.comb(30, k) * 2**k for k in range(15))
     assert json.loads(out)["k0_rank"] == expected
+
+
+def _closed_stdout_run(*args):
+    """(exit code, stderr) of `python *args` with the read end of its stdout
+    pipe closed before the child writes."""
+    child = subprocess.Popen(
+        [sys.executable, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    return child.returncode, err
+
+
+FAILED_MATRIX_CHECK = (
+    "import sys\n"
+    "from glci import cli, coxeter\n"
+    "coxeter.char_poly = lambda matrix: coxeter.IntPolynomial([1])\n"
+    "sys.exit(cli.main(['coxeter', '-d', '1', '-w', '2,3,5', '--check-matrix']))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("-m", "glci.cli", "info", "-d", "1", "-w", "2,3,5"), 0),
+        (("-m", "glci.cli", "enumerate", "-d", "4", "-n", "7", "--class", "fano"), 0),
+        (("-c", FAILED_MATRIX_CHECK), 1),
+    ],
+    ids=["info", "enumerate", "failed check"],
+)
+def test_a_closed_stdout_ends_the_command_silently_with_its_code(args, code):
+    """A reader that stops early (`glci ... | head -1`) sees the exit code
+    the command computed, and no traceback reaches stderr; `enumerate`
+    writes about 230 KB, far more than a pipe buffers."""
+    assert _closed_stdout_run(*args) == (code, b"")

@@ -315,3 +315,40 @@ def test_no_memo_outlives_its_call():
     assert caches == PROCESS_LIFETIME_CACHES
     assert tables == READ_ONLY_TABLES
     assert not defaults and not writes, (defaults, writes)
+
+
+def _cli_calls():
+    return [node for node in ast.walk(_module_tree("cli.py")) if isinstance(node, ast.Call)]
+
+
+def test_cli_writes_stdout_in_one_place():
+    """Each command returns its text and `cli.run` writes it, so `cli.py`
+    writes stdout from one call site and prints only to stderr: the exit
+    code is known before any byte is written."""
+    calls = _cli_calls()
+    writes = [
+        call.lineno
+        for call in calls
+        if _callee(call) in ("write", "writelines")
+        and ast.unparse(call.func.value) == "sys.stdout"
+    ]
+    prints = [
+        call.lineno
+        for call in calls
+        if _callee(call) == "print"
+        and not any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr" for k in call.keywords)
+    ]
+    assert len(writes) == 1 and not prints, (writes, prints)
+
+
+def test_cli_reads_every_integer_option_with_parse_int():
+    """No `add_argument` in `cli.py` passes `type=int`, which would take
+    what `int()` takes, underscores and other scripts' digits included."""
+    types = [
+        ast.unparse(k.value)
+        for call in _cli_calls()
+        if _callee(call) == "add_argument"
+        for k in call.keywords
+        if k.arg == "type"
+    ]
+    assert types and "int" not in types, types
