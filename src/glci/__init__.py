@@ -63,7 +63,6 @@ _EXPORTS = (
         "matfac",
         (
             "GradedMatrixPair",
-            "MFIndex",
             "MultiPoly",
             "mf_build",
             "mf_enumerate",
@@ -71,7 +70,7 @@ _EXPORTS = (
             "mf_verify",
         ),
     ),
-    ("atilde", ("OrbitQuiverWithCut", "atilde_presentation", "verify_cut")),
+    ("atilde", ("atilde_presentation", "verify_cut")),
     (
         "classify",
         (

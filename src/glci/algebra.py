@@ -514,17 +514,19 @@ def cm_tensor_check(ws: WeightSystem) -> bool:
     type-A line quivers under the coordinate identification, with exactly the
     commutativity relations.  The stable top d*c + 2*omega is (p_i - 2; 0),
     so the vertices, arrows and commuting squares expected are read off the
-    box {t : 0 <= t_i <= p_i - 2}."""
+    box {t : 0 <= t_i <= p_i - 2}, and the quiver must have each exactly once."""
     if ws.n != ws.d + 2:
         raise ValueError("tensor decomposition check requires n = d + 2")
     quiver = i_canonical_quiver(ws, cm_interval(ws))
     box = set(itertools.product(*(range(p - 1) for p in ws.weights)))
     coords = [v.torsion for v in quiver.vertices]
-    if any(v.free for v in quiver.vertices) or set(coords) != box:
+    if any(v.free for v in quiver.vertices) or len(coords) != len(box) or set(coords) != box:
         return False
     # steps[t]: the coordinates i along which t + e_i stays in the box
     steps = {t: [i for i, p in enumerate(ws.weights) if t[i] < p - 2] for t in box}
     arrows = {(t, t[:i] + (t[i] + 1,) + t[i + 1 :], i + 1) for t in box for i in steps[t]}
+    if len(quiver.arrows) != len(arrows):
+        return False
     if {(coords[a.source], coords[a.target], a.label) for a in quiver.arrows} != arrows:
         return False
     squares = set()
@@ -540,6 +542,5 @@ def cm_tensor_check(ws: WeightSystem) -> bool:
         if not (composable and swapped):
             return False
         squares.add((coords[a.source], *sorted((a.label, b.label))))
-    return squares == {
-        (t, i + 1, j + 1) for t in box for i, j in itertools.combinations(steps[t], 2)
-    }
+    expected = {(t, i + 1, j + 1) for t in box for i, j in itertools.combinations(steps[t], 2)}
+    return squares == expected and len(quiver.relations) == len(expected)

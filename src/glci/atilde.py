@@ -2,9 +2,10 @@
 
 The quiver lives on the interval [0, d*c], which is a fundamental domain for
 the shift by omega.  Each vertex carries one arrow per presentation generator;
-an arrow whose honest target leaves the interval is marked as a cut arrow and
+an arrow whose honest target leaves the interval has `cut=True` and is
 re-targeted at the interval representative of its omega-orbit.  Removing the
-cut arrows recovers the interval quiver.
+cut arrows recovers the interval quiver.  The orbit quiver is a `Quiver`
+without relations.
 """
 
 from __future__ import annotations
@@ -12,24 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .grading import (
-    GroupElement,
-    WeightSystem,
-    add,
-    omega,
-    presentation,
-)
-from .algebra import Arrow, canonical_interval, i_canonical_quiver, is_acyclic
+from .grading import WeightSystem, add, omega, presentation
+from .algebra import Arrow, Quiver, canonical_interval, i_canonical_quiver, is_acyclic
 
 
-@dataclass(frozen=True)
-class OrbitQuiverWithCut:
-    ws: WeightSystem
-    vertices: tuple[GroupElement, ...]
-    arrows: tuple[Arrow, ...]
-
-
-def atilde_presentation(ws: WeightSystem) -> OrbitQuiverWithCut:
+def atilde_presentation(ws: WeightSystem) -> Quiver:
     if ws.n > ws.d + 1:
         raise ValueError("orbit presentation requires n <= d + 1 after normalization")
     gens, _ = presentation(ws)
@@ -49,7 +37,7 @@ def atilde_presentation(ws: WeightSystem) -> OrbitQuiverWithCut:
                 if rep is None:
                     raise AssertionError(f"no interval representative found for {t}")
                 arrows.append(Arrow(vi, rep, label, cut=True))
-    return OrbitQuiverWithCut(ws, verts, tuple(arrows))
+    return Quiver(verts, tuple(arrows), ())
 
 
 @dataclass(frozen=True)
@@ -63,13 +51,14 @@ class CutReport:
         return self.acyclic_without_cut and not self.bad_walks
 
 
-def verify_cut(q: OrbitQuiverWithCut) -> CutReport:
+def verify_cut(ws: WeightSystem, q: Quiver) -> CutReport:
     """Cut axioms: the uncut subquiver is acyclic and every full-label walk
     of length d+1 from any vertex closes up and crosses exactly one cut arrow.
+    A walk that meets a vertex without an arrow of its next label is a bad walk.
 
     The walk count is |V| * (d+1)!, so the check refuses d beyond 5.
     """
-    d = q.ws.d
+    d = ws.d
     if d > 5:
         raise ValueError("walk verification capped at d <= 5")
     nv = len(q.vertices)
@@ -89,10 +78,14 @@ def verify_cut(q: OrbitQuiverWithCut) -> CutReport:
             walks += 1
             cur = v
             cuts = 0
-            for lab in perm:
-                arrow = outgoing[(cur, lab)]
-                cuts += arrow.cut
-                cur = arrow.target
+            try:
+                for lab in perm:
+                    arrow = outgoing[cur, lab]
+                    cuts += arrow.cut
+                    cur = arrow.target
+            except KeyError:
+                bad.append(f"walk {perm} from vertex {v} finds no arrow labelled {lab} at vertex {cur}")
+                continue
             if cur != v:
                 bad.append(f"walk {perm} from vertex {v} does not close")
             elif cuts != 1:
@@ -100,9 +93,9 @@ def verify_cut(q: OrbitQuiverWithCut) -> CutReport:
     return CutReport(acyclic, walks, tuple(bad))
 
 
-def noncut_matches_interval_quiver(q: OrbitQuiverWithCut) -> bool:
+def noncut_matches_interval_quiver(ws: WeightSystem, q: Quiver) -> bool:
     """The arrows outside the cut are exactly the canonical interval quiver arrows."""
-    quiver = i_canonical_quiver(q.ws, canonical_interval(q.ws))
+    quiver = i_canonical_quiver(ws, canonical_interval(ws))
     ref = {(a.source, a.target, a.label) for a in quiver.arrows}
     got = {(a.source, a.target, a.label) for a in q.arrows if not a.cut}
     # Vertex orders agree: both use the interval enumeration order.

@@ -25,7 +25,7 @@ from .grading import (
 )
 
 if TYPE_CHECKING:
-    from . import atilde, classify
+    from . import classify
     from .algebra import Quiver
 
 
@@ -70,9 +70,13 @@ def _text(lines) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
+def _vertices_json(q: Quiver) -> list[dict]:
+    return [{"torsion": list(v.torsion), "free": v.free} for v in q.vertices]
+
+
 def quiver_to_json(q: Quiver) -> dict:
     return {
-        "vertices": [{"torsion": list(v.torsion), "free": v.free} for v in q.vertices],
+        "vertices": _vertices_json(q),
         "arrows": [
             {"from": a.source, "to": a.target, "label": a.label} for a in q.arrows
         ],
@@ -86,7 +90,7 @@ def quiver_to_json(q: Quiver) -> dict:
     }
 
 
-def quiver_to_dot(q: Quiver | atilde.OrbitQuiverWithCut) -> str:
+def quiver_to_dot(q: Quiver) -> str:
     """Graphviz source of a quiver; cut arrows of an orbit quiver are dashed."""
     lines = ["digraph quiver {"]
     for i, v in enumerate(q.vertices):
@@ -219,13 +223,13 @@ def cmd_mf(args) -> tuple[int, str]:
             ell = tuple(parse_int(v) for v in args.ell.split(","))
         except ValueError as exc:
             raise ValueError(f"cannot parse --ell {args.ell!r}: {exc}") from exc
-        indices = [matfac.MFIndex(ell)]
+        ells = [ell]
     else:
-        indices = matfac.mf_enumerate(ws)
+        ells = matfac.mf_enumerate(ws)
     failures = 0
     payload = []
-    for index, pair, report, nonsingular in matfac.mf_pairs(ws, indices, args.verify):
-        entry = {"ell": list(index.ell), "size": pair.size}
+    for pair, report, nonsingular in matfac.mf_pairs(ws, ells, args.verify):
+        entry = {"ell": list(pair.ell), "size": pair.size}
         if args.verify:
             entry["identity_ok"] = report.identity_ok
             entry["homogeneity_ok"] = report.homogeneity_ok
@@ -266,14 +270,14 @@ def cmd_atilde(args) -> tuple[int, str]:
 
     ws = _ws_from_args(args)
     q = atilde.atilde_presentation(ws)
-    report = atilde.verify_cut(q)
-    matches = atilde.noncut_matches_interval_quiver(q)
+    report = atilde.verify_cut(ws, q)
+    matches = atilde.noncut_matches_interval_quiver(ws, q)
     status = 0 if report.ok and matches else 1
     if args.format == "dot":
         return status, quiver_to_dot(q)
     if args.format == "json":
         payload = {
-            "vertices": [{"torsion": list(v.torsion), "free": v.free} for v in q.vertices],
+            "vertices": _vertices_json(q),
             "arrows": [
                 {"from": a.source, "to": a.target, "label": a.label, "cut": a.cut}
                 for a in q.arrows

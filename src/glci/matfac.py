@@ -146,16 +146,9 @@ def subsets_by_parity(n: int, parity: int) -> list[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class MFIndex:
-    """Exponent tuple with 1 <= ell_i <= p_i - 1 selecting one factorization."""
-
-    ell: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GradedMatrixPair:
     ws: WeightSystem
-    index: MFIndex
+    ell: tuple[int, ...]  # the exponents, 1 <= ell_i <= p_i - 1, naming the pair
     odd_subsets: tuple[tuple[int, ...], ...]
     even_subsets: tuple[tuple[int, ...], ...]
     m_rows: tuple[tuple[MultiPoly, ...], ...]  # odd rows x even columns
@@ -238,27 +231,25 @@ def _labels(
     }
 
 
-def mf_enumerate(ws: WeightSystem) -> list[MFIndex]:
+def mf_enumerate(ws: WeightSystem) -> list[tuple[int, ...]]:
+    """Every exponent tuple ell, 1 <= ell_i <= p_i - 1, in lexicographic order."""
     if ws.n != ws.d + 2:
         raise ValueError("matrix factorizations require n = d + 2")
-    return [
-        MFIndex(t)
-        for t in itertools.product(*(range(1, p) for p in ws.weights))
-    ]
+    return list(itertools.product(*(range(1, p) for p in ws.weights)))
 
 
 def mf_build(
     ws: WeightSystem,
-    index: MFIndex,
+    ell: Sequence[int],
     slots: Optional[dict[tuple[int, int], tuple[MultiPoly, ...]]] = None,
 ) -> GradedMatrixPair:
-    """The pair of `index`.  `slots`, kept by the caller for one system,
-    memoizes the slot quadruple X_i^l, -X_i^l, lambda_i X_i^{p_i - l},
-    -lambda_i X_i^{p_i - l} on (i, l) and the zero on (0, 0), so the pairs
-    of the system share their entry objects."""
+    """The pair of the exponent tuple `ell`.  `slots`, kept by the caller for
+    one system, memoizes the slot quadruple X_i^l, -X_i^l,
+    lambda_i X_i^{p_i - l}, -lambda_i X_i^{p_i - l} on (i, l) and the zero on
+    (0, 0), so the pairs of the system share their entry objects."""
     if ws.n != ws.d + 2:
         raise ValueError("matrix factorizations require n = d + 2")
-    ell = tuple(index.ell)
+    ell = tuple(ell)
     _check_index(ws, ell)
     n = ws.n
     odd, even, m_table, n_table, _ = _incidence(n)
@@ -278,7 +269,7 @@ def mf_build(
         tuple(tuple(map(flat.__getitem__, row)) for row in table) for table in (m_table, n_table)
     )
     shifts = _labels(ws.weights, ell, odd, even)
-    return GradedMatrixPair(ws, MFIndex(ell), odd, even, m_rows, n_rows, shifts)
+    return GradedMatrixPair(ws, ell, odd, even, m_rows, n_rows, shifts)
 
 
 def hypersurface_poly(ws: WeightSystem) -> MultiPoly:
@@ -494,9 +485,9 @@ def mf_minor_nonsingular(
 
 
 def mf_pairs(
-    ws: WeightSystem, indices: Iterable[MFIndex], verify: bool
-) -> Iterator[tuple[MFIndex, GradedMatrixPair, Optional[MFReport], Optional[bool]]]:
-    """The one build -> verify -> minor loop: for each index, the index, its
+    ws: WeightSystem, ells: Iterable[Sequence[int]], verify: bool
+) -> Iterator[tuple[GradedMatrixPair, Optional[MFReport], Optional[bool]]]:
+    """The one build -> verify -> minor loop: for each exponent tuple, its
     pair from `mf_build` and, with `verify`, the pair's `mf_verify` report
     and `mf_minor_nonsingular` verdict (else None, None).
 
@@ -509,13 +500,13 @@ def mf_pairs(
     eliminations serve the system.  No memo outlives the loop.
     """
     constants, slots, verdicts = None, {}, {}
-    for index in indices:
-        pair = mf_build(ws, index, slots)
+    for ell in ells:
+        pair = mf_build(ws, ell, slots)
         if not verify:
-            yield index, pair, None, None
+            yield pair, None, None
             continue
         constants = constants or _system_constants(ws)
-        yield index, pair, mf_verify(pair, constants), mf_minor_nonsingular(pair, verdicts)
+        yield pair, mf_verify(pair, constants), mf_minor_nonsingular(pair, verdicts)
 
 
 def expected_index_count(ws: WeightSystem) -> int:

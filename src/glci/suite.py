@@ -357,17 +357,17 @@ def battery_matrix_factorizations(ws: WeightSystem) -> tuple[bool, str]:
     """Systems with n = d + 2: every matrix factorization verified symbolically.
     By default the fixtures, then grid systems with d <= 2 and at most 8
     factorizations."""
-    indices = matfac.mf_enumerate(ws)
-    if len(indices) != matfac.expected_index_count(ws):
-        return False, f"index count {len(indices)}"
-    for index, pair, report, nonsingular in matfac.mf_pairs(ws, indices, True):
+    ells = matfac.mf_enumerate(ws)
+    if len(ells) != matfac.expected_index_count(ws):
+        return False, f"index count {len(ells)}"
+    for pair, report, nonsingular in matfac.mf_pairs(ws, ells, True):
         if pair.size != 2 ** (ws.d + 1):
-            return False, f"{index.ell}: size {pair.size}"
+            return False, f"{pair.ell}: size {pair.size}"
         if not report.ok:
-            return False, f"{index.ell}: {report.failures[:2]}"
+            return False, f"{pair.ell}: {report.failures[:2]}"
         if not nonsingular:
-            return False, f"{index.ell}: singular corner minor"
-    return True, f"{len(indices)} factorizations verified"
+            return False, f"{pair.ell}: singular corner minor"
+    return True, f"{len(ells)} factorizations verified"
 
 
 ATILDE_FIXTURES: tuple[WeightSystem, ...] = (
@@ -387,12 +387,12 @@ def battery_atilde(ws: WeightSystem) -> tuple[bool, str]:
     """Systems with n <= d + 1: the orbit quiver satisfies the cut axioms.
     By default the fixtures, then grid systems of Grothendieck rank <= 20."""
     q = atilde.atilde_presentation(ws)
-    report = atilde.verify_cut(q)
+    report = atilde.verify_cut(ws, q)
     if not report.acyclic_without_cut:
         return False, "the arrows outside the cut form a cycle"
     if report.bad_walks:
         return False, f"bad walks {report.bad_walks[:2]}"
-    if not atilde.noncut_matches_interval_quiver(q):
+    if not atilde.noncut_matches_interval_quiver(ws, q):
         return False, "the arrows outside the cut differ from the interval quiver's"
     count = grading.coset_data_mod_omega(ws).count
     if len(q.vertices) != count:

@@ -68,9 +68,9 @@ def test_criterion_04_matrix_factorizations():
     # entrywise match with the printed 4x4 matrices in the d = 1 case
     printed_ok = True
     ws = WeightSystem(1, (2, 3, 5))
-    for index in matfac.mf_enumerate(ws):
-        pair = matfac.mf_build(ws, index)
-        m, n = expected_4x4(ws.weights, index.ell)
+    for ell in matfac.mf_enumerate(ws):
+        pair = matfac.mf_build(ws, ell)
+        m, n = expected_4x4(ws.weights, ell)
         if [list(r) for r in pair.m_rows] != m or [list(r) for r in pair.n_rows] != n:
             printed_ok = False
     elapsed = time.perf_counter() - t0

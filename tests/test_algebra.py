@@ -335,13 +335,25 @@ def test_is_acyclic_cases():
     assert is_acyclic(len(empty.vertices), empty.arrows)
 
 
-def test_cm_tensor_check_examples():
+def test_cm_tensor_check_examples(monkeypatch):
     assert cm_tensor_check(WeightSystem(1, (2, 3, 3)))
     assert cm_tensor_check(WeightSystem(2, (2, 2, 2, 2)))
     assert cm_tensor_check(WeightSystem(1, (3, 3, 3)))
     assert cm_tensor_check(WeightSystem(2, (2, 2, 3, 4)))
     with pytest.raises(ValueError):
         cm_tensor_check(WeightSystem(1, (2, 3)))
+    # each vertex, arrow and commutativity relation exactly once: a repeated
+    # one leaves the sets the check compares unchanged
+    ws = WeightSystem(2, (2, 3, 4, 4))
+    q = i_canonical_quiver(ws, cm_interval(ws))
+    repeated = (
+        Quiver(q.vertices, q.arrows, q.relations + q.relations[:1]),
+        Quiver(q.vertices, q.arrows + q.arrows[:1], q.relations),
+        Quiver(q.vertices + q.vertices[:1], q.arrows, q.relations),
+    )
+    for broken in repeated:
+        monkeypatch.setattr(algebra, "i_canonical_quiver", lambda ws, box: broken)
+        assert not cm_tensor_check(ws)
 
 
 @pytest.mark.parametrize("second", ["repeat the first path", "next relation's"])

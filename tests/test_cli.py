@@ -650,8 +650,8 @@ def test_each_command_loads_only_the_modules_it_uses(code, loaded):
 
 
 EXPORTS = [
-    "ClassificationReport", "GradedMatrixPair", "GroupElement", "IntPolynomial", "MFIndex",
-    "MultiPoly", "OrbitQuiverWithCut", "Quiver", "StructureAlgebra", "Trichotomy",
+    "ClassificationReport", "GradedMatrixPair", "GroupElement", "IntPolynomial",
+    "MultiPoly", "Quiver", "StructureAlgebra", "Trichotomy",
     "WeightSystem", "add", "algebra", "atilde", "atilde_presentation", "canonical_interval",
     "canonical_interval_size", "cartan_matrix", "char_poly", "classification_report",
     "classify", "cm_finite", "cm_interval", "cm_interval_size", "cm_tensor_check",

@@ -20,7 +20,6 @@ from glci.grading import (
     zero,
 )
 from glci.matfac import (
-    MFIndex,
     MultiPoly,
     _corner_minor,
     _monomial_degree,
@@ -129,7 +128,7 @@ def test_mf_build_matches_printed_4x4():
     weights = (2, 3, 5)
     ws = WeightSystem(1, weights)
     for ell in ((1, 1, 1), (1, 2, 3), (1, 1, 4)):
-        pair = mf_build(ws, MFIndex(ell))
+        pair = mf_build(ws, ell)
         m, nn = expected_4x4(weights, ell)
         assert [list(r) for r in pair.m_rows] == m
         assert [list(r) for r in pair.n_rows] == nn
@@ -139,7 +138,7 @@ def test_mf_build_matches_printed_8x8():
     weights = (2, 2, 3, 4)
     ws = WeightSystem(2, weights)
     for ell in ((1, 1, 1, 1), (1, 1, 2, 3)):
-        pair = mf_build(ws, MFIndex(ell))
+        pair = mf_build(ws, ell)
         m, nn = expected_8x8(weights, ell)
         assert [list(r) for r in pair.m_rows] == m
         assert [list(r) for r in pair.n_rows] == nn
@@ -147,7 +146,7 @@ def test_mf_build_matches_printed_8x8():
 
 def test_mf_entries_are_single_signed_monomials():
     ws = WeightSystem(1, (2, 2, 2))
-    pair = mf_build(ws, MFIndex((1, 1, 1)))
+    pair = mf_build(ws, (1, 1, 1))
     for rows in (pair.m_rows, pair.n_rows):
         for row in rows:
             for entry in row:
@@ -159,14 +158,14 @@ def test_mf_entries_are_single_signed_monomials():
 def test_mf_verify_identity_and_homogeneity():
     for d, weights in ((1, (2, 3, 5)), (2, (2, 2, 3, 4))):
         ws = WeightSystem(d, weights)
-        for index in mf_enumerate(ws):
-            report = mf_verify(mf_build(ws, index))
+        for ell in mf_enumerate(ws):
+            report = mf_verify(mf_build(ws, ell))
             assert report.identity_ok and report.homogeneity_ok, report.failures
 
 
 def test_mf_product_diagonal_is_hypersurface():
     ws = WeightSystem(1, (2, 3, 5))
-    pair = mf_build(ws, MFIndex((1, 1, 1)))
+    pair = mf_build(ws, (1, 1, 1))
     f = hypersurface_poly(ws)
     acc = MultiPoly.zero(ws.n)
     for k in range(pair.size):
@@ -177,7 +176,7 @@ def test_mf_product_diagonal_is_hypersurface():
 def test_mf_enumerate_counts():
     assert len(mf_enumerate(WeightSystem(1, (2, 3, 5)))) == 8
     only = mf_enumerate(WeightSystem(2, (2, 2, 2, 2)))
-    assert [i.ell for i in only] == [(1, 1, 1, 1)]
+    assert only == [(1, 1, 1, 1)]
     assert len(mf_enumerate(WeightSystem(2, (2, 2, 3, 4)))) == 6
     assert expected_index_count(WeightSystem(2, (2, 2, 3, 4))) == 6
 
@@ -187,9 +186,9 @@ def test_mf_errors():
         mf_enumerate(WeightSystem(2, (2, 3)))
     ws = WeightSystem(1, (2, 3, 5))
     with pytest.raises(ValueError):
-        mf_build(ws, MFIndex((1, 1, 5)))
+        mf_build(ws, (1, 1, 5))
     with pytest.raises(ValueError):
-        mf_build(ws, MFIndex((0, 1, 1)))
+        mf_build(ws, (0, 1, 1))
 
 
 def _symbolic_det(matrix):
@@ -225,24 +224,24 @@ def test_corner_minor_is_power_of_truncated_hypersurface(ws):
     power = MultiPoly.monomial(n, 1, {})
     for _ in range(2 ** (ws.d - 1)):
         power = power * f_prime
-    for index in mf_enumerate(ws):
-        pair = mf_build(ws, index)
+    for ell in mf_enumerate(ws):
+        pair = mf_build(ws, ell)
         det = _symbolic_det(_corner_minor(pair))
-        assert det in (power, -power), index
+        assert det in (power, -power), ell
         assert mf_minor_nonsingular(pair) is True
 
 
 def test_mf_minor_nonsingular_examples():
     ws = WeightSystem(1, (2, 3, 5))
-    assert mf_minor_nonsingular(mf_build(ws, MFIndex((1, 1, 1)))) is True
+    assert mf_minor_nonsingular(mf_build(ws, (1, 1, 1))) is True
     ws4 = WeightSystem(4, (2, 2, 2, 2, 2, 3))
-    for index in mf_enumerate(ws4):
-        assert mf_minor_nonsingular(mf_build(ws4, index)) is True
+    for ell in mf_enumerate(ws4):
+        assert mf_minor_nonsingular(mf_build(ws4, ell)) is True
 
 
 def test_mf_minor_singular_when_a_corner_row_is_zero():
     ws = WeightSystem(2, (2, 2, 3, 4))
-    pair = mf_build(ws, MFIndex((1, 1, 2, 3)))
+    pair = mf_build(ws, (1, 1, 2, 3))
     row = next(k for k, s in enumerate(pair.even_subsets) if s and ws.n not in s)
     rows = list(pair.n_rows)
     rows[row] = tuple(MultiPoly.zero(ws.n) for _ in rows[row])
@@ -267,33 +266,34 @@ def test_corner_verdicts_are_memoized_on_the_matrix_not_on_ell(monkeypatch, orde
     # the second is tampered inside its corner and must not take the
     # first's verdict, whichever of the two the loop meets first
     ws = WeightSystem(2, (2, 2, 3, 4))
-    sound, tampered = MFIndex((1, 1, 2, 1)), MFIndex((1, 1, 2, 3))
+    sound, tampered = (1, 1, 2, 1), (1, 1, 2, 3)
     real_build = matfac.mf_build
 
-    def build(ws, index, slots=None):
-        pair = real_build(ws, index, slots)
-        return _zero_a_corner_row(pair) if index == tampered else pair
+    def build(ws, ell, slots=None):
+        pair = real_build(ws, ell, slots)
+        return _zero_a_corner_row(pair) if ell == tampered else pair
 
     monkeypatch.setattr(matfac, "mf_build", build)
     results = list(mf_pairs(ws, [sound, tampered][::order], True))
-    verdicts = {index: nonsingular for index, _, _, nonsingular in results}
+    verdicts = {pair.ell: nonsingular for pair, _, nonsingular in results}
     assert verdicts == {sound: True, tampered: False}
-    reports = {index: report for index, _, report, _ in results}
+    reports = {pair.ell: report for pair, report, _ in results}
     assert reports[sound].ok and not reports[tampered].identity_ok
 
 
 @pytest.mark.parametrize("ws", suite.MF_FIXTURES + (WeightSystem(2, (2, 3, 3, 4)),), ids=str)
 def test_mf_pairs_agrees_with_each_pair_checked_alone(ws):
-    indices = mf_enumerate(ws)
-    results = list(mf_pairs(ws, indices, True))
-    assert [index for index, *_ in results] == indices
-    for index, pair, report, nonsingular in results:
-        assert pair == mf_build(ws, index)
+    ells = mf_enumerate(ws)
+    assert all(type(ell) is tuple for ell in ells)
+    results = list(mf_pairs(ws, ells, True))
+    assert [pair.ell for pair, *_ in results] == ells
+    for pair, report, nonsingular in results:
+        assert pair == mf_build(ws, pair.ell)
         assert report == mf_verify(pair)
         assert nonsingular is mf_minor_nonsingular(pair) is True
-    built = list(mf_pairs(ws, indices, False))
-    assert [(index, pair) for index, pair, _, _ in built] == [(i, p) for i, p, _, _ in results]
-    assert {(report, nonsingular) for _, _, report, nonsingular in built} == {(None, None)}
+    built = list(mf_pairs(ws, ells, False))
+    assert [pair for pair, _, _ in built] == [pair for pair, _, _ in results]
+    assert {(report, nonsingular) for _, report, nonsingular in built} == {(None, None)}
 
 
 def _label_case(pair, bump, probe):
@@ -325,17 +325,17 @@ def test_degree_key_memos_are_keyed_on_the_value(monkeypatch, case, tampered_at)
     # so they share its memos; each must get the report it gets alone,
     # whichever the loop meets first
     ws = WeightSystem(1, (2, 3, 5))
-    index = MFIndex((1, 2, 4))
+    ell = (1, 2, 4)
     probe, turn = MultiPoly.zero(ws.n), itertools.count()
     real_build = matfac.mf_build
 
-    def build(ws, index, slots=None):
-        return case(real_build(ws, index, slots), next(turn) == tampered_at, probe)
+    def build(ws, ell, slots=None):
+        return case(real_build(ws, ell, slots), next(turn) == tampered_at, probe)
 
     monkeypatch.setattr(matfac, "mf_build", build)
     # each pair is checked alone before the loop builds the next, which may
     # set the probe
-    reports = [(report, mf_verify(pair)) for _, pair, report, _ in mf_pairs(ws, [index] * 2, True)]
+    reports = [(report, mf_verify(pair)) for pair, report, _ in mf_pairs(ws, [ell] * 2, True)]
     assert [loop == alone for loop, alone in reports] == [True, True]
     assert [loop.ok for loop, _ in reports] == [k != tampered_at for k in range(2)]
     assert not reports[tampered_at][0].homogeneity_ok
@@ -344,8 +344,8 @@ def test_degree_key_memos_are_keyed_on_the_value(monkeypatch, case, tampered_at)
 def test_mf_verify_ignores_constants_of_other_weights():
     ws = WeightSystem(1, (2, 3, 5))
     other = _system_constants(WeightSystem(1, (2, 3, 7)))
-    for index in mf_enumerate(ws):
-        pair = mf_build(ws, index)
+    for ell in mf_enumerate(ws):
+        pair = mf_build(ws, ell)
         assert mf_verify(pair, other) == mf_verify(pair) == mf_verify(pair, _system_constants(ws))
         assert mf_verify(pair).ok
 
@@ -355,7 +355,7 @@ def test_mf_verify_reads_a_label_as_an_element_of_l():
     # keys reduce torsion mod p_i, so it stays homogeneous; moved by x_1 it
     # is not
     ws = WeightSystem(1, (2, 3, 5))
-    pair = mf_build(ws, MFIndex((1, 2, 4)))
+    pair = mf_build(ws, (1, 2, 4))
     for pos in (-1, 0, 1):
         for k, (torsion, free) in enumerate(pair.shifts[pos]):
             for bump in (0, 1):
@@ -435,7 +435,7 @@ def test_homogeneity_failure_names_the_expected_degree_in_normal_form():
     # (8,1,0; -4) is (0,1,0; 0) written outside normal form: the message
     # names the expected degree as the difference of the normal forms
     ws = WeightSystem(1, (2, 3, 5))
-    pair = mf_build(ws, MFIndex((1, 2, 4)))
+    pair = mf_build(ws, (1, 2, 4))
     assert pair.shifts[0][1] == GroupElement((1, 1, 0), -1)
     reports = []
     for label in (GroupElement((8, 1, 0), -4), normal_form(ws, (8, 1, 0), -4)):
@@ -451,7 +451,7 @@ def test_shift_labels_match_printed_summands():
     # P^{l,0} = R + R(c - l1 x1 - l2 x2) + R(c - l1 x1 - l3 x3) + R(c - l2 x2 - l3 x3)
     ws = WeightSystem(1, (2, 3, 5))
     ell = (1, 2, 4)
-    pair = mf_build(ws, MFIndex(ell))
+    pair = mf_build(ws, ell)
     zero_shift = _shift_label_by_normal_form(ws, ell, (), 0)
     assert pair.shifts[0][0] == zero_shift == GroupElement((0, 0, 0), 0)
     got = pair.shifts[0][1]
@@ -486,7 +486,7 @@ def _mf_systems(draw):
 @given(_mf_systems())
 def test_closed_form_shift_labels_match_normal_form(system):
     ws, ell = system
-    pair = mf_build(ws, MFIndex(ell))
+    pair = mf_build(ws, ell)
     for position in (-1, 0, 1):
         subsets = subsets_by_parity(ws.n, position)
         want = tuple(_shift_label_by_normal_form(ws, ell, s, position) for s in subsets)
@@ -497,17 +497,17 @@ def test_mf_build_rejects_an_index_out_of_range():
     ws = WeightSystem(1, (2, 3, 5))
     for ell in ((0, 1, 1), (1, 3, 1), (1, 1, 5), (1, 1), (1, 1, 1, 1)):
         with pytest.raises(ValueError, match="out of range"):
-            mf_build(ws, MFIndex(ell))
+            mf_build(ws, ell)
     # indexed by the kept weights: (1;2,1,3,5) takes three exponents
     raw = WeightSystem(1, (2, 1, 3, 5))
-    assert mf_build(raw, MFIndex((1, 1, 1))) == mf_build(ws, MFIndex((1, 1, 1)))
+    assert mf_build(raw, (1, 1, 1)) == mf_build(ws, (1, 1, 1))
     with pytest.raises(ValueError, match="out of range"):
-        mf_build(raw, MFIndex((1, 1, 1, 1)))
+        mf_build(raw, (1, 1, 1, 1))
 
 
 def test_mf_verify_rejects_tampered_pair():
     ws = WeightSystem(1, (2, 3, 5))
-    pair = mf_build(ws, MFIndex((1, 1, 1)))
+    pair = mf_build(ws, (1, 1, 1))
     rows = [list(r) for r in pair.m_rows]
     rows[0][0] = -rows[0][0]
     bad = replace(pair, m_rows=tuple(tuple(r) for r in rows))
@@ -519,7 +519,7 @@ def test_mf_verify_rejects_tampered_shift_labels():
     from glci.grading import gen_c, add
 
     ws = WeightSystem(1, (2, 3, 5))
-    pair = mf_build(ws, MFIndex((1, 1, 1)))
+    pair = mf_build(ws, (1, 1, 1))
     shifts = dict(pair.shifts)
     bumped = list(shifts[0])
     bumped[0] = add(ws, bumped[0], gen_c(ws))
@@ -552,7 +552,7 @@ def test_mf_verify_sees_a_label_moved_by_a_nonzero_element_of_degree_zero(d, wei
     # x_i - x_j with p_i = p_j is nonzero of degree 0: delta alone cannot
     # tell the moved label from the true one, the torsion part of the key can
     ws = WeightSystem(d, weights)
-    pair = mf_build(ws, MFIndex(tuple(p - 1 for p in weights)))
+    pair = mf_build(ws, tuple(p - 1 for p in weights))
     twist = sub(ws, gen_x(ws, i), gen_x(ws, j))
     assert twist != zero(ws) and delta_l(ws, twist) == 0
     assert not _homogeneity_failures_by_difference(pair)
@@ -569,7 +569,7 @@ def test_mf_verify_sees_a_label_moved_by_a_nonzero_element_of_degree_zero(d, wei
 
 def test_all_indices_cover_box():
     ws = WeightSystem(2, (2, 2, 3, 4))
-    ells = {i.ell for i in mf_enumerate(ws)}
+    ells = set(mf_enumerate(ws))
     manual = set(itertools.product((1,), (1,), (1, 2), (1, 2, 3)))
     assert ells == manual
 
@@ -636,26 +636,26 @@ def _oracle_identity_failures(pair):
     return failures
 
 
-def _sampled_indices(ws):
-    """Every index, or a seeded sample of 12 when the pairs hold more than
-    2^14 entries in all, as for (3;3,3,4,4,5)."""
-    indices = mf_enumerate(ws)
-    if len(indices) * 4 ** (ws.d + 1) > 2**14:
-        return random.Random(11).sample(indices, 12)
-    return indices
+def _sampled_ells(ws):
+    """Every exponent tuple, or a seeded sample of 12 when the pairs hold
+    more than 2^14 entries in all, as for (3;3,3,4,4,5)."""
+    ells = mf_enumerate(ws)
+    if len(ells) * 4 ** (ws.d + 1) > 2**14:
+        return random.Random(11).sample(ells, 12)
+    return ells
 
 
 @pytest.mark.parametrize("ws", suite.MF_FIXTURES + VERIFY_SYSTEMS, ids=str)
 def test_mf_build_matches_set_comparison_oracle(ws):
-    for index in _sampled_indices(ws):
-        pair = mf_build(ws, index)
-        weights, ell = pair.ws.weights, index.ell
+    for ell in _sampled_ells(ws):
+        pair = mf_build(ws, ell)
+        weights = pair.ws.weights
         for rows, sources, targets in (
             (pair.m_rows, pair.odd_subsets, pair.even_subsets),
             (pair.n_rows, pair.even_subsets, pair.odd_subsets),
         ):
             expected = [[_entry(ws.n, weights, ell, r, c) for c in targets] for r in sources]
-            assert [list(row) for row in rows] == expected, index
+            assert [list(row) for row in rows] == expected, ell
 
 
 def _tampered(pair, rng):
@@ -690,8 +690,8 @@ def _tampered(pair, rng):
 @pytest.mark.parametrize("ws", suite.MF_FIXTURES + VERIFY_SYSTEMS, ids=str)
 def test_mf_verify_agrees_with_oracle_product(ws):
     rng = random.Random(5)
-    for count, index in enumerate(_sampled_indices(ws)):
-        pair = mf_build(ws, index)
+    for count, ell in enumerate(_sampled_ells(ws)):
+        pair = mf_build(ws, ell)
         report = mf_verify(pair)
         assert report.ok and not report.failures and not _oracle_identity_failures(pair)
         if count >= 4:
@@ -699,10 +699,10 @@ def test_mf_verify_agrees_with_oracle_product(ws):
         for kind, bad in _tampered(pair, rng):
             expected = _oracle_identity_failures(bad)
             report = mf_verify(bad)
-            assert report.identity_ok == (not expected), (index, kind)
+            assert report.identity_ok == (not expected), (ell, kind)
             homogeneity = _homogeneity_failures_by_difference(bad)
-            assert report.homogeneity_ok == (not homogeneity), (index, kind)
-            assert report.failures == (*expected, *homogeneity), (index, kind)
+            assert report.homogeneity_ok == (not homogeneity), (ell, kind)
+            assert report.failures == (*expected, *homogeneity), (ell, kind)
             assert kind.endswith(" same") == (not expected)
 
 
@@ -710,7 +710,7 @@ def test_mf_verify_computes_n_times_m_for_non_square_factors():
     # M = (1 0) and N = (f 0)^T give M*N = f, but N*M = diag(f, 0): the
     # identity M*N = f*Id forces N*M = f*Id only for square factors
     ws = WeightSystem(1, (2, 3, 5))
-    pair = mf_build(ws, MFIndex((1, 1, 1)))
+    pair = mf_build(ws, (1, 1, 1))
     one, zero_poly = MultiPoly.monomial(ws.n, 1, {}), MultiPoly.zero(ws.n)
     bad = replace(pair, m_rows=((one, zero_poly),), n_rows=((hypersurface_poly(ws),), (zero_poly,)))
     report = mf_verify(bad)
@@ -751,7 +751,7 @@ def test_packed_identity_check_rejects_carry_collisions(ws, carry):
 
 def test_packed_identity_check_rejects_a_monomial_in_a_zero_entry():
     ws = WeightSystem(2, (2, 2, 3, 4))
-    pair = mf_build(ws, MFIndex((1, 1, 2, 3)))
+    pair = mf_build(ws, (1, 1, 2, 3))
     rows = [list(r) for r in pair.n_rows]
     j = next(j for j, e in enumerate(rows[0]) if e.is_zero())
     rows[0][j] = X(ws.n, 4, 1)
@@ -790,7 +790,7 @@ def test_packed_identity_check_doubles_the_largest_exponent(msb_first):
     g = MultiPoly(n, g_terms)
     assert u * g != f
     assert _kronecker(u * g, top + 1, order) == _kronecker(f, top + 1, order)
-    pair = mf_build(ws, MFIndex((1, 1, 1)))
+    pair = mf_build(ws, (1, 1, 1))
     tiny = replace(
         pair,
         odd_subsets=pair.odd_subsets[:1],

@@ -352,3 +352,20 @@ def test_cli_reads_every_integer_option_with_parse_int():
         if k.arg == "type"
     ]
     assert types and "int" not in types, types
+
+
+def test_every_dataclass_record_has_two_fields():
+    """A `@dataclass` record of one field only wraps a value its callers
+    unwrap again: the library passes the value itself."""
+    records = {
+        f"{path.name}:{node.lineno} {node.name}": sum(isinstance(s, ast.AnnAssign) for s in node.body)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            ast.unparse(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+            for d in node.decorator_list
+        )
+    }
+    wrappers = [record for record, fields in records.items() if fields < 2]
+    assert records and not wrappers, wrappers

@@ -123,14 +123,14 @@ NAMED_FAILURES = {
         WeightSystem(2, (2, 3, 4)),
         atilde,
         "verify_cut",
-        lambda real: lambda q: replace(real(q), acyclic_without_cut=False),
+        lambda real: lambda ws, q: replace(real(ws, q), acyclic_without_cut=False),
         "the arrows outside the cut form a cycle",
     ),
     "atilde non-cut arrows": (
         WeightSystem(2, (2, 3, 4)),
         atilde,
         "noncut_matches_interval_quiver",
-        lambda real: lambda q: False,
+        lambda real: lambda ws, q: False,
         "the arrows outside the cut differ from the interval quiver's",
     ),
     "atilde coset count": (
